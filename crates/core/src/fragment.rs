@@ -88,17 +88,20 @@ impl LabelGroup<'_> {
 /// (= sorted by Dewey) and folding each popped child's keyword set and
 /// content feature into its parent. One visit per fragment node instead
 /// of one ancestor walk per keyword node, and no search tree.
+///
+/// Storage is asked once per node: `label_of` for the path nodes,
+/// `keyword_node_of` — label and own-content feature together — for
+/// the keyword nodes.
 fn construct_stream(
     anchor: &Dewey,
     knodes: &[(Dewey, KeySet)],
     mut label_of: impl FnMut(&Dewey) -> LabelId,
-    mut keyword_cid_of: impl FnMut(&Dewey) -> Cid,
+    mut keyword_node_of: impl FnMut(&Dewey) -> (LabelId, Cid),
 ) -> Fragment {
     let mut nodes: Vec<FragNode> = Vec::new();
     let mut stack: Vec<usize> = Vec::new(); // indices into `nodes`, path order
 
-    let mut open = |nodes: &mut Vec<FragNode>, stack: &mut Vec<usize>, dewey: Dewey| {
-        let label = label_of(&dewey);
+    let open = |nodes: &mut Vec<FragNode>, stack: &mut Vec<usize>, dewey: Dewey, label| {
         if let Some(&parent) = stack.last() {
             nodes[parent].children.push(dewey.clone());
         }
@@ -125,7 +128,19 @@ fn construct_stream(
         }
     };
 
-    open(&mut nodes, &mut stack, anchor.clone());
+    // The own-content feature of the keyword node opened last, until
+    // the marking step below takes it.
+    let mut own: Option<Cid> = None;
+    // An anchor that is itself the first keyword node (every
+    // single-keyword SLCA) is fetched as one.
+    let anchor_label = if knodes.first().is_some_and(|(kd, _)| kd == anchor) {
+        let (label, cid) = keyword_node_of(anchor);
+        own = Some(cid);
+        label
+    } else {
+        label_of(anchor)
+    };
+    open(&mut nodes, &mut stack, anchor.clone(), anchor_label);
     for (kd, mask) in knodes {
         debug_assert!(anchor.is_ancestor_or_self(kd), "knode outside anchor");
         let comps = kd.components();
@@ -141,23 +156,32 @@ fn construct_stream(
         while stack.len() > 1 && nodes[*stack.last().expect("non-empty")].dewey.len() > common {
             pop(&mut nodes, &mut stack);
         }
-        // Open the path down to the keyword node.
+        // Open the path down to the keyword node; the last node opened
+        // is the keyword node itself.
         let mut open_len = nodes[*stack.last().expect("non-empty")].dewey.len();
         while open_len < comps.len() {
             open_len += 1;
-            open(
-                &mut nodes,
-                &mut stack,
-                Dewey::from_slice(&comps[..open_len]),
-            );
+            let dewey = Dewey::from_slice(&comps[..open_len]);
+            let label = if open_len == comps.len() {
+                let (label, cid) = keyword_node_of(&dewey);
+                own = Some(cid);
+                label
+            } else {
+                label_of(&dewey)
+            };
+            open(&mut nodes, &mut stack, dewey, label);
         }
-        // Mark the keyword node itself.
-        let cid = keyword_cid_of(kd);
+        // Mark the keyword node itself. Only a code listed twice in
+        // `knodes` arrives here already open without its feature.
+        let cid = own.take().unwrap_or_else(|| keyword_node_of(kd).1);
         let top = &mut nodes[*stack.last().expect("non-empty")];
         debug_assert_eq!(&top.dewey, kd);
         top.is_keyword = true;
         top.kset = top.kset.union(*mask);
-        top.cid = merge_cid_ref(top.cid.take(), cid.as_ref());
+        top.cid = match top.cid.take() {
+            None => cid,
+            held => merge_cid_ref(held, cid.as_ref()),
+        };
     }
     while !stack.is_empty() {
         pop(&mut nodes, &mut stack);
@@ -182,8 +206,9 @@ impl Fragment {
             &rtf.knodes,
             |d| tree.node(tree_node(tree, d)).label,
             |d| {
-                let content = node_content(tree, tree_node(tree, d));
-                content_feature(&content)
+                let id = tree_node(tree, d);
+                let content = node_content(tree, id);
+                (tree.node(id).label, content_feature(&content))
             },
         )
     }
@@ -194,27 +219,18 @@ impl Fragment {
     /// abstraction instead of the parsed tree. Used by the engine when
     /// it runs over shredded tables or an on-disk index.
     ///
-    /// Path nodes cost one [`CorpusSource::element_label`] each (no
-    /// content strings materialized); only keyword nodes fetch the full
-    /// element record for its own-content feature.
+    /// Path nodes cost one [`CorpusSource::try_element_label`] each (no
+    /// content strings materialized), keyword nodes one
+    /// [`CorpusSource::try_keyword_node`].
     ///
-    /// Panics if the RTF references a Dewey code the corpus does not
-    /// contain (keyword nodes always come from the same corpus, so this
-    /// indicates a corrupted index).
+    /// Panics on what [`Fragment::try_construct_from_source`] reports
+    /// as an error: a backend failure, or an RTF referencing a Dewey
+    /// code the corpus does not contain (keyword nodes always come from
+    /// the same corpus, so this indicates a corrupted index).
     #[must_use]
     pub fn construct_from_source<S: CorpusSource + ?Sized>(source: &S, rtf: &Rtf) -> Self {
-        construct_stream(
-            &rtf.anchor,
-            &rtf.knodes,
-            |d| {
-                LabelId(
-                    source.element_label(d).unwrap_or_else(|| {
-                        panic!("RTF references node {d} missing from the corpus")
-                    }),
-                )
-            },
-            |d| source_element(source, d).keyword_cid,
-        )
+        Self::try_construct_from_source(source, rtf)
+            .unwrap_or_else(|e| panic!("fragment construction failed: {e}"))
     }
 
     /// Fallible form of [`Fragment::construct_from_source`]: backend
@@ -250,15 +266,15 @@ impl Fragment {
                     LabelId(0)
                 }
             },
-            |d| match source.try_element(d) {
-                Ok(Some(element)) => element.keyword_cid,
+            |d| match source.try_keyword_node(d) {
+                Ok(Some((label, cid))) => (LabelId(label), cid),
                 Ok(None) => {
                     fail(SourceError::missing_node(d));
-                    None
+                    (LabelId(0), None)
                 }
                 Err(e) => {
                     fail(e);
-                    None
+                    (LabelId(0), None)
                 }
             },
         );
@@ -476,15 +492,6 @@ impl Fragment {
 fn tree_node(tree: &XmlTree, dewey: &Dewey) -> xks_xmltree::NodeId {
     tree.node_by_dewey(dewey)
         .unwrap_or_else(|| panic!("RTF references node {dewey} missing from the tree"))
-}
-
-fn source_element<S: CorpusSource + ?Sized>(
-    source: &S,
-    dewey: &Dewey,
-) -> crate::source::SourceElement {
-    source
-        .element(dewey)
-        .unwrap_or_else(|| panic!("RTF references node {dewey} missing from the corpus"))
 }
 
 /// The paper's bit-list rendering of a keyword set: `kList = 0 1 1 1 1`

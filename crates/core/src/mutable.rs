@@ -39,6 +39,7 @@ use std::sync::{Arc, RwLock};
 use xks_store::{shred, shred_document, ElementRow, ValueRow};
 use xks_xmltree::{Dewey, ParseError, XmlTree};
 
+use crate::fragment::Cid;
 use crate::source::{CorpusSource, SourceElement, SourceError};
 
 /// Everything that can go wrong mutating a corpus.
@@ -508,6 +509,20 @@ impl CorpusSource for MutableSource {
         }
         match &state.base {
             Some(base) => base.try_element_label(dewey),
+            None => Ok(None),
+        }
+    }
+
+    fn try_keyword_node(&self, dewey: &Dewey) -> Result<Option<(u32, Cid)>, SourceError> {
+        let state = self.read();
+        if state.tombstoned(dewey) {
+            return Ok(None);
+        }
+        if let Some(found) = state.delta_elements.get(dewey) {
+            return Ok(Some((found.label, found.keyword_cid.clone())));
+        }
+        match &state.base {
+            Some(base) => base.try_keyword_node(dewey),
             None => Ok(None),
         }
     }

@@ -53,7 +53,7 @@ use xks_index::{KeywordNodeSets, Query};
 use xks_xmltree::Dewey;
 
 use crate::engine::SearchEngine;
-use crate::fragment::Fragment;
+use crate::fragment::{Cid, Fragment};
 use crate::prune::{prune_owned, Policy};
 use crate::rtf::Rtf;
 use crate::scratch::QueryContext;
@@ -274,6 +274,10 @@ impl CorpusSource for ShardSet {
 
     fn try_element_label(&self, dewey: &Dewey) -> Result<Option<u32>, SourceError> {
         self.route(dewey).try_element_label(dewey)
+    }
+
+    fn try_keyword_node(&self, dewey: &Dewey) -> Result<Option<(u32, Cid)>, SourceError> {
+        self.route(dewey).try_keyword_node(dewey)
     }
 }
 

@@ -163,6 +163,15 @@ pub trait CorpusSource: std::fmt::Debug + Send + Sync {
         Ok(self.element_label(dewey))
     }
 
+    /// Everything the constructing step reads of a **keyword node** —
+    /// its label id and the feature of its own content `Cv` — from one
+    /// lookup. The default goes through [`CorpusSource::try_element`];
+    /// backends override it to skip the subtree feature that call
+    /// would materialize only to drop.
+    fn try_keyword_node(&self, dewey: &Dewey) -> Result<Option<(u32, Cid)>, SourceError> {
+        Ok(self.try_element(dewey)?.map(|e| (e.label, e.keyword_cid)))
+    }
+
     /// Decodes `keyword`'s postings into a **caller-owned** arena
     /// (cleared first), returning the number of codes. The default
     /// delegates to [`CorpusSource::try_keyword_deweys`] and repacks;
@@ -235,6 +244,9 @@ macro_rules! delegate_corpus_source {
             }
             fn try_element_label(&self, dewey: &Dewey) -> Result<Option<u32>, SourceError> {
                 (**self).try_element_label(dewey)
+            }
+            fn try_keyword_node(&self, dewey: &Dewey) -> Result<Option<(u32, Cid)>, SourceError> {
+                (**self).try_keyword_node(dewey)
             }
             fn try_keyword_deweys_into(
                 &self,
@@ -365,6 +377,13 @@ impl CorpusSource for MemoryCorpus {
 
     fn element_label(&self, dewey: &Dewey) -> Option<u32> {
         self.elements.get(dewey).map(|e| e.label)
+    }
+
+    fn try_keyword_node(&self, dewey: &Dewey) -> Result<Option<(u32, Cid)>, SourceError> {
+        Ok(self
+            .elements
+            .get(dewey)
+            .map(|e| (e.label, e.keyword_cid.clone())))
     }
 
     fn label_name(&self, label: u32) -> Option<String> {

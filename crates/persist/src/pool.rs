@@ -210,20 +210,17 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Reads up to 16 bytes at `offset` into a stack buffer — the probe
-    /// primitive for varints and offset-array entries, which dominate
-    /// index binary searches and must not heap-allocate per probe.
-    /// Returns the buffer and the number of valid bytes.
-    pub fn read_small(&self, offset: u64, len: usize) -> Result<([u8; 16], usize), PersistError> {
-        debug_assert!(len <= 16);
-        let len = len.min(16);
+    /// Fills `out` from absolute `offset`, assembling across pages —
+    /// the probe primitive: index binary searches read offset-array
+    /// entries and record heads into stack buffers through this, so a
+    /// probe never heap-allocates.
+    pub fn read_into(&self, offset: u64, out: &mut [u8]) -> Result<(), PersistError> {
         let end = offset
-            .checked_add(len as u64)
+            .checked_add(out.len() as u64)
             .filter(|&e| e <= self.file_len)
             .ok_or(PersistError::Truncated {
                 what: "read past end of index file",
             })?;
-        let mut out = [0u8; 16];
         let mut filled = 0usize;
         let mut pos = offset;
         while pos < end {
@@ -237,7 +234,7 @@ impl BufferPool {
             filled += take;
             pos += take as u64;
         }
-        Ok((out, filled))
+        Ok(())
     }
 
     /// Runs `f` over the cached page, fetching and possibly evicting
@@ -357,6 +354,13 @@ mod tests {
         let got = pool.read_at(60, 140).unwrap();
         assert_eq!(got, &bytes[60..200]);
         assert_eq!(pool.stats().pages_read, 4);
+        let mut window = [0u8; 20];
+        pool.read_into(120, &mut window).unwrap();
+        assert_eq!(window, bytes[120..140]);
+        assert!(matches!(
+            pool.read_into(250, &mut window),
+            Err(PersistError::Truncated { .. })
+        ));
     }
 
     #[test]

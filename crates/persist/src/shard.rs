@@ -27,6 +27,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use validrtf::fragment::Cid;
 use validrtf::shards::ShardSet;
 use validrtf::source::{CorpusSource, SourceElement, SourceError};
 use xks_store::{partition, ShreddedDoc};
@@ -500,6 +501,10 @@ impl CorpusSource for ShardedCorpus {
 
     fn try_element_label(&self, dewey: &Dewey) -> Result<Option<u32>, SourceError> {
         self.set.try_element_label(dewey)
+    }
+
+    fn try_keyword_node(&self, dewey: &Dewey) -> Result<Option<(u32, Cid)>, SourceError> {
+        self.set.try_keyword_node(dewey)
     }
 }
 

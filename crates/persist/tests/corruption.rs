@@ -184,6 +184,100 @@ fn hostile_counts_in_lazy_sections_stay_typed_errors() {
     fs::remove_file(&path).unwrap();
 }
 
+/// Writes a fresh index, lets `damage` rewrite its bytes (given the
+/// decoded header), and opens the result — lazily-read sections carry
+/// no CRC check at open, so the damage is met by the lookups.
+fn damaged_index(
+    name: &str,
+    damage: impl FnOnce(&mut [u8], &xks_persist::format::Header),
+) -> IndexReader {
+    let path = fresh_index(name);
+    let mut bytes = fs::read(&path).unwrap();
+    let header = xks_persist::format::Header::decode(&bytes).unwrap();
+    damage(&mut bytes, &header);
+    fs::write(&path, &bytes).unwrap();
+    let reader = IndexReader::open(&path).expect("open is lazy");
+    fs::remove_file(&path).unwrap();
+    reader
+}
+
+/// Repoints the last element row at the final `tail.len()` bytes of
+/// the elements section and writes `tail` there. Zero padding follows
+/// the section up to the page boundary, so a decoder that read past
+/// the section end would find clean bytes instead of failing.
+fn retail_last_row(bytes: &mut [u8], header: &xks_persist::format::Header, tail: &[u8]) {
+    let elements = header.section(Section::Elements);
+    let offsets = header.section(Section::ElementOffsets);
+    let row_off = elements.len - tail.len() as u64;
+    let entry = (offsets.offset + (header.element_count - 1) * 8) as usize;
+    bytes[entry..entry + 8].copy_from_slice(&row_off.to_le_bytes());
+    let start = (elements.offset + row_off) as usize;
+    bytes[start..start + tail.len()].copy_from_slice(tail);
+}
+
+/// Every element entry point must turn row damage into a typed error.
+/// `target` sorts after every row, so whatever the finger's start the
+/// search ends on the last row; the root lookup starts on row 0.
+fn assert_element_lookups_fail(reader: &IndexReader, target: &str) {
+    use validrtf::source::CorpusSource;
+    let target: xks_xmltree::Dewey = target.parse().unwrap();
+    assert!(matches!(
+        reader.try_element(&target),
+        Err(PersistError::Truncated { .. } | PersistError::Corrupt { .. })
+    ));
+    assert!(reader.try_element_label(&target).is_err());
+    assert!(reader.try_keyword_node(&target).is_err());
+}
+
+#[test]
+fn component_varint_past_the_section_end_is_typed() {
+    // One component whose varint still has its continuation bit set on
+    // the section's last byte.
+    let reader = damaged_index("comp-past-end.xks", |bytes, header| {
+        retail_last_row(bytes, header, &[0x01, 0x80]);
+    });
+    assert_element_lookups_fail(&reader, "9");
+}
+
+#[test]
+fn component_count_beyond_the_bytes_left_is_typed() {
+    // Five components promised, two bytes left. The first component
+    // already differs from the target, so only the count check stands
+    // between this row and a wrong "sorts below" answer.
+    let reader = damaged_index("ncomp-past-end.xks", |bytes, header| {
+        retail_last_row(bytes, header, &[0x05, 0x00, 0x00]);
+    });
+    assert_element_lookups_fail(&reader, "9");
+}
+
+#[test]
+fn component_overflowing_u32_is_typed() {
+    let reader = damaged_index("comp-overflow.xks", |bytes, header| {
+        // Row 0: one component, 2^35 - 1.
+        let start = header.section(Section::Elements).offset as usize;
+        bytes[start..start + 6].copy_from_slice(&[0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F]);
+    });
+    let root: xks_xmltree::Dewey = "0".parse().unwrap();
+    assert!(matches!(
+        reader.try_element(&root),
+        Err(PersistError::Corrupt { .. })
+    ));
+    assert_element_lookups_fail(&reader, "0");
+}
+
+#[test]
+fn offset_entry_outside_the_elements_section_is_typed() {
+    for bogus in [None, Some(u64::MAX)] {
+        let reader = damaged_index("offset-outside.xks", |bytes, header| {
+            let elements = header.section(Section::Elements);
+            let entry = header.section(Section::ElementOffsets).offset as usize;
+            let bogus = bogus.unwrap_or(elements.len + 1);
+            bytes[entry..entry + 8].copy_from_slice(&bogus.to_le_bytes());
+        });
+        assert_element_lookups_fail(&reader, "0");
+    }
+}
+
 #[test]
 fn mismatched_offset_array_rejected_at_open() {
     // A header whose element count disagrees with the offset-array

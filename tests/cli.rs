@@ -7,18 +7,24 @@ fn xks() -> Command {
 }
 
 fn sample_file() -> std::path::PathBuf {
+    // Written once per test process: tests run on parallel threads, and
+    // rewriting the file under a child `xks` that is reading it hands
+    // that child an empty or half-written document.
+    static WRITTEN: std::sync::Once = std::sync::Once::new();
     let dir = std::env::temp_dir().join("xks-cli-test");
-    std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("team.xml");
-    std::fs::write(
-        &path,
-        "<team><name>Grizzlies</name><players>\
-         <player><name>Gassol</name><position>forward</position></player>\
-         <player><name>Miller</name><position>guard</position></player>\
-         <player><name>Warrick</name><position>forward</position></player>\
-         </players></team>",
-    )
-    .unwrap();
+    WRITTEN.call_once(|| {
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(
+            &path,
+            "<team><name>Grizzlies</name><players>\
+             <player><name>Gassol</name><position>forward</position></player>\
+             <player><name>Miller</name><position>guard</position></player>\
+             <player><name>Warrick</name><position>forward</position></player>\
+             </players></team>",
+        )
+        .unwrap();
+    });
     path
 }
 
@@ -845,6 +851,8 @@ fn stats_index_dumps_registry_snapshot() {
         "index.shard.0.pool.cache_hits",
         "index.shard.0.postings_cache.misses",
         "index.shard.1.element_cache.hits",
+        "index.shard.1.element_cache.evictions",
+        "index.shard.0.element_probes",
         "executor.batches",
         "executor.requests",
         "search.queries",
@@ -913,6 +921,8 @@ fn index_stats_json_carries_metrics_section() {
         "pool.pages_read",
         "postings_cache.hits",
         "element_cache.misses",
+        "element_cache.evictions",
+        "element_probes",
     ] {
         assert!(
             metrics

@@ -5,7 +5,9 @@
 //! digest in `tests/golden/workload_digest.txt` **byte for byte**, on
 //! both the memory and the disk backend — proving the `Send + Sync`
 //! refactor changed concurrency, not results, and that no interleaving
-//! of pool/cache traffic can corrupt a query.
+//! of pool/cache traffic can corrupt a query. A third configuration
+//! shrinks the disk backend's element cache to eight nodes so the
+//! threads contend on the search finger and on eviction.
 //!
 //! Thread count defaults to 4; CI raises it via the
 //! `XKS_CONCURRENT_THREADS` env var to shake the locks harder.
@@ -18,7 +20,7 @@ use common::{digest_line, ALGORITHMS, GOLDEN};
 use xks::core::{CorpusSource, MemoryCorpus, QueryContext, SearchEngine, SearchRequest};
 use xks::datagen::queries::{dblp_workload, xmark_workload};
 use xks::datagen::{generate_dblp, generate_xmark, DblpConfig, XmarkConfig, XmarkSize};
-use xks::persist::{IndexReader, IndexWriter};
+use xks::persist::{IndexReader, IndexWriter, ReaderOptions};
 use xks::store::shred;
 
 fn thread_count() -> usize {
@@ -121,6 +123,24 @@ fn concurrent_threads_reproduce_golden_digest_disk() {
         let path = dir.join(format!("{name}.xks"));
         IndexWriter::new().write(&doc, &path).unwrap();
         SearchEngine::from_owned_source(IndexReader::open(&path).unwrap())
+    });
+}
+
+#[test]
+fn concurrent_threads_reproduce_golden_digest_disk_tiny_element_cache() {
+    // Eight cached nodes (one per cache shard): nearly every lookup
+    // misses, so the threads race on the shared search finger and evict
+    // each other's entries all the way through.
+    let dir = std::env::temp_dir().join("xks-concurrent-differential");
+    std::fs::create_dir_all(&dir).unwrap();
+    run_backend(|doc, name| {
+        let path = dir.join(format!("{name}-tiny-cache.xks"));
+        IndexWriter::new().write(&doc, &path).unwrap();
+        let options = ReaderOptions {
+            element_cache_nodes: 8,
+            ..ReaderOptions::default()
+        };
+        SearchEngine::from_owned_source(IndexReader::open_with(&path, options).unwrap())
     });
 }
 

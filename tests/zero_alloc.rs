@@ -10,7 +10,11 @@
 //!    eager lookup over real resolved keyword-node sets, with reused
 //!    scratch buffers — performs zero heap allocations;
 //! 3. a **warm** `.xks` postings decode into a reused [`DeweyListBuf`]
-//!    arena performs zero heap allocations.
+//!    arena performs zero heap allocations;
+//! 4. per-thread [`QueryContext`]s keep that contract, and so does the
+//!    `.xks` element lookup the fragment constructor drives — a cache
+//!    hit, and with the cache off the whole finger search over resident
+//!    pages.
 //!
 //! The whole proof lives in ONE `#[test]` so no concurrently running
 //! test can disturb the counter.
@@ -165,6 +169,58 @@ fn warm_query_hot_path_is_allocation_free() {
         get_postings_into(&encoded, &mut pos, &mut ctx_a.postings).expect("clean decode");
     });
     assert_eq!(n, 0, "warm context decode arena allocated {n} times");
+
+    // The element lookups fragment construction makes against an `.xks`
+    // index: a label served by the decoded-element cache, and — cache
+    // off — the full search for it: offset reads, row windows and the
+    // in-place Dewey compare all live on the stack. The far node is
+    // looked up right after the root, so the finger is a whole table
+    // away and the search runs its gallop and its bisection.
+    use xks::core::CorpusSource as _;
+    use xks::persist::{IndexReader, IndexWriter, ReaderOptions};
+    let dir = std::env::temp_dir().join("xks-zero-alloc");
+    std::fs::create_dir_all(&dir).unwrap();
+    let index_path = dir.join("elements.xks");
+    IndexWriter::new().write_tree(&tree, &index_path).unwrap();
+    let root = Dewey::root();
+    let far = sets.set(0).last().expect("keyword has postings").clone();
+    assert!(far.is_inline());
+
+    let cached = IndexReader::open(&index_path).unwrap();
+    let label = cached.try_element_label(&far).unwrap(); // miss: fills the cache
+    let n = count_allocs(|| {
+        assert_eq!(cached.try_element_label(&far).unwrap(), label);
+    });
+    assert_eq!(n, 0, "element-cache hit allocated {n} times");
+    assert_eq!(cached.stats().element_cache_hits, 1);
+
+    let uncached = IndexReader::open_with(
+        &index_path,
+        ReaderOptions {
+            element_cache_nodes: 0,
+            ..ReaderOptions::default()
+        },
+    )
+    .unwrap();
+    let lookups = |reader: &IndexReader| {
+        assert!(reader.try_element_label(&root).unwrap().is_some());
+        assert_eq!(reader.try_element_label(&far).unwrap(), label);
+    };
+    // Two rounds bring every page the searches touch into the pool:
+    // the first root lookup starts on its row, the later ones gallop
+    // back from the far end.
+    lookups(&uncached);
+    lookups(&uncached);
+    let before = uncached.stats();
+    let n = count_allocs(|| lookups(&uncached));
+    let after = uncached.stats();
+    assert_eq!(n, 0, "uncached element search allocated {n} times");
+    assert_eq!(after.pool.pages_read, before.pool.pages_read);
+    assert!(
+        after.element_probes - before.element_probes > 4,
+        "the search must have had to gallop and bisect"
+    );
+    std::fs::remove_file(&index_path).unwrap();
 
     // ---- 5. The request/response path preserves the warm pipeline -----
     // `SearchEngine::execute_with` drives the exact anchor stages
