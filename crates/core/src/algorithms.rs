@@ -22,9 +22,9 @@ use xks_index::{InvertedIndex, KeywordNodeSets, Query};
 use xks_lca::{elca_into_context, slca_into_context};
 use xks_xmltree::XmlTree;
 
-use crate::fragment::Fragment;
+use crate::fragment::{Fragment, NodeFacts};
 use crate::prune::{prune, Policy};
-use crate::rtf::{get_rtf_from_merged, Rtf};
+use crate::rtf::{dispatch, Partitions, Rtf};
 use crate::scratch::QueryContext;
 use crate::source::CorpusSource;
 
@@ -105,17 +105,34 @@ pub fn run(
 
 /// Like [`run`] but starting from already-resolved keyword-node sets —
 /// the timing boundary the paper uses ("we record the elapsed time
-/// *after retrieving the Dewey codes* of the keyword nodes", §5.3).
+/// *after retrieving the Dewey codes* of the keyword nodes", §5.3) —
+/// and keeping every intermediate artifact: partitions, raw fragments,
+/// pruned fragments. `facts` is where node facts come from: the parsed
+/// tree or any [`CorpusSource`]; results are byte-identical across
+/// backends storing the same corpus.
 #[must_use]
 pub fn run_from_sets(
-    tree: &XmlTree,
+    facts: &(impl NodeFacts + ?Sized),
     sets: &KeywordNodeSets,
     anchors: AnchorSemantics,
     policy: Policy,
-    timings: StageTimings,
+    mut timings: StageTimings,
 ) -> RunOutput {
     let mut ctx = QueryContext::default();
-    run_from_sets_with_context(tree, sets, anchors, policy, timings, &mut ctx)
+    anchor_stages(sets, anchors, AnchorExec::Merge, &mut timings, &mut ctx);
+    let rtfs = Partitions::new(&ctx.anchors, &ctx.merged, &ctx.rtf).to_rtfs();
+
+    let t = Instant::now();
+    let raw: Vec<Fragment> = rtfs.iter().map(|r| Fragment::construct(facts, r)).collect();
+    let fragments: Vec<Fragment> = raw.iter().map(|f| prune(f, policy)).collect();
+    timings.prune_rtf = t.elapsed();
+
+    RunOutput {
+        fragments,
+        raw,
+        rtfs,
+        timings,
+    }
 }
 
 /// How [`anchor_stages`] computes anchors and the dispatch stream: the
@@ -136,7 +153,8 @@ pub(crate) enum AnchorExec {
 
 /// `getLCA` + `getRTF` with shared buffers: merge the posting stream
 /// **once** into the context, compute anchors from it, dispatch keyword
-/// nodes over it. Returns the RTFs; anchors stay in `ctx.anchors`.
+/// nodes over it. Anchors stay in `ctx.anchors`, their partitions in
+/// `ctx.rtf` (read them through [`Partitions`]).
 /// (Crate-visible: `SearchEngine::execute_with` drives the same stages.)
 pub(crate) fn anchor_stages(
     sets: &KeywordNodeSets,
@@ -144,7 +162,7 @@ pub(crate) fn anchor_stages(
     exec: AnchorExec,
     timings: &mut StageTimings,
     ctx: &mut QueryContext,
-) -> Vec<Rtf> {
+) {
     let t = Instant::now();
     match (anchors, exec) {
         (AnchorSemantics::AllLca, AnchorExec::Merge) => elca_into_context(sets.sets(), ctx),
@@ -160,44 +178,13 @@ pub(crate) fn anchor_stages(
     ctx.trace.record_since(xks_obs::Stage::MergeAnchor, t);
 
     let t = Instant::now();
-    let rtfs = get_rtf_from_merged(&ctx.anchors, &ctx.merged, sets);
+    dispatch(&ctx.anchors, &ctx.merged, sets.len(), true, &mut ctx.rtf);
     timings.get_rtf = t.elapsed();
     ctx.trace.record_since(xks_obs::Stage::RtfDispatch, t);
-    rtfs
-}
-
-/// Like [`run_from_sets`] but reusing a caller-owned per-thread
-/// [`QueryContext`] — the warm-engine entry point
-/// [`crate::engine::SearchEngine`] and the [`crate::executor`] use.
-#[must_use]
-pub fn run_from_sets_with_context(
-    tree: &XmlTree,
-    sets: &KeywordNodeSets,
-    anchors: AnchorSemantics,
-    policy: Policy,
-    mut timings: StageTimings,
-    ctx: &mut QueryContext,
-) -> RunOutput {
-    let rtfs = anchor_stages(sets, anchors, AnchorExec::Merge, &mut timings, ctx);
-
-    let t = Instant::now();
-    let raw: Vec<Fragment> = rtfs.iter().map(|r| Fragment::construct(tree, r)).collect();
-    let fragments: Vec<Fragment> = raw.iter().map(|f| prune(f, policy)).collect();
-    timings.prune_rtf = t.elapsed();
-
-    RunOutput {
-        fragments,
-        raw,
-        rtfs,
-        timings,
-    }
 }
 
 /// Like [`run`] but over a [`CorpusSource`] (shredded tables or an
 /// opened on-disk index) instead of a parsed tree + in-memory index.
-/// The staged pipeline is identical; only where node facts come from
-/// differs, so results are byte-identical across backends storing the
-/// same shredded corpus.
 #[must_use]
 pub fn run_source(
     source: &dyn CorpusSource,
@@ -211,51 +198,7 @@ pub fn run_source(
     let sets = source.resolve(query)?;
     timings.get_keyword_nodes = t0.elapsed();
 
-    Some(run_from_sets_source(
-        source, &sets, anchors, policy, timings,
-    ))
-}
-
-/// Like [`run_from_sets`] but over a [`CorpusSource`].
-#[must_use]
-pub fn run_from_sets_source(
-    source: &dyn CorpusSource,
-    sets: &KeywordNodeSets,
-    anchors: AnchorSemantics,
-    policy: Policy,
-    timings: StageTimings,
-) -> RunOutput {
-    let mut ctx = QueryContext::default();
-    run_from_sets_source_with_context(source, sets, anchors, policy, timings, &mut ctx)
-}
-
-/// Like [`run_from_sets_source`] but reusing a caller-owned per-thread
-/// [`QueryContext`].
-#[must_use]
-pub fn run_from_sets_source_with_context(
-    source: &dyn CorpusSource,
-    sets: &KeywordNodeSets,
-    anchors: AnchorSemantics,
-    policy: Policy,
-    mut timings: StageTimings,
-    ctx: &mut QueryContext,
-) -> RunOutput {
-    let rtfs = anchor_stages(sets, anchors, AnchorExec::Merge, &mut timings, ctx);
-
-    let t = Instant::now();
-    let raw: Vec<Fragment> = rtfs
-        .iter()
-        .map(|r| Fragment::construct_from_source(source, r))
-        .collect();
-    let fragments: Vec<Fragment> = raw.iter().map(|f| prune(f, policy)).collect();
-    timings.prune_rtf = t.elapsed();
-
-    RunOutput {
-        fragments,
-        raw,
-        rtfs,
-        timings,
-    }
+    Some(run_from_sets(source, &sets, anchors, policy, timings))
 }
 
 /// ValidRTF (Algorithm 1): meaningful RTFs at all interesting LCA nodes,

@@ -13,12 +13,13 @@ use crate::algorithms::{AnchorExec, AnchorSemantics, StageTimings};
 use crate::fragment::Fragment;
 use crate::metrics::{effectiveness, Effectiveness};
 use crate::plan::{choose_driver, choose_strategy, PlanReport, PlanStrategy};
-use crate::prune::{prune_owned, Policy};
+use crate::prune::Policy;
 use crate::rank::RankedFragment;
 use crate::request::{Hit, SearchError, SearchRequest, SearchResponse, SearchStats, SearchTimeout};
+use crate::rtf::Partitions;
 use crate::scratch::QueryContext;
-use crate::shards::ShardSet;
-use crate::source::CorpusSource;
+use crate::shards::{scatter, ShardSet};
+use crate::source::{CorpusSource, SourceError};
 
 /// Which end-to-end algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,6 +124,10 @@ pub struct SearchEngine {
 /// Most contexts a [`SearchEngine`] keeps warm for its `&self` entry
 /// points; checked-in contexts beyond this are dropped.
 const CONTEXT_POOL_CAP: usize = 64;
+
+/// Fragments built between two deadline checks inside the construct
+/// stage — the most a request with a deadline overshoots it by there.
+const DEADLINE_STRIDE: usize = 64;
 
 impl SearchEngine {
     /// Builds the engine from a parsed tree (index construction happens
@@ -326,10 +331,10 @@ impl SearchEngine {
         let mut timings = StageTimings::default();
 
         // Deadline hook: requests carrying a deadline are checked
-        // between stages (never mid-stage, so a check costs one
-        // `Instant::now()` and only when a deadline exists). A request
-        // that was queued past its budget dies here before touching
-        // storage.
+        // between stages and every `DEADLINE_STRIDE` fragments inside
+        // the construct stage (a check costs one `Instant::now()` and
+        // only when a deadline exists). A request that was queued past
+        // its budget dies here before touching storage.
         let deadline = request.deadline();
         let exec_start = Instant::now();
         self.check_deadline(deadline, exec_start, "resolve", &stats)?;
@@ -380,21 +385,23 @@ impl SearchEngine {
         let exec = self.plan_anchor_exec(&sets, &mut stats);
         ctx.trace.record_since(Stage::Plan, t_plan);
 
-        // getLCA + getRTF over the context's shared scratch buffers.
-        let rtfs = crate::algorithms::anchor_stages(&sets, kind.anchor(), exec, &mut timings, ctx);
+        // getLCA + getRTF over the context's shared scratch buffers; the
+        // partitions stay in the context, one per anchor.
+        crate::algorithms::anchor_stages(&sets, kind.anchor(), exec, &mut timings, ctx);
+        let rtf_count = ctx.anchors.len();
         self.check_deadline(deadline, exec_start, "construct", &stats)?;
 
         // Top-k bound skip: when the request is a plain ranked top-k,
         // construct fragments best-bound-first and never build the
         // ones that provably miss the cut. Results are identical to
-        // the legacy construct-everything path (see
-        // `construct_bounded_topk`); only the work differs.
+        // the construct-everything path (see `construct_bounded_topk`);
+        // only the work differs.
         if let Some((k_limit, weights)) = self.topk_bound_gate(request, spec, traced) {
             let t = Instant::now();
-            stats.total_before_top_k = rtfs.len();
-            stats.truncated = rtfs.len() > k_limit;
+            stats.total_before_top_k = rtf_count;
+            stats.truncated = rtf_count > k_limit;
             let hits = self.construct_bounded_topk(
-                &rtfs,
+                ctx,
                 kind.policy(),
                 spec.query().len(),
                 k_limit,
@@ -411,56 +418,56 @@ impl SearchEngine {
             });
         }
 
-        // pruneRTF — construct + prune, consuming the raw fragment so
-        // no node payload is deep-cloned. Sharded backends fan the
-        // per-RTF work out; gather preserves anchor document order.
+        // pruneRTF — lay out, decide, emit, one RTF at a time in
+        // document order. A `max_fragments` cap with no post-filter to
+        // feed keeps exactly the first `cap` fragments, so only those
+        // are built. Sharded backends fan the per-RTF work out; gather
+        // preserves anchor document order.
         let t = Instant::now();
+        let build_count = match request.max_fragments_cap() {
+            Some(cap) if spec.is_plain() => cap.min(rtf_count),
+            _ => rtf_count,
+        };
+        let parts = Partitions::new(&ctx.anchors, &ctx.merged, &ctx.rtf);
+        let mid_stage_deadline = |i: usize| {
+            if i > 0 && i.is_multiple_of(DEADLINE_STRIDE) {
+                self.check_deadline(deadline, exec_start, "construct", &stats)
+            } else {
+                Ok(())
+            }
+        };
         let mut fragments;
-        match &self.backend {
-            Backend::Tree { tree, .. } => {
-                fragments = Vec::with_capacity(rtfs.len());
-                if traced {
-                    construct_prune_traced(
-                        &rtfs,
-                        kind.policy(),
-                        |rtf| Ok(Fragment::construct(tree, rtf)),
-                        &mut fragments,
-                        ctx,
-                        t,
-                    )?;
-                } else {
-                    for rtf in &rtfs {
-                        fragments.push(prune_owned(Fragment::construct(tree, rtf), kind.policy()));
-                    }
-                }
+        if let Backend::Sharded { threads, .. } = &self.backend {
+            fragments = scatter(self, build_count, *threads, |i, worker| {
+                mid_stage_deadline(i)?;
+                Ok(self.build(parts, i, kind.policy(), &mut worker.skeleton, None)?)
+            })
+            .into_iter()
+            .collect::<Result<Vec<Fragment>, SearchError>>()?;
+            // The fan-out interleaves the steps per worker, so the
+            // trace gets one combined span.
+            ctx.trace.record_since(Stage::Construct, t);
+        } else {
+            // Per-fragment layout time accumulates into one construct
+            // span and the rest of the stage is the prune span, laid end
+            // to end from the stage start (the steps interleave per
+            // anchor, so honest per-iteration spans would explode the
+            // span buffer).
+            let mut layout = Duration::ZERO;
+            fragments = Vec::with_capacity(build_count);
+            for i in 0..build_count {
+                mid_stage_deadline(i)?;
+                let layout = traced.then_some(&mut layout);
+                fragments.push(self.build(parts, i, kind.policy(), &mut ctx.skeleton, layout)?);
             }
-            Backend::Source(source) => {
-                fragments = Vec::with_capacity(rtfs.len());
-                if traced {
-                    construct_prune_traced(
-                        &rtfs,
-                        kind.policy(),
-                        |rtf| {
-                            Fragment::try_construct_from_source(source.as_ref(), rtf)
-                                .map_err(SearchError::from)
-                        },
-                        &mut fragments,
-                        ctx,
-                        t,
-                    )?;
-                } else {
-                    for rtf in &rtfs {
-                        let raw = Fragment::try_construct_from_source(source.as_ref(), rtf)?;
-                        fragments.push(prune_owned(raw, kind.policy()));
-                    }
-                }
-            }
-            Backend::Sharded { set, threads } => {
-                fragments =
-                    crate::shards::scatter_construct(self, set, *threads, &rtfs, kind.policy())?;
-                // The fan-out interleaves construct and prune per
-                // worker, so the trace gets one combined span.
-                ctx.trace.record_since(Stage::Construct, t);
+            if traced {
+                let ns = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+                let (base, construct_ns) = (ctx.trace.offset_ns(t), ns(layout));
+                let prune_ns = ns(t.elapsed()).saturating_sub(construct_ns);
+                ctx.trace
+                    .record_manual(Stage::Construct, base, construct_ns);
+                ctx.trace
+                    .record_manual(Stage::Prune, base + construct_ns, prune_ns);
             }
         }
         timings.prune_rtf = t.elapsed();
@@ -483,9 +490,10 @@ impl SearchEngine {
         let t_rank = Instant::now();
 
         // Shape the response: cap, rank, truncate, materialize hits.
-        stats.total_before_top_k = fragments.len();
+        // RTFs the cap kept from being built still count.
+        stats.total_before_top_k = fragments.len() + (rtf_count - build_count);
         if let Some(cap) = request.max_fragments_cap() {
-            if fragments.len() > cap {
+            if stats.total_before_top_k > cap {
                 fragments.truncate(cap);
                 stats.truncated = true;
             }
@@ -521,11 +529,13 @@ impl SearchEngine {
         })
     }
 
-    /// The between-stage deadline check: free for requests without a
-    /// deadline, one `Instant::now()` otherwise. An expired deadline
-    /// becomes a typed [`SearchError::Timeout`] carrying the stats
-    /// accumulated so far (partial — enough for a server's `503` body)
-    /// and bumps the global `search.deadline_exceeded` counter.
+    /// The deadline check, run between stages and every
+    /// [`DEADLINE_STRIDE`] fragments inside the construct stage: free
+    /// for requests without a deadline, one `Instant::now()` otherwise.
+    /// An expired deadline becomes a typed [`SearchError::Timeout`]
+    /// carrying the stats accumulated so far (partial — enough for a
+    /// server's `503` body) and bumps the global
+    /// `search.deadline_exceeded` counter.
     fn check_deadline(
         &self,
         deadline: Option<Instant>,
@@ -647,25 +657,26 @@ impl SearchEngine {
     ///   displace a constructed one from the top k.
     fn construct_bounded_topk(
         &self,
-        rtfs: &[crate::rtf::Rtf],
+        ctx: &mut QueryContext,
         policy: Policy,
         k_query: usize,
         k_limit: usize,
         weights: &crate::rank::RankWeights,
         stats: &mut SearchStats,
     ) -> Result<Vec<Hit>, SearchError> {
-        let max_depth = rtfs
+        let parts = Partitions::new(&ctx.anchors, &ctx.merged, &ctx.rtf);
+        let max_depth = ctx
+            .anchors
             .iter()
-            .map(|r| r.anchor.level())
+            .map(Dewey::level)
             .max()
             .unwrap_or(0)
             .max(1) as f64;
         let wsum = weights.specificity + weights.compactness + weights.density;
-        let bound = |r: &crate::rtf::Rtf| -> f64 {
-            let specificity = r.anchor.level() as f64 / max_depth;
-            let density_max = r
-                .knodes
-                .iter()
+        let bound = |i: usize| -> f64 {
+            let specificity = parts.anchor(i).level() as f64 / max_depth;
+            let density_max = parts
+                .knodes(i)
                 .map(|(_, kset)| kset.len() as f64 / k_query.max(1) as f64)
                 .fold(0.0f64, f64::max);
             (weights.specificity * specificity
@@ -674,11 +685,7 @@ impl SearchEngine {
                 / wsum
                 + 1e-9
         };
-        let mut order: Vec<(usize, f64)> = rtfs
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (i, bound(r)))
-            .collect();
+        let mut order: Vec<(usize, f64)> = (0..parts.len()).map(|i| (i, bound(i))).collect();
         order.sort_by(|a, b| {
             b.1.partial_cmp(&a.1)
                 .unwrap_or(std::cmp::Ordering::Equal)
@@ -694,16 +701,7 @@ impl SearchEngine {
                 stats.rtfs_skipped_topk += 1;
                 continue;
             }
-            let raw = match &self.backend {
-                Backend::Tree { tree, .. } => Fragment::construct(tree, &rtfs[i]),
-                Backend::Source(source) => {
-                    Fragment::try_construct_from_source(source.as_ref(), &rtfs[i])?
-                }
-                Backend::Sharded { .. } => {
-                    unreachable!("bounded top-k is gated off sharded backends")
-                }
-            };
-            let fragment = prune_owned(raw, policy);
+            let fragment = self.build(parts, i, policy, &mut ctx.skeleton, None)?;
             let (score, signals) =
                 crate::rank::score_fragment(&fragment, k_query, weights, max_depth);
             let pos = top_scores.partition_point(|&s| s >= score);
@@ -727,6 +725,30 @@ impl SearchEngine {
                 signals: Some(signals),
             })
             .collect())
+    }
+
+    /// [`Fragment::build`] over this backend's node facts: partition
+    /// `i`, pruned under `policy`.
+    fn build(
+        &self,
+        parts: Partitions<'_>,
+        i: usize,
+        policy: Policy,
+        skel: &mut xks_lca::SkeletonScratch,
+        layout_time: Option<&mut Duration>,
+    ) -> Result<Fragment, SourceError> {
+        let (anchor, knodes, policy) = (parts.anchor(i), parts.knodes(i), Some(policy));
+        match &self.backend {
+            Backend::Tree { tree, .. } => {
+                Fragment::build(tree, anchor, knodes, policy, skel, layout_time)
+            }
+            Backend::Source(source) => {
+                Fragment::build(source.as_ref(), anchor, knodes, policy, skel, layout_time)
+            }
+            Backend::Sharded { set, .. } => {
+                Fragment::build(set.as_ref(), anchor, knodes, policy, skel, layout_time)
+            }
+        }
     }
 
     /// Explains how the planner would execute `request` against this
@@ -1089,38 +1111,6 @@ fn resolve_traced(
     Ok(Some(KeywordNodeSets::new(query.clone(), sets)))
 }
 
-/// The construct + prune loop of a traced query: identical work to the
-/// untraced loop, with per-fragment durations accumulated into one
-/// [`Stage::Construct`] and one [`Stage::Prune`] span laid end to end
-/// from `phase_start` (the stages interleave per anchor, so honest
-/// per-iteration spans would explode the span buffer; the aggregate
-/// placement keeps the Chrome view readable and the totals exact).
-fn construct_prune_traced(
-    rtfs: &[crate::rtf::Rtf],
-    policy: Policy,
-    mut construct: impl FnMut(&crate::rtf::Rtf) -> Result<Fragment, SearchError>,
-    fragments: &mut Vec<Fragment>,
-    ctx: &mut QueryContext,
-    phase_start: Instant,
-) -> Result<(), SearchError> {
-    let mut construct_ns = 0u64;
-    let mut prune_ns = 0u64;
-    for rtf in rtfs {
-        let t = Instant::now();
-        let raw = construct(rtf)?;
-        construct_ns += u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let t = Instant::now();
-        fragments.push(prune_owned(raw, policy));
-        prune_ns += u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    }
-    let base = ctx.trace.offset_ns(phase_start);
-    ctx.trace
-        .record_manual(Stage::Construct, base, construct_ns);
-    ctx.trace
-        .record_manual(Stage::Prune, base + construct_ns, prune_ns);
-    Ok(())
-}
-
 /// Clones the context's trace into the response (traced requests only)
 /// and disarms it so the pooled context goes back clean. The clone is
 /// a fixed-size copy — no heap allocation.
@@ -1292,20 +1282,117 @@ mod tests {
         assert!(!r.stats.truncated);
     }
 
+    /// A corpus that counts the construct stage's keyword-node lookups
+    /// and can make each one slow.
+    #[derive(Debug)]
+    struct ProbedCorpus {
+        inner: MemoryCorpus,
+        keyword_nodes: Arc<std::sync::atomic::AtomicUsize>,
+        nap: Duration,
+    }
+
+    impl CorpusSource for ProbedCorpus {
+        fn keyword_deweys(&self, keyword: &str) -> Vec<Dewey> {
+            self.inner.keyword_deweys(keyword)
+        }
+        fn element(&self, dewey: &Dewey) -> Option<SourceElement> {
+            self.inner.element(dewey)
+        }
+        fn element_label(&self, dewey: &Dewey) -> Option<u32> {
+            self.inner.element_label(dewey)
+        }
+        fn label_name(&self, label: u32) -> Option<String> {
+            self.inner.label_name(label)
+        }
+        fn node_count(&self) -> usize {
+            self.inner.node_count()
+        }
+        fn try_keyword_node(
+            &self,
+            dewey: &Dewey,
+        ) -> Result<Option<(u32, crate::fragment::Cid)>, SourceError> {
+            self.keyword_nodes
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            std::thread::sleep(self.nap);
+            self.inner.try_keyword_node(dewey)
+        }
+    }
+
+    fn probed_engine(tree: &XmlTree, nap: Duration) -> (SearchEngine, impl Fn() -> usize) {
+        let keyword_nodes = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let engine = SearchEngine::from_owned_source(ProbedCorpus {
+            inner: MemoryCorpus::new(xks_store::shred(tree)),
+            keyword_nodes: Arc::clone(&keyword_nodes),
+            nap,
+        });
+        let lookups = move || keyword_nodes.swap(0, std::sync::atomic::Ordering::Relaxed);
+        (engine, lookups)
+    }
+
     #[test]
     fn max_fragments_caps_in_document_order() {
-        let engine = SearchEngine::new(publications());
+        let (engine, lookups) = probed_engine(&publications(), Duration::ZERO);
+        let all = engine.execute(&req("liu keyword")).unwrap();
+        assert_eq!(all.hits.len(), 2);
+        let all_lookups = lookups();
         let r = engine
             .execute(&req("liu keyword").max_fragments(1))
             .unwrap();
-        assert_eq!(r.hits.len(), 1);
-        // Document order: the article fragment comes first.
+        // Document order: the article fragment comes first — the very
+        // hit building everything and truncating yields.
+        assert_eq!(r.hits, all.hits[..1]);
         assert_eq!(r.hits[0].fragment.anchor.to_string(), "0.2.0");
         assert!(r.stats.truncated);
         assert_eq!(r.stats.total_before_top_k, 2, "counts before the cap");
         assert!(
             r.hits[0].score.is_none(),
             "max_fragments alone doesn't rank"
+        );
+        // Only the fragment under the cap was built: storage saw its
+        // keyword nodes (nothing is pruned from it) and no others.
+        let first = r.hits[0].fragment.iter().filter(|n| n.is_keyword).count();
+        assert_eq!(lookups(), first);
+        assert!(first < all_lookups);
+        // A post-filter must see every fragment before the cap applies:
+        // the first fragment holds no <ref> matching "liu", the second
+        // does, and capping early would have lost it.
+        let filtered = engine
+            .execute(&req("ref:liu keyword").max_fragments(1))
+            .unwrap();
+        assert_eq!(filtered.hits.len(), 1);
+        assert_eq!(filtered.hits[0].fragment.anchor.to_string(), "0.2.0.3.0");
+        assert_eq!(lookups(), all_lookups);
+    }
+
+    #[test]
+    fn deadline_fires_inside_the_construct_stage() {
+        // 1 000 single-node fragments at ≥ 1 ms each: the stage alone
+        // would run a second, the deadline falls 200 ms in.
+        let mut xml = String::from("<lib>");
+        for _ in 0..1000 {
+            xml.push_str("<b><t>common</t></b>");
+        }
+        xml.push_str("</lib>");
+        let tree = xks_xmltree::parse(&xml).unwrap();
+        let (engine, lookups) = probed_engine(&tree, Duration::from_millis(1));
+        let budget = Duration::from_millis(200);
+        let err = engine.execute(&req("common").timeout(budget)).unwrap_err();
+        let SearchError::Timeout(timeout) = &err else {
+            panic!("expected Timeout, got {err:?}");
+        };
+        assert_eq!(timeout.stage, "construct");
+        assert!(timeout.elapsed >= budget);
+        assert_eq!(
+            timeout.stats.plan_postings, 1000,
+            "partial stats ride along"
+        );
+        // It fired mid-stage, and the overshoot is what is built between
+        // two checks — not the 800 fragments that were left.
+        let built = lookups();
+        assert!(built >= DEADLINE_STRIDE, "built {built}");
+        assert!(
+            built <= budget.as_millis() as usize + DEADLINE_STRIDE,
+            "built {built}"
         );
     }
 

@@ -8,22 +8,45 @@
 //! demand as per-label groups ([`Fragment::label_groups`]): counter,
 //! `chkList` (distinct key numbers) and `chcIDList`.
 //!
-//! Construction propagates each keyword node's keyword mask and content
-//! feature to **all** its ancestors up to the anchor — the paper adds
-//! lines 11–12 to `pruneRTF` precisely to guarantee this full
-//! propagation; we implement the propagation directly per keyword node,
-//! which yields the same summaries.
+//! # Decide before you build
+//!
+//! Every fragment, raw or pruned, comes out of one three-step builder
+//! ([`Fragment::build`]) over a reusable [`SkeletonScratch`]:
+//!
+//! 1. [`lay_out`] walks the document-ordered keyword nodes with a stack
+//!    mirroring the current root path and writes the raw fragment as a
+//!    flat **pre-order skeleton** — Dewey, label, keyword mask, parent
+//!    and sibling links, and the content feature as a pair of *indices*
+//!    into the keyword nodes' own features, so the upward propagation
+//!    of §4.1 (the paper's lines 11–12) compares strings but never
+//!    copies them. Storage is asked once per node, in document order.
+//! 2. [`crate::prune::decide`] marks the survivors over the skeleton.
+//! 3. [`emit`] materializes only the survivors, once, into an exactly
+//!    sized node vector.
 
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use xks_lca::{SkelNode, SkeletonScratch, NONE};
 use xks_xmltree::content::{content_feature, node_content};
 use xks_xmltree::{Dewey, LabelId, XmlTree};
 
 use crate::keyset::KeySet;
+use crate::prune::{decide, Policy};
 use crate::rtf::Rtf;
 use crate::source::{CorpusSource, SourceError};
 
 /// The `cID` content feature: lexical `(min, max)` of a tree content
 /// set (§4.1). `None` when no keyword-node content is below the node.
-pub type Cid = Option<(String, String)>;
+/// The words are shared, so storage, skeleton and fragments hand the
+/// same two strings around by reference count.
+pub type Cid = Option<(Arc<str>, Arc<str>)>;
+
+/// A stored `(min, max)` word pair as a shareable [`Cid`].
+#[must_use]
+pub fn shared_cid(feature: Option<(String, String)>) -> Cid {
+    feature.map(|(min, max)| (min.into(), max.into()))
+}
 
 /// One node of a materialized fragment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,23 +55,25 @@ pub struct FragNode {
     pub dewey: Dewey,
     /// Interned label (resolve via the source tree's label table).
     pub label: LabelId,
-    /// The tree keyword set `TK_v` restricted to this fragment
-    /// (= `dMatch(v)` of MaxMatch).
+    /// The tree keyword set `TK_v` restricted to the **raw** fragment
+    /// (= `dMatch(v)` of MaxMatch); pruning does not shrink it.
     pub kset: KeySet,
     /// The content feature of the tree content set `TC_v` (Definition 3:
-    /// union over the *keyword nodes* of the subtree).
+    /// union over the *keyword nodes* of the raw subtree).
     pub cid: Cid,
     /// `true` when the node is itself a keyword node of the query.
     pub is_keyword: bool,
-    /// Children within the fragment, in document order.
-    pub children: Vec<Dewey>,
+    /// Position of the parent in the fragment ([`NONE`] for the anchor).
+    parent: u32,
+    /// Position of the next sibling in the fragment, or [`NONE`].
+    next_sibling: u32,
 }
 
 /// A materialized RTF: anchor plus all path nodes, stored as one flat
-/// vector **sorted by Dewey code** (= document order). Lookups are
-/// binary searches; construction is a single stack pass over the
-/// document-ordered keyword nodes, so building a fragment performs one
-/// allocation for the vector instead of one tree node per entry.
+/// vector **sorted by Dewey code** (= document order, pre-order).
+/// Lookups are binary searches; a node's first child is the node right
+/// after it and its further children follow the sibling links
+/// ([`Fragment::children`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fragment {
     /// The anchor LCA node.
@@ -82,111 +107,209 @@ impl LabelGroup<'_> {
     }
 }
 
-/// The single-pass constructor shared by both backends: walks the
-/// document-ordered keyword nodes with a stack mirroring the current
-/// root-path inside the anchor subtree, emitting nodes **pre-order**
-/// (= sorted by Dewey) and folding each popped child's keyword set and
-/// content feature into its parent. One visit per fragment node instead
-/// of one ancestor walk per keyword node, and no search tree.
-///
-/// Storage is asked once per node: `label_of` for the path nodes,
-/// `keyword_node_of` — label and own-content feature together — for
-/// the keyword nodes.
-fn construct_stream(
+/// What the constructing step asks of storage: the label of a path
+/// node, and label plus own-content feature of a keyword node. A node
+/// the corpus does not contain is an error — keyword nodes always come
+/// from the same corpus, so it indicates a corrupted index.
+pub trait NodeFacts {
+    /// The label id of `dewey`.
+    fn label(&self, dewey: &Dewey) -> Result<u32, SourceError>;
+    /// The label id and the feature of the own content `Cv` of `dewey`.
+    fn keyword_node(&self, dewey: &Dewey) -> Result<(u32, Cid), SourceError>;
+}
+
+impl NodeFacts for XmlTree {
+    fn label(&self, dewey: &Dewey) -> Result<u32, SourceError> {
+        let id = self
+            .node_by_dewey(dewey)
+            .ok_or_else(|| SourceError::missing_node(dewey))?;
+        Ok(self.node(id).label.as_u32())
+    }
+
+    fn keyword_node(&self, dewey: &Dewey) -> Result<(u32, Cid), SourceError> {
+        let id = self
+            .node_by_dewey(dewey)
+            .ok_or_else(|| SourceError::missing_node(dewey))?;
+        let cid = shared_cid(content_feature(&node_content(self, id)));
+        Ok((self.node(id).label.as_u32(), cid))
+    }
+}
+
+impl<S: CorpusSource + ?Sized> NodeFacts for S {
+    fn label(&self, dewey: &Dewey) -> Result<u32, SourceError> {
+        self.try_element_label(dewey)?
+            .ok_or_else(|| SourceError::missing_node(dewey))
+    }
+
+    fn keyword_node(&self, dewey: &Dewey) -> Result<(u32, Cid), SourceError> {
+        self.try_keyword_node(dewey)?
+            .ok_or_else(|| SourceError::missing_node(dewey))
+    }
+}
+
+/// Lays the raw fragment of one RTF out in `skel` (step 1 of the module
+/// docs). `knodes` are the partition's keyword nodes in document order,
+/// all at or below `anchor`. With a warm `skel` and a backend that
+/// shares its features, the layout performs no heap allocation.
+pub fn lay_out<'k>(
+    facts: &(impl NodeFacts + ?Sized),
     anchor: &Dewey,
-    knodes: &[(Dewey, KeySet)],
-    mut label_of: impl FnMut(&Dewey) -> LabelId,
-    mut keyword_node_of: impl FnMut(&Dewey) -> (LabelId, Cid),
-) -> Fragment {
-    let mut nodes: Vec<FragNode> = Vec::new();
-    let mut stack: Vec<usize> = Vec::new(); // indices into `nodes`, path order
-
-    let open = |nodes: &mut Vec<FragNode>, stack: &mut Vec<usize>, dewey: Dewey, label| {
-        if let Some(&parent) = stack.last() {
-            nodes[parent].children.push(dewey.clone());
-        }
-        stack.push(nodes.len());
-        nodes.push(FragNode {
-            dewey,
-            label,
-            kset: KeySet::EMPTY,
-            cid: None,
-            is_keyword: false,
-            children: Vec::new(),
-        });
-    };
-    // Fold a popped child's summaries into its parent (§4.1's upward
-    // propagation, done once per node instead of once per keyword
-    // node × ancestor).
-    let pop = |nodes: &mut Vec<FragNode>, stack: &mut Vec<usize>| {
-        let child = stack.pop().expect("pop on non-empty stack");
-        if let Some(&parent) = stack.last() {
-            let (head, tail) = nodes.split_at_mut(child);
-            let (parent, child) = (&mut head[parent], &tail[0]);
-            parent.kset = parent.kset.union(child.kset);
-            parent.cid = merge_cid_ref(parent.cid.take(), child.cid.as_ref());
-        }
-    };
-
-    // The own-content feature of the keyword node opened last, until
-    // the marking step below takes it.
-    let mut own: Option<Cid> = None;
+    knodes: impl Iterator<Item = (&'k Dewey, KeySet)>,
+    skel: &mut SkeletonScratch,
+) -> Result<(), SourceError> {
+    skel.nodes.clear();
+    skel.feats.clear();
+    skel.order.clear(); // the open root path, outermost first
+    let mut knodes = knodes.peekable();
     // An anchor that is itself the first keyword node (every
     // single-keyword SLCA) is fetched as one.
-    let anchor_label = if knodes.first().is_some_and(|(kd, _)| kd == anchor) {
-        let (label, cid) = keyword_node_of(anchor);
-        own = Some(cid);
-        label
-    } else {
-        label_of(anchor)
-    };
-    open(&mut nodes, &mut stack, anchor.clone(), anchor_label);
+    let anchor_is_keyword = knodes.peek().is_some_and(|(kd, _)| *kd == anchor);
+    open(facts, skel, anchor.clone(), anchor_is_keyword)?;
     for (kd, mask) in knodes {
         debug_assert!(anchor.is_ancestor_or_self(kd), "knode outside anchor");
         let comps = kd.components();
-        // Common prefix with the deepest open node bounds how far we
-        // pop; the anchor itself always stays open.
-        let deepest = &nodes[*stack.last().expect("anchor open")].dewey;
+        // The common prefix with the deepest open node bounds how far
+        // we close; the anchor itself always stays open.
+        let deepest = skel.nodes[top(skel)].dewey.components();
         let common = deepest
-            .components()
             .iter()
-            .zip(comps.iter())
+            .zip(comps)
             .take_while(|(a, b)| a == b)
             .count();
-        while stack.len() > 1 && nodes[*stack.last().expect("non-empty")].dewey.len() > common {
-            pop(&mut nodes, &mut stack);
+        while skel.order.len() > 1 && skel.nodes[top(skel)].dewey.len() > common {
+            close(skel);
         }
-        // Open the path down to the keyword node; the last node opened
-        // is the keyword node itself.
-        let mut open_len = nodes[*stack.last().expect("non-empty")].dewey.len();
+        // Open the path down to the keyword node, fetched as one.
+        let mut open_len = skel.nodes[top(skel)].dewey.len();
         while open_len < comps.len() {
             open_len += 1;
             let dewey = Dewey::from_slice(&comps[..open_len]);
-            let label = if open_len == comps.len() {
-                let (label, cid) = keyword_node_of(&dewey);
-                own = Some(cid);
-                label
-            } else {
-                label_of(&dewey)
-            };
-            open(&mut nodes, &mut stack, dewey, label);
+            open(facts, skel, dewey, open_len == comps.len())?;
         }
-        // Mark the keyword node itself. Only a code listed twice in
-        // `knodes` arrives here already open without its feature.
-        let cid = own.take().unwrap_or_else(|| keyword_node_of(kd).1);
-        let top = &mut nodes[*stack.last().expect("non-empty")];
-        debug_assert_eq!(&top.dewey, kd);
-        top.is_keyword = true;
-        top.kset = top.kset.union(*mask);
-        top.cid = match top.cid.take() {
-            None => cid,
-            held => merge_cid_ref(held, cid.as_ref()),
-        };
+        let node = top(skel);
+        debug_assert!(skel.nodes[node].is_keyword && &skel.nodes[node].dewey == kd);
+        skel.nodes[node].kset |= mask.0;
     }
-    while !stack.is_empty() {
-        pop(&mut nodes, &mut stack);
+    while !skel.order.is_empty() {
+        close(skel);
     }
+    Ok(())
+}
 
+fn top(skel: &SkeletonScratch) -> usize {
+    *skel.order.last().expect("anchor open") as usize
+}
+
+/// Appends `dewey` under the deepest open node and opens it.
+fn open(
+    facts: &(impl NodeFacts + ?Sized),
+    skel: &mut SkeletonScratch,
+    dewey: Dewey,
+    is_keyword: bool,
+) -> Result<(), SourceError> {
+    let (label, own) = if is_keyword {
+        facts.keyword_node(&dewey)?
+    } else {
+        (facts.label(&dewey)?, None)
+    };
+    let cid = own_feature(skel, own);
+    let index = skel.nodes.len() as u32;
+    let parent = skel.order.last().copied().unwrap_or(NONE);
+    if parent != NONE {
+        let elder = std::mem::replace(&mut skel.nodes[parent as usize].last_child, index);
+        if elder != NONE {
+            skel.nodes[elder as usize].next_sibling = index;
+        }
+    }
+    skel.order.push(index);
+    skel.nodes.push(SkelNode {
+        dewey,
+        label,
+        parent,
+        cid,
+        is_keyword,
+        ..SkelNode::default()
+    });
+    Ok(())
+}
+
+/// Files a node's own content feature, returning where its `min` and
+/// `max` now live in the skeleton's feature list.
+fn own_feature(skel: &mut SkeletonScratch, feature: Cid) -> (u32, u32) {
+    feature.map_or((NONE, NONE), |feature| {
+        skel.feats.push(feature);
+        let own = skel.feats.len() as u32 - 1;
+        (own, own)
+    })
+}
+
+/// Closes the deepest open node, folding its keyword set and content
+/// feature into its parent — §4.1's upward propagation, done once per
+/// node instead of once per keyword node × ancestor.
+fn close(skel: &mut SkeletonScratch) {
+    let child = skel.order.pop().expect("close on an open path") as usize;
+    let Some(&parent) = skel.order.last() else {
+        return;
+    };
+    let (kset, (cmin, cmax)) = (skel.nodes[child].kset, skel.nodes[child].cid);
+    let parent = &mut skel.nodes[parent as usize];
+    parent.kset |= kset;
+    if cmin == NONE {
+        return;
+    }
+    let f = |i: u32| &skel.feats[i as usize];
+    parent.cid = match parent.cid {
+        (NONE, _) => (cmin, cmax),
+        (pmin, pmax) => (
+            if f(cmin).0 < f(pmin).0 { cmin } else { pmin },
+            if f(cmax).1 > f(pmax).1 { cmax } else { pmax },
+        ),
+    };
+}
+
+/// Materializes the nodes `skel` marks as kept (step 3 of the module
+/// docs) — one allocation, sized exactly. The kept set must be closed
+/// under parents (the anchor included), which both
+/// [`crate::prune::decide`] and keeping everything guarantee. Consumes
+/// the skeleton's Dewey codes: lay out again before the next emit.
+pub fn emit(skel: &mut SkeletonScratch, anchor: &Dewey) -> Fragment {
+    let SkeletonScratch {
+        nodes: raw,
+        feats,
+        order: path, // output positions of the emitted root path
+        ..
+    } = skel;
+    let mut nodes: Vec<FragNode> = Vec::with_capacity(raw.iter().filter(|n| n.kept).count());
+    path.clear();
+    for node in raw.iter_mut().filter(|n| n.kept) {
+        let index = nodes.len() as u32;
+        // Everything at or below this depth on the emitted path is
+        // done; the last such node is the elder sibling.
+        let mut elder = NONE;
+        while let Some(&open) = path.last() {
+            if nodes[open as usize].dewey.len() < node.dewey.len() {
+                break;
+            }
+            elder = open;
+            path.pop();
+        }
+        if elder != NONE {
+            nodes[elder as usize].next_sibling = index;
+        }
+        let parent = path.last().copied().unwrap_or(NONE);
+        path.push(index);
+        let (min, max) = node.cid;
+        nodes.push(FragNode {
+            dewey: std::mem::take(&mut node.dewey),
+            label: LabelId(node.label),
+            kset: KeySet(node.kset),
+            cid: (min != NONE)
+                .then(|| (feats[min as usize].0.clone(), feats[max as usize].1.clone())),
+            is_keyword: node.is_keyword,
+            parent,
+            next_sibling: NONE,
+        });
+    }
     Fragment {
         anchor: anchor.clone(),
         nodes,
@@ -194,130 +317,99 @@ fn construct_stream(
 }
 
 impl Fragment {
-    /// Builds the fragment for one RTF — the constructing step.
-    ///
-    /// `tree` is the source document (for labels and keyword-node
-    /// contents); `rtf` the keyword-node partition from
-    /// [`crate::rtf::get_rtf`].
-    #[must_use]
-    pub fn construct(tree: &XmlTree, rtf: &Rtf) -> Self {
-        construct_stream(
-            &rtf.anchor,
-            &rtf.knodes,
-            |d| tree.node(tree_node(tree, d)).label,
-            |d| {
-                let id = tree_node(tree, d);
-                let content = node_content(tree, id);
-                (tree.node(id).label, content_feature(&content))
-            },
-        )
+    /// **The** builder every fragment comes out of: lays out the raw
+    /// fragment of `anchor` and `knodes`, prunes it under `policy`
+    /// (`None` keeps the raw fragment) and materializes the result.
+    /// Buffers come from `skel`, so a warm caller pays one allocation
+    /// per fragment. `layout_time`, when given, accumulates the time of
+    /// the first step (a traced caller's construct span; the rest of
+    /// its stage is pruning).
+    pub fn build<'k>(
+        facts: &(impl NodeFacts + ?Sized),
+        anchor: &Dewey,
+        knodes: impl Iterator<Item = (&'k Dewey, KeySet)>,
+        policy: Option<Policy>,
+        skel: &mut SkeletonScratch,
+        layout_time: Option<&mut Duration>,
+    ) -> Result<Self, SourceError> {
+        let started = layout_time.is_some().then(Instant::now);
+        lay_out(facts, anchor, knodes, skel)?;
+        if let (Some(total), Some(started)) = (layout_time, started) {
+            *total += started.elapsed();
+        }
+        match policy {
+            Some(policy) => decide(skel, policy),
+            None => skel.nodes.iter_mut().for_each(|n| n.kept = true),
+        }
+        Ok(emit(skel, anchor))
     }
 
-    /// Builds the fragment for one RTF from a [`CorpusSource`] — the
-    /// same constructing step as [`Fragment::construct`], but reading
-    /// node facts (label, own-content feature) from the storage
-    /// abstraction instead of the parsed tree. Used by the engine when
-    /// it runs over shredded tables or an on-disk index.
+    /// Builds the raw fragment for one RTF — the constructing step —
+    /// from a parsed tree or any [`CorpusSource`]. `rtf` is a
+    /// keyword-node partition from [`crate::rtf::get_rtf`].
     ///
-    /// Path nodes cost one [`CorpusSource::try_element_label`] each (no
-    /// content strings materialized), keyword nodes one
-    /// [`CorpusSource::try_keyword_node`].
-    ///
-    /// Panics on what [`Fragment::try_construct_from_source`] reports
-    /// as an error: a backend failure, or an RTF referencing a Dewey
-    /// code the corpus does not contain (keyword nodes always come from
-    /// the same corpus, so this indicates a corrupted index).
+    /// # Panics
+    /// Panics on a backend failure or a node missing from the corpus;
+    /// [`Fragment::build`] reports both as a typed [`SourceError`].
     #[must_use]
-    pub fn construct_from_source<S: CorpusSource + ?Sized>(source: &S, rtf: &Rtf) -> Self {
-        Self::try_construct_from_source(source, rtf)
+    pub fn construct(facts: &(impl NodeFacts + ?Sized), rtf: &Rtf) -> Self {
+        let knodes = rtf.knodes.iter().map(|(d, m)| (d, *m));
+        let mut skel = SkeletonScratch::default();
+        Self::build(facts, &rtf.anchor, knodes, None, &mut skel, None)
             .unwrap_or_else(|e| panic!("fragment construction failed: {e}"))
     }
 
-    /// Fallible form of [`Fragment::construct_from_source`]: backend
-    /// failures (I/O, corruption, a node the corpus lost) surface as a
-    /// typed [`SourceError`] instead of a panic — the constructing step
-    /// `SearchEngine::execute` drives.
-    pub fn try_construct_from_source<S: CorpusSource + ?Sized>(
-        source: &S,
-        rtf: &Rtf,
-    ) -> Result<Self, SourceError> {
-        use std::cell::RefCell;
-        // The two lookup closures can't both borrow an error slot
-        // mutably, so it rides in a RefCell; construction finishes the
-        // walk on dummy facts after a failure and the error wins below.
-        let first_error: RefCell<Option<SourceError>> = RefCell::new(None);
-        let fail = |e: SourceError| {
-            let mut slot = first_error.borrow_mut();
-            if slot.is_none() {
-                *slot = Some(e);
-            }
-        };
-        let fragment = construct_stream(
-            &rtf.anchor,
-            &rtf.knodes,
-            |d| match source.try_element_label(d) {
-                Ok(Some(label)) => LabelId(label),
-                Ok(None) => {
-                    fail(SourceError::missing_node(d));
-                    LabelId(0)
-                }
-                Err(e) => {
-                    fail(e);
-                    LabelId(0)
-                }
-            },
-            |d| match source.try_keyword_node(d) {
-                Ok(Some((label, cid))) => (LabelId(label), cid),
-                Ok(None) => {
-                    fail(SourceError::missing_node(d));
-                    (LabelId(0), None)
-                }
-                Err(e) => {
-                    fail(e);
-                    (LabelId(0), None)
-                }
-            },
-        );
-        match first_error.into_inner() {
-            Some(e) => Err(e),
-            None => Ok(fragment),
+    /// Loads this fragment into `skel` as [`lay_out`] would have left
+    /// it — the way back into the builder for an already materialized
+    /// fragment ([`crate::prune::prune`]).
+    pub(crate) fn load_into(&self, skel: &mut SkeletonScratch) {
+        skel.nodes.clear();
+        skel.feats.clear();
+        for n in &self.nodes {
+            let cid = own_feature(skel, n.cid.clone());
+            skel.nodes.push(SkelNode {
+                dewey: n.dewey.clone(),
+                label: n.label.as_u32(),
+                kset: n.kset.0,
+                parent: n.parent,
+                next_sibling: n.next_sibling,
+                cid,
+                is_keyword: n.is_keyword,
+                ..SkelNode::default()
+            });
         }
     }
 
-    /// A fragment with exactly the given nodes, which must be sorted in
-    /// document order (used by the pruning step to emit the filtered
-    /// result).
-    #[must_use]
-    pub(crate) fn with_nodes(anchor: Dewey, nodes: Vec<FragNode>) -> Self {
-        debug_assert!(nodes.is_sorted_by(|a, b| a.dewey < b.dewey));
-        Fragment { anchor, nodes }
-    }
-
-    /// Consumes the fragment into its sorted node vector (the owned
-    /// pruning path).
-    #[must_use]
-    pub(crate) fn into_nodes(self) -> Vec<FragNode> {
-        self.nodes
+    fn position(&self, dewey: &Dewey) -> Option<usize> {
+        self.nodes.binary_search_by(|n| n.dewey.cmp(dewey)).ok()
     }
 
     /// Node lookup (binary search over the sorted vector).
     #[must_use]
     pub fn node(&self, dewey: &Dewey) -> Option<&FragNode> {
-        self.nodes
-            .binary_search_by(|n| n.dewey.cmp(dewey))
-            .ok()
-            .map(|i| &self.nodes[i])
+        self.position(dewey).map(|i| &self.nodes[i])
     }
 
     /// `true` when the fragment contains `dewey`.
     #[must_use]
     pub fn contains(&self, dewey: &Dewey) -> bool {
-        self.node(dewey).is_some()
+        self.position(dewey).is_some()
     }
 
     /// All nodes in document order.
     pub fn iter(&self) -> impl Iterator<Item = &FragNode> {
         self.nodes.iter()
+    }
+
+    /// The children of `dewey` within the fragment, in document order
+    /// (empty when `dewey` is a leaf or not in the fragment).
+    pub fn children(&self, dewey: &Dewey) -> impl Iterator<Item = &FragNode> {
+        let first = self.position(dewey).and_then(|parent| {
+            self.nodes
+                .get(parent + 1)
+                .filter(|n| n.parent as usize == parent)
+        });
+        std::iter::successors(first, move |n| self.nodes.get(n.next_sibling as usize))
     }
 
     /// All Dewey codes in document order.
@@ -342,12 +434,8 @@ impl Fragment {
     /// first appearance — the `chlList` of §4.1.
     #[must_use]
     pub fn label_groups(&self, dewey: &Dewey) -> Vec<LabelGroup<'_>> {
-        let Some(node) = self.node(dewey) else {
-            return Vec::new();
-        };
         let mut groups: Vec<LabelGroup<'_>> = Vec::new();
-        for child_d in &node.children {
-            let child = self.node(child_d).expect("child in fragment");
+        for child in self.children(dewey) {
             match groups.iter_mut().find(|g| g.label == child.label) {
                 Some(g) => g.children.push(child),
                 None => groups.push(LabelGroup {
@@ -366,9 +454,9 @@ impl Fragment {
     /// values.
     #[must_use]
     pub fn to_xml(&self, tree: &XmlTree) -> String {
-        fn emit(frag: &Fragment, tree: &XmlTree, d: &Dewey, depth: usize, out: &mut String) {
+        fn emit(frag: &Fragment, tree: &XmlTree, node: &FragNode, depth: usize, out: &mut String) {
             use std::fmt::Write as _;
-            let node = frag.node(d).expect("emit called on fragment node");
+            let d = &node.dewey;
             let label = tree.labels().name(node.label);
             let indent = "  ".repeat(depth);
             let _ = write!(out, "{indent}<{label}");
@@ -388,7 +476,8 @@ impl Fragment {
             } else {
                 None
             };
-            if node.children.is_empty() && text.is_none() {
+            let mut children = frag.children(d).peekable();
+            if children.peek().is_none() && text.is_none() {
                 out.push_str("/>\n");
                 return;
             }
@@ -396,9 +485,9 @@ impl Fragment {
             if let Some(t) = &text {
                 out.push_str(&xks_xmltree::writer::escape_text(t));
             }
-            if !node.children.is_empty() {
+            if children.peek().is_some() {
                 out.push('\n');
-                for c in &node.children {
+                for c in children {
                     emit(frag, tree, c, depth + 1, out);
                 }
                 out.push_str(&"  ".repeat(depth));
@@ -406,7 +495,7 @@ impl Fragment {
             let _ = writeln!(out, "</{label}>");
         }
         let mut out = String::new();
-        emit(self, tree, &self.anchor, 0, &mut out);
+        emit(self, tree, &self.nodes[0], 0, &mut out);
         out
     }
 
@@ -489,11 +578,6 @@ impl Fragment {
     }
 }
 
-fn tree_node(tree: &XmlTree, dewey: &Dewey) -> xks_xmltree::NodeId {
-    tree.node_by_dewey(dewey)
-        .unwrap_or_else(|| panic!("RTF references node {dewey} missing from the tree"))
-}
-
 /// The paper's bit-list rendering of a keyword set: `kList = 0 1 1 1 1`
 /// with the first query keyword leftmost.
 fn render_klist(kset: KeySet, k: usize) -> String {
@@ -501,23 +585,6 @@ fn render_klist(kset: KeySet, k: usize) -> String {
         .map(|i| if kset.contains(i) { "1" } else { "0" })
         .collect::<Vec<&str>>()
         .join(" ")
-}
-
-/// Merges a borrowed content feature into an owned one: lexical min of
-/// mins, max of maxes. Exact for `(min, max)` of a union of sets; `b`'s
-/// strings are cloned only when they win (keyword-node features are
-/// merged into every ancestor, so the non-winning — common — case must
-/// not clone).
-fn merge_cid_ref(a: Cid, b: Option<&(String, String)>) -> Cid {
-    match (a, b) {
-        (Some((amin, amax)), Some((bmin, bmax))) => Some((
-            if *bmin < amin { bmin.clone() } else { amin },
-            if *bmax > amax { bmax.clone() } else { amax },
-        )),
-        (Some(x), None) => Some(x),
-        (None, Some(x)) => Some(x.clone()),
-        (None, None) => None,
-    }
 }
 
 #[cfg(test)]

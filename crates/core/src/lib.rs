@@ -77,11 +77,11 @@ pub use mutable::{MutableSource, MutationError};
 pub use plan::{
     choose_driver, choose_strategy, KeywordFilter, KeywordStats, PlanReport, PlanStrategy, TermPlan,
 };
-pub use prune::{prune, prune_owned, Policy};
+pub use prune::{prune, Policy};
 pub use quality::{assess, assess_all, AxiomCounts, QualityConfig, QualityReport};
 pub use rank::{rank, score_fragment, RankWeights, RankedFragment};
 pub use request::{Hit, SearchError, SearchRequest, SearchResponse, SearchStats, SearchTimeout};
-pub use rtf::{get_rtf, get_rtf_from_merged, get_rtf_unchecked, Rtf};
+pub use rtf::{dispatch, get_rtf, get_rtf_unchecked, Partitions, Rtf};
 pub use scratch::{QueryContext, QueryScratch};
 pub use shards::ShardSet;
 pub use source::{CorpusSource, MemoryCorpus, SourceElement, SourceError};

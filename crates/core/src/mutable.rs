@@ -39,7 +39,7 @@ use std::sync::{Arc, RwLock};
 use xks_store::{shred, shred_document, ElementRow, ValueRow};
 use xks_xmltree::{Dewey, ParseError, XmlTree};
 
-use crate::fragment::Cid;
+use crate::fragment::{shared_cid, Cid};
 use crate::source::{CorpusSource, SourceElement, SourceError};
 
 /// Everything that can go wrong mutating a corpus.
@@ -154,8 +154,8 @@ impl State {
                 SourceElement {
                     label: row.label,
                     level: row.level,
-                    keyword_cid: own.get(row.dewey.as_str()).cloned(),
-                    subtree_cid: row.content_feature.clone(),
+                    keyword_cid: shared_cid(own.get(row.dewey.as_str()).cloned()),
+                    subtree_cid: shared_cid(row.content_feature.clone()),
                 },
             );
         }

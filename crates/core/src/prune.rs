@@ -15,12 +15,16 @@
 //! * [`Policy::Contributor`] — MaxMatch's filter: a child survives iff
 //!   **no sibling whatsoever** (any label) has a strictly larger keyword
 //!   set.
+//!
+//! The decision ([`decide`]) runs over the flat skeleton of
+//! [`crate::fragment`], before any output node exists, so discarded
+//! nodes are never materialized.
 
-use std::collections::HashSet;
+use std::sync::Arc;
 
-use xks_xmltree::Dewey;
+use xks_lca::{SkelNode, SkeletonScratch, NONE};
 
-use crate::fragment::{Cid, FragNode, Fragment};
+use crate::fragment::{emit, Fragment};
 
 /// Which filtering mechanism to apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,135 +35,157 @@ pub enum Policy {
     Contributor,
 }
 
-/// The decision phase shared by both prune entry points: walks the
-/// fragment from the anchor and returns the sorted Dewey set of
-/// surviving nodes (Algorithm 1 line 16).
-fn surviving_deweys(fragment: &Fragment, policy: Policy) -> Vec<Dewey> {
-    let mut kept: Vec<Dewey> = vec![fragment.anchor.clone()];
-    let mut queue: Vec<Dewey> = vec![fragment.anchor.clone()];
-    while let Some(parent) = queue.pop() {
-        let survivors = match policy {
-            Policy::ValidContributor => valid_contributors(fragment, &parent),
-            Policy::Contributor => contributors(fragment, &parent),
-        };
-        for child in survivors {
-            kept.push(child.clone());
-            queue.push(child);
-        }
-    }
-    kept.sort_unstable();
-    kept
-}
-
 /// Prunes a fragment under the chosen policy, returning the meaningful
-/// fragment (a sub-fragment containing the anchor).
+/// fragment (a sub-fragment containing the anchor). Surviving nodes
+/// keep the keyword sets and content features they had in `fragment`.
 #[must_use]
 pub fn prune(fragment: &Fragment, policy: Policy) -> Fragment {
-    let kept = surviving_deweys(fragment, policy);
-    let nodes: Vec<FragNode> = kept
-        .iter()
-        .map(|d| {
-            let mut node = fragment.node(d).expect("kept node in fragment").clone();
-            node.children.retain(|c| kept.binary_search(c).is_ok());
-            node
-        })
-        .collect();
-    Fragment::with_nodes(fragment.anchor.clone(), nodes)
+    let mut skel = SkeletonScratch::default();
+    fragment.load_into(&mut skel);
+    decide(&mut skel, policy);
+    emit(&mut skel, &fragment.anchor)
 }
 
-/// Like [`prune`] but consuming the raw fragment: discarded nodes are
-/// dropped and surviving ones **moved**, so the hot engine path never
-/// deep-clones node payloads (children vectors, content-feature
-/// strings) just to filter them.
-#[must_use]
-pub fn prune_owned(fragment: Fragment, policy: Policy) -> Fragment {
-    let kept = surviving_deweys(&fragment, policy);
-    let anchor = fragment.anchor.clone();
-    let mut nodes = fragment.into_nodes();
-    nodes.retain(|n| kept.binary_search(&n.dewey).is_ok());
-    for node in &mut nodes {
-        node.children.retain(|c| kept.binary_search(c).is_ok());
+/// Marks the nodes of a freshly laid-out fragment that survive `policy`
+/// (Algorithm 1 line 16): the anchor, and every child that survives its
+/// sibling group under a surviving parent. Allocation-free on warm
+/// buffers.
+pub fn decide(skel: &mut SkeletonScratch, policy: Policy) {
+    let SkeletonScratch {
+        nodes,
+        feats,
+        order,
+        ksets,
+        dominance_tests,
+    } = skel;
+    if let Some(anchor) = nodes.first_mut() {
+        anchor.kept = true;
     }
-    Fragment::with_nodes(anchor, nodes)
-}
-
-/// Definition 4: the children of `parent` that are valid contributors.
-fn valid_contributors(fragment: &Fragment, parent: &Dewey) -> Vec<Dewey> {
-    let mut out = Vec::new();
-    for group in fragment.label_groups(parent) {
-        if group.counter() == 1 {
-            // Rule 1: unique label among siblings — always kept.
-            out.push(group.children[0].dewey.clone());
+    for parent in 0..nodes.len() {
+        order.clear();
+        // A node's first child, if any, is the node right after it.
+        let mut child = parent as u32 + 1;
+        let is_leaf = nodes.get(child as usize).map(|n| n.parent) != Some(parent as u32);
+        if !nodes[parent].kept || is_leaf {
             continue;
         }
-        let mut used_ksets: HashSet<u64> = HashSet::new();
-        let mut used_cids: HashSet<CidKey<'_>> = HashSet::new();
-        for ch in &group.children {
-            let knum = ch.kset.0;
-            if used_ksets.contains(&knum) {
-                // Rule 2(b): keyword set ties a kept sibling — keep only
-                // novel content.
-                if used_cids.insert(cid_key(&ch.cid)) {
-                    out.push(ch.dewey.clone());
-                }
-            } else if group
-                .children
+        while child != NONE {
+            order.push(child);
+            child = nodes[child as usize].next_sibling;
+        }
+        if policy == Policy::Contributor {
+            // MaxMatch compares all children as one group and keeps ties.
+            decide_group(nodes, feats, order, ksets, dominance_tests, false);
+            continue;
+        }
+        // Label runs from one sort; document order within each run.
+        order.sort_unstable_by_key(|&c| (nodes[c as usize].label, c));
+        let mut rest = order.as_mut_slice();
+        while let Some(&first) = rest.first() {
+            let label = nodes[first as usize].label;
+            let run = rest
                 .iter()
-                .any(|other| ch.kset.is_strict_subset(other.kset))
-            {
-                // Rule 2(a): a same-label sibling strictly covers it.
-            } else {
-                out.push(ch.dewey.clone());
-                used_ksets.insert(knum);
-                used_cids.insert(cid_key(&ch.cid));
+                .take_while(|&&c| nodes[c as usize].label == label)
+                .count();
+            let (group, tail) = rest.split_at_mut(run);
+            decide_group(nodes, feats, group, ksets, dominance_tests, true);
+            rest = tail;
+        }
+    }
+}
+
+/// Decides one sibling group (document order on entry). A child whose
+/// keyword set is strictly covered by a sibling's is discarded — tested
+/// between the group's *distinct* keyword sets, not between siblings.
+/// With `dedup_content` (Definition 4 rule 2(b)) a child whose keyword
+/// set ties an earlier survivor's stays only when no earlier
+/// non-covered sibling has its content feature.
+fn decide_group(
+    nodes: &mut [SkelNode],
+    feats: &[(Arc<str>, Arc<str>)],
+    group: &mut [u32],
+    ksets: &mut Vec<(u64, bool, bool)>,
+    dominance_tests: &mut u64,
+    dedup_content: bool,
+) {
+    if let [only] = group {
+        nodes[*only as usize].kept = true; // rule 1
+        return;
+    }
+    ksets.clear();
+    ksets.extend(
+        group
+            .iter()
+            .map(|&c| (nodes[c as usize].kset, false, false)),
+    );
+    ksets.sort_unstable_by_key(|e| e.0);
+    ksets.dedup_by_key(|e| e.0);
+    // A strict superset is numerically larger, so it sorts later.
+    for i in 0..ksets.len() {
+        let set = ksets[i].0;
+        for j in i + 1..ksets.len() {
+            *dominance_tests += 1;
+            if set & ksets[j].0 == set {
+                ksets[i].1 = true;
+                break;
             }
         }
     }
-    // Groups are in first-appearance order; restore document order.
-    out.sort_unstable();
-    out
-}
-
-/// MaxMatch's contributor filter over all children of `parent`.
-fn contributors(fragment: &Fragment, parent: &Dewey) -> Vec<Dewey> {
-    let Some(node) = fragment.node(parent) else {
-        return Vec::new();
+    let mut tie = false;
+    for &c in group.iter() {
+        let node = &mut nodes[c as usize];
+        let at = ksets
+            .binary_search_by_key(&node.kset, |e| e.0)
+            .expect("every group member's set was collected");
+        let (_, dominated, seen) = &mut ksets[at];
+        node.kept = !*dominated;
+        node.kset_first = !*seen;
+        tie |= *seen && !*dominated;
+        *seen = true;
+    }
+    if !(dedup_content && tie) {
+        return;
+    }
+    // Rule 2(b). The features already taken when a child is reached are
+    // exactly those of the earlier non-covered siblings, so a tying
+    // child stays iff it is the first of them with its feature: sort
+    // the group by feature and keep, per feature, the first non-covered
+    // child plus every child that introduced its keyword set.
+    let feature = |cid: (u32, u32)| match cid {
+        (NONE, _) => ("", ""),
+        (min, max) => (&*feats[min as usize].0, &*feats[max as usize].1),
     };
-    let children: Vec<&FragNode> = node
-        .children
-        .iter()
-        .map(|c| fragment.node(c).expect("child in fragment"))
-        .collect();
-    children
-        .iter()
-        .filter(|ch| {
-            !children
-                .iter()
-                .any(|other| ch.kset.is_strict_subset(other.kset))
-        })
-        .map(|ch| ch.dewey.clone())
-        .collect()
-}
-
-/// Hashable stand-in for a `cID` — borrowed, so rule 2(b) bookkeeping
-/// never clones the feature strings (`None` compares distinct from
-/// every concrete pair only via the empty sentinel).
-type CidKey<'a> = (&'a str, &'a str);
-
-fn cid_key(cid: &Cid) -> CidKey<'_> {
-    cid.as_ref()
-        .map_or(("", ""), |(min, max)| (min.as_str(), max.as_str()))
+    group.sort_unstable_by(|&a, &b| {
+        let (fa, fb) = (
+            feature(nodes[a as usize].cid),
+            feature(nodes[b as usize].cid),
+        );
+        fa.cmp(&fb).then(a.cmp(&b))
+    });
+    let mut taken: Option<(&str, &str)> = None;
+    for &c in group.iter() {
+        let node = &mut nodes[c as usize];
+        if !node.kept {
+            continue; // covered: neither takes a feature nor survives
+        }
+        if taken == Some(feature(node.cid)) {
+            node.kept = node.kset_first;
+        } else {
+            taken = Some(feature(node.cid));
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fragment::Fragment;
+    use crate::keyset::KeySet;
     use crate::rtf::get_rtf;
     use xks_index::{InvertedIndex, Query};
     use xks_lca::elca_stack;
     use xks_xmltree::fixtures::{publications, team, PAPER_QUERIES};
-    use xks_xmltree::XmlTree;
+    use xks_xmltree::{Dewey, XmlTree};
 
     fn d(s: &str) -> Dewey {
         s.parse().unwrap()
@@ -298,12 +324,15 @@ mod tests {
         let tree = team();
         let frags = fragments(&tree, "grizzlies position");
         let valid = prune(&frags[0], Policy::ValidContributor);
+        let mut linked = 1; // the anchor
         for n in valid.iter() {
-            for c in &n.children {
-                assert!(valid.contains(c), "dangling child {c}");
-                assert_eq!(c.parent().as_ref(), Some(&n.dewey));
+            for c in valid.children(&n.dewey) {
+                assert!(valid.contains(&c.dewey), "dangling child {}", c.dewey);
+                assert_eq!(c.dewey.parent().as_ref(), Some(&n.dewey));
+                linked += 1;
             }
         }
+        assert_eq!(linked, valid.len(), "every node hangs off its parent");
     }
 
     #[test]
@@ -327,5 +356,52 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn wide_same_label_group_is_decided_over_distinct_keyword_sets() {
+        // One parent, 20 000 same-label children over 8 distinct
+        // keyword sets. Definition 4 rule 2(a) needs the strict-subset
+        // test between *distinct keyword sets* (at most 8·7/2 of them),
+        // not between the 2·10⁸ sibling pairs.
+        const CHILDREN: usize = 20_000;
+        let sets = [
+            "ka", "kb", "ka kb", "kc", "ka kc", "kb kc", "ka kb kc", "kd",
+        ];
+        let mut xml = String::from("<r>");
+        for i in 0..CHILDREN {
+            // A filler word gives each child content of its own, except
+            // that every second child of a set repeats the one before.
+            let filler = if i % 16 >= 8 { i - 8 } else { i };
+            xml.push_str(&format!("<c>{} w{filler}</c>", sets[i % 8]));
+        }
+        xml.push_str("</r>");
+        let tree = xks_xmltree::parse(&xml).unwrap();
+        let raw = fragments(&tree, "ka kb kc kd").swap_remove(0);
+        assert_eq!(raw.len(), CHILDREN + 1, "the root's fragment");
+
+        let mut skel = SkeletonScratch::default();
+        raw.load_into(&mut skel);
+        decide(&mut skel, Policy::ValidContributor);
+        assert!(
+            skel.dominance_tests <= 28,
+            "{} strict-subset tests",
+            skel.dominance_tests
+        );
+        // Only {ka,kb,kc} and {kd} are not covered; half of each one's
+        // 2 500 children repeat a sibling's content (rule 2(b)).
+        let valid = emit(&mut skel, &raw.anchor);
+        assert!(valid
+            .iter()
+            .skip(1)
+            .all(|n| n.kset.len() == 3 || n.kset == KeySet(0b1000)));
+        assert_eq!(valid.len(), 1 + 2 * 1250);
+        assert_eq!(valid, prune(&raw, Policy::ValidContributor));
+
+        raw.load_into(&mut skel);
+        skel.dominance_tests = 0;
+        decide(&mut skel, Policy::Contributor);
+        assert!(skel.dominance_tests <= 28);
+        assert_eq!(emit(&mut skel, &raw.anchor).len(), 1 + 2 * 2500);
     }
 }

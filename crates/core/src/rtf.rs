@@ -1,26 +1,36 @@
 //! Relaxed Tightest Fragments — the `getRTF` stage of Algorithm 1.
 //!
 //! `getRTF` partitions the query's keyword nodes among the interesting
-//! LCA (ELCA) anchors: every keyword node is dispatched to the **last**
-//! anchor in the pre-order-sorted anchor list that is an ancestor of or
-//! equal to it — i.e. its lowest interesting-LCA ancestor-or-self.
+//! LCA (ELCA) anchors. By Definition 2 a keyword node `v` belongs to
+//! the partition of its **deepest common ancestor** — the deepest
+//! ancestor-or-self whose subtree holds every keyword — and only when
+//! that node is an anchor:
 //!
-//! Two refinements keep the dispatch faithful to Definition 2 (both are
-//! verified against the executable specification in [`crate::spec`]):
+//! 1. a node no common ancestor covers is an orphan and is dropped;
+//! 2. a node whose deepest common ancestor is a *shadowed* (non-ELCA)
+//!    node is dropped too — Definition 2's third rule: `v` "can compose
+//!    a partition with other keyword nodes so that the new LCA is
+//!    lower". The paper's pseudo-code omits this check, assuming (§4.3
+//!    analysis (1), footnote) that such a deeper LCA is always itself
+//!    interesting; [`get_rtf_unchecked`] keeps that literal behaviour.
 //!
-//! 1. Keyword nodes with **no** covering anchor belong to no partition
-//!    and are dropped.
-//! 2. A keyword node `v` whose *deepest covering combination* — the
-//!    deepest `LCA(v, picks…)` over one pick per keyword list — lies
-//!    strictly below its lowest anchor is also dropped (Definition 2's
-//!    third rule: `v` "can compose a partition with other keyword nodes
-//!    so that the new LCA is lower"). The paper's pseudo-code omits this
-//!    check, assuming (§4.3 analysis (1), footnote) that such a deeper
-//!    LCA is always itself interesting; that assumption fails when the
-//!    deeper combination's LCA is a *shadowed* (non-ELCA) node, and the
-//!    dispatch would then violate the RTF conditions.
+//! Both are verified against the executable specification in
+//! [`crate::spec`].
+//!
+//! [`dispatch`] decides all of it in one walk of the merged
+//! `(dewey, mask)` stream, with a stack mirroring the current root path
+//! that accumulates each open node's subtree mask. A keyword node waits
+//! in a pending list; the first path node above it to close with a full
+//! mask is its deepest common ancestor, and takes it into its partition
+//! (anchor) or discards it (shadowed). O(n · depth), no searches over
+//! the posting lists. The stream may be the full merge or the planner's
+//! anchor-restricted one (`xks_lca::extract_anchored_into`): every
+//! common ancestor at or below an anchor has its whole subtree in both,
+//! and every node of the restricted stream lies below an anchor.
 
 use xks_index::KeywordNodeSets;
+use xks_lca::common::{full_mask, merge_postings};
+use xks_lca::{RtfScratch, SweepEntry, NONE};
 use xks_xmltree::Dewey;
 
 use crate::keyset::KeySet;
@@ -54,103 +64,189 @@ impl Rtf {
     }
 }
 
-/// Dispatches every keyword node to its lowest anchor (ancestor-or-self)
-/// with one merged document-order sweep.
-///
-/// `anchors` must be sorted in document order (as produced by
-/// `xks_lca::elca_stack` / `indexed_lookup_eager`); the result preserves
-/// that anchor order. Anchors are nested or disjoint in general, so a
-/// stack of "currently open" anchors identifies the lowest covering one
-/// in O(1) amortized per node.
-#[must_use]
-pub fn get_rtf(anchors: &[Dewey], sets: &KeywordNodeSets) -> Vec<Rtf> {
-    let merged = xks_lca::common::merge_postings(sets.sets());
-    get_rtf_impl(anchors, &merged, sets, true)
+/// The partitions of one query, borrowed from the buffers [`dispatch`]
+/// filled: partition `i` belongs to `anchors[i]`.
+#[derive(Debug, Clone, Copy)]
+pub struct Partitions<'a> {
+    anchors: &'a [Dewey],
+    merged: &'a [(Dewey, u64)],
+    scratch: &'a RtfScratch,
 }
 
-/// Like [`get_rtf`] but consuming an already-merged document-ordered
-/// posting stream (see [`xks_lca::merge_postings_into`]) — the engine
-/// merges once per query and feeds the same stream to `getLCA` and
-/// `getRTF`.
+impl<'a> Partitions<'a> {
+    /// The view over the buffers of a finished [`dispatch`].
+    #[must_use]
+    pub fn new(anchors: &'a [Dewey], merged: &'a [(Dewey, u64)], scratch: &'a RtfScratch) -> Self {
+        debug_assert_eq!(anchors.len(), scratch.ranges.len(), "dispatch ran");
+        Partitions {
+            anchors,
+            merged,
+            scratch,
+        }
+    }
+
+    /// Number of partitions (= anchors).
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.anchors.len()
+    }
+
+    /// `true` when the query has no anchor.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.anchors.is_empty()
+    }
+
+    /// The anchor of partition `i`.
+    #[must_use]
+    pub fn anchor(&self, i: usize) -> &'a Dewey {
+        &self.anchors[i]
+    }
+
+    /// The keyword nodes of partition `i`, in document order.
+    pub fn knodes(&self, i: usize) -> impl Iterator<Item = (&'a Dewey, KeySet)> + 'a {
+        let (start, len) = self.scratch.ranges[i];
+        let merged = self.merged;
+        self.scratch.nodes[start as usize..(start + len) as usize]
+            .iter()
+            .map(move |&n| (&merged[n as usize].0, KeySet(merged[n as usize].1)))
+    }
+
+    /// The partitions as owned [`Rtf`]s, in anchor order.
+    #[must_use]
+    pub fn to_rtfs(&self) -> Vec<Rtf> {
+        (0..self.len())
+            .map(|i| Rtf {
+                anchor: self.anchors[i].clone(),
+                knodes: self.knodes(i).map(|(d, m)| (d.clone(), m)).collect(),
+            })
+            .collect()
+    }
+}
+
+/// Partitions the keyword nodes of `merged` among `anchors` with one
+/// document-order sweep (see the module docs).
+///
+/// `anchors` must be sorted in document order (as the `xks_lca` anchor
+/// passes produce them) and `merged` must be a merged posting stream of
+/// the `k` keyword lists — full or anchor-restricted. With a warm
+/// `scratch` the sweep performs no heap allocation.
+///
+/// `checked == false` is the paper's literal pseudo-code: a node goes
+/// to its lowest anchor ancestor-or-self whatever lies between them.
+pub fn dispatch<'a>(
+    anchors: &'a [Dewey],
+    merged: &'a [(Dewey, u64)],
+    k: usize,
+    checked: bool,
+    scratch: &'a mut RtfScratch,
+) -> Partitions<'a> {
+    let full = full_mask(k.clamp(1, 64));
+    scratch.stack.clear();
+    scratch.path.clear();
+    scratch.pending.clear();
+    scratch.nodes.clear();
+    scratch.ranges.clear();
+    scratch.ranges.resize(anchors.len(), (0, 0));
+    // Path nodes open in document order, so one cursor finds anchors.
+    let mut next_anchor = 0usize;
+    for (i, (dewey, mask)) in merged.iter().enumerate() {
+        let comps = dewey.components();
+        let common = (scratch.path.iter().zip(comps))
+            .take_while(|(a, b)| a == b)
+            .count();
+        close_to(scratch, common, full, checked);
+        for &c in &comps[common..] {
+            scratch.path.push(c);
+            let path = scratch.path.as_slice();
+            while anchors
+                .get(next_anchor)
+                .is_some_and(|a| a.components() < path)
+            {
+                next_anchor += 1;
+            }
+            let is_anchor = anchors
+                .get(next_anchor)
+                .is_some_and(|a| a.components() == path);
+            scratch.stack.push(SweepEntry {
+                mask: 0,
+                pending_start: scratch.pending.len() as u32,
+                anchor: if is_anchor { next_anchor as u32 } else { NONE },
+            });
+            next_anchor += usize::from(is_anchor);
+        }
+        if let Some(top) = scratch.stack.last_mut() {
+            top.mask |= mask;
+            scratch.pending.push(i as u32);
+        }
+    }
+    // Whatever is still pending after the root closes is orphaned.
+    close_to(scratch, 0, full, checked);
+    Partitions::new(anchors, merged, scratch)
+}
+
+/// Closes path nodes until `depth` remain open. A closing node with a
+/// full mask is the deepest common ancestor of the keyword nodes still
+/// pending below it: an anchor takes them as its partition, a shadowed
+/// node discards them (the literal variant instead hands every
+/// non-anchor's nodes on to its parent).
+fn close_to(scratch: &mut RtfScratch, depth: usize, full: u64, checked: bool) {
+    while scratch.stack.len() > depth {
+        let entry = scratch.stack.pop().expect("len > depth");
+        scratch.path.pop();
+        let start = entry.pending_start as usize;
+        let common_ancestor = entry.mask & full == full;
+        if entry.anchor != NONE && (common_ancestor || !checked) {
+            let run = scratch.nodes.len() as u32;
+            scratch.nodes.extend_from_slice(&scratch.pending[start..]);
+            scratch.ranges[entry.anchor as usize] = (run, scratch.nodes.len() as u32 - run);
+            scratch.pending.truncate(start);
+        } else if common_ancestor && checked {
+            scratch.pending.truncate(start);
+        }
+        if let Some(parent) = scratch.stack.last_mut() {
+            parent.mask |= entry.mask;
+        }
+    }
+}
+
+/// Dispatches every keyword node of `sets` to its anchor — `getRTF`
+/// over a freshly merged stream. `anchors` must be sorted in document
+/// order; the result preserves that order.
 #[must_use]
-pub fn get_rtf_from_merged(
-    anchors: &[Dewey],
-    merged: &[(Dewey, u64)],
-    sets: &KeywordNodeSets,
-) -> Vec<Rtf> {
-    get_rtf_impl(anchors, merged, sets, true)
+pub fn get_rtf(anchors: &[Dewey], sets: &KeywordNodeSets) -> Vec<Rtf> {
+    let merged = merge_postings(sets.sets());
+    dispatch(
+        anchors,
+        &merged,
+        sets.len(),
+        true,
+        &mut RtfScratch::default(),
+    )
+    .to_rtfs()
 }
 
 /// The paper's **literal** `getRTF` pseudo-code, without the
-/// deepest-covering-combination check.
+/// deepest-common-ancestor check.
 ///
 /// Kept for ablation and to demonstrate the divergence from
-/// Definition 2: when a keyword node participates in a deeper covering
-/// combination whose LCA is a *shadowed* (non-interesting) node, this
-/// variant still assigns it to its lowest interesting-LCA ancestor,
-/// violating the RTF completeness conditions (see `EXPERIMENTS.md`
-/// "Findings" #2 and the unit test below). Use [`get_rtf`] unless you
-/// specifically want the paper's verbatim behaviour.
+/// Definition 2: when a keyword node's deepest common ancestor is a
+/// *shadowed* (non-interesting) node, this variant still assigns it to
+/// its lowest interesting-LCA ancestor, violating the RTF completeness
+/// conditions (see `EXPERIMENTS.md` "Findings" #2 and the unit test
+/// below). Use [`get_rtf`] unless you specifically want the paper's
+/// verbatim behaviour.
 #[must_use]
 pub fn get_rtf_unchecked(anchors: &[Dewey], sets: &KeywordNodeSets) -> Vec<Rtf> {
-    let merged = xks_lca::common::merge_postings(sets.sets());
-    get_rtf_impl(anchors, &merged, sets, false)
-}
-
-fn get_rtf_impl(
-    anchors: &[Dewey],
-    knodes: &[(Dewey, u64)],
-    sets: &KeywordNodeSets,
-    check_depth: bool,
-) -> Vec<Rtf> {
-    let mut rtfs: Vec<Rtf> = anchors
-        .iter()
-        .map(|a| Rtf {
-            anchor: a.clone(),
-            knodes: Vec::new(),
-        })
-        .collect();
-
-    // Merge anchors and keyword nodes in document order; at equal Dewey
-    // codes the anchor comes first so a keyword node that *is* an anchor
-    // lands in its own partition. The merged posting stream carries each
-    // node's keyword mask, so no per-node index probes are needed.
-    let mut open: Vec<usize> = Vec::new(); // indices into rtfs, outermost first
-    let mut ai = 0usize;
-
-    for (d, raw_mask) in knodes {
-        // Open every anchor that starts at or before this node.
-        while ai < anchors.len() && anchors[ai] <= *d {
-            while let Some(&top) = open.last() {
-                if rtfs[top].anchor.is_ancestor_or_self(&anchors[ai]) {
-                    break;
-                }
-                open.pop();
-            }
-            open.push(ai);
-            ai += 1;
-        }
-        // Close anchors whose subtree we have left.
-        while let Some(&top) = open.last() {
-            if rtfs[top].anchor.is_ancestor_or_self(d) {
-                break;
-            }
-            open.pop();
-        }
-        if let Some(&top) = open.last() {
-            if !check_depth || deepest_combination_len(d, sets) == rtfs[top].anchor.len() {
-                rtfs[top].knodes.push((d.clone(), KeySet(*raw_mask)));
-            }
-            // else: v composes a deeper (shadowed) combination and may
-            // not join this partition (Definition 2, rule 3).
-        }
-        // else: orphan keyword node — no interesting LCA covers it.
-    }
-    rtfs
-}
-
-fn deepest_combination_len(v: &Dewey, sets: &KeywordNodeSets) -> usize {
-    xks_lca::common::deepest_combination_len(v, sets.sets())
+    let merged = merge_postings(sets.sets());
+    dispatch(
+        anchors,
+        &merged,
+        sets.len(),
+        false,
+        &mut RtfScratch::default(),
+    )
+    .to_rtfs()
 }
 
 #[cfg(test)]

@@ -12,9 +12,9 @@
 
 pub use xks_lca::QueryContext;
 
-/// The pre-concurrency name of [`QueryContext`]. The scratch-taking
-/// entry points themselves were renamed (`run_from_sets_with_scratch`
-/// → [`crate::algorithms::run_from_sets_with_context`], and likewise
-/// for the source form), so this alias only preserves the *type* name
-/// for code that constructed a `QueryScratch` directly.
+/// The pre-concurrency name of [`QueryContext`]: the alias only
+/// preserves the *type* name for code that constructed a `QueryScratch`
+/// directly (the scratch-taking `run_from_sets_with_*` entry points are
+/// gone; [`crate::engine::SearchEngine::execute_with`] is the
+/// context-taking path).
 pub type QueryScratch = QueryContext;

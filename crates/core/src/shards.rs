@@ -53,9 +53,7 @@ use xks_index::{KeywordNodeSets, Query};
 use xks_xmltree::Dewey;
 
 use crate::engine::SearchEngine;
-use crate::fragment::{Cid, Fragment};
-use crate::prune::{prune_owned, Policy};
-use crate::rtf::Rtf;
+use crate::fragment::Cid;
 use crate::scratch::QueryContext;
 use crate::source::{CorpusSource, SourceElement, SourceError};
 
@@ -281,12 +279,13 @@ impl CorpusSource for ShardSet {
     }
 }
 
-/// Runs the cursor-strided scatter loop shared by both fan-out stages:
-/// `threads` workers (inline when 1) claim task indices from one atomic
-/// cursor — the same work-stealing shape as [`crate::executor`] — each
-/// holding one warm [`QueryContext`] drawn from the engine's pool, and
-/// results land in input order.
-fn scatter<T: Send>(
+/// Runs the cursor-strided scatter loop shared by both fan-out stages
+/// (keyword resolution here, per-RTF fragment building in the engine's
+/// construct stage): `threads` workers (inline when 1) claim task
+/// indices from one atomic cursor — the same work-stealing shape as
+/// [`crate::executor`] — each holding one warm [`QueryContext`] drawn
+/// from the engine's pool, and results land in input order.
+pub(crate) fn scatter<T: Send>(
     engine: &SearchEngine,
     tasks: usize,
     threads: usize,
@@ -387,31 +386,6 @@ pub(crate) fn scatter_resolve(
         sets.push(merged);
     }
     Ok(Some(KeywordNodeSets::new(query.clone(), sets)))
-}
-
-/// `pruneRTF`, scattered: one task per RTF, constructed through the
-/// set's routing source (so a root-anchored RTF transparently reads
-/// from every shard it spans) and pruned in place by the worker. The
-/// gather preserves RTF (anchor document) order; the first backend
-/// error aborts the whole stage.
-pub(crate) fn scatter_construct(
-    engine: &SearchEngine,
-    set: &ShardSet,
-    threads: usize,
-    rtfs: &[Rtf],
-    policy: Policy,
-) -> Result<Vec<Fragment>, SourceError> {
-    scatter(
-        engine,
-        rtfs.len(),
-        threads,
-        |i, _ctx| -> Result<Fragment, SourceError> {
-            let raw = Fragment::try_construct_from_source(set, &rtfs[i])?;
-            Ok(prune_owned(raw, policy))
-        },
-    )
-    .into_iter()
-    .collect()
 }
 
 #[cfg(test)]

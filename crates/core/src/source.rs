@@ -22,7 +22,7 @@ use xks_index::{KeywordNodeSets, Query};
 use xks_store::ShreddedDoc;
 use xks_xmltree::Dewey;
 
-use crate::fragment::Cid;
+use crate::fragment::{shared_cid, Cid};
 
 /// A storage-backend failure surfaced on the query path — the typed
 /// alternative to the panics the infallible [`CorpusSource`] accessors
@@ -307,8 +307,8 @@ impl MemoryCorpus {
                 let element = SourceElement {
                     label: row.label,
                     level: row.level,
-                    keyword_cid: own_features.get(&row.dewey).cloned(),
-                    subtree_cid: row.content_feature.clone(),
+                    keyword_cid: shared_cid(own_features.get(&row.dewey).cloned()),
+                    subtree_cid: shared_cid(row.content_feature.clone()),
                 };
                 (dewey, element)
             })
@@ -443,7 +443,7 @@ mod tests {
             Some(("articles".into(), "articles".into()))
         );
         let (smin, smax) = articles.subtree_cid.clone().unwrap();
-        assert!(smin.as_str() < "articles" || smax.as_str() > "articles");
+        assert!(&*smin < "articles" || &*smax > "articles");
         assert!(c.element(&d("0.9.9")).is_none());
     }
 

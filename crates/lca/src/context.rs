@@ -4,8 +4,9 @@
 //! halves: a shared **immutable** index handle (`CorpusSource` backends
 //! — safe to share across threads behind an `Arc`) and a per-thread
 //! [`QueryContext`] owning every buffer a query mutates — the merged
-//! posting stream, the anchor list, the ELCA mask stack, and a decode
-//! arena for backends that materialize posting runs per query. One
+//! posting stream, the anchor list, the ELCA mask stack, the `getRTF`
+//! sweep and fragment-skeleton buffers, and a decode arena for backends
+//! that materialize posting runs per query. One
 //! context per thread means the anchor pipeline stays allocation-free
 //! when warm (asserted by the workspace's counting-allocator test)
 //! *without* any lock on the hot path.
@@ -15,12 +16,118 @@
 //! [`slca_into_context`] can accept it directly and higher layers
 //! (`validrtf`'s engine and executor) reuse the same type.
 
+use std::sync::Arc;
+
 use xks_xmltree::{Dewey, DeweyListBuf};
 
 use crate::common::merge_postings_into;
 use crate::elca::{elca_from_merged, ElcaScratch};
 use crate::gallop::{extract_anchored_into, gallop_elca, GallopScratch};
 use crate::slca::indexed_lookup_eager_into;
+
+/// "No such index" in the `u32` links of [`SweepEntry`] and
+/// [`SkelNode`].
+pub const NONE: u32 = u32::MAX;
+
+/// One open path node of the `getRTF` sweep (see `validrtf::rtf`).
+#[derive(Debug, Clone, Copy)]
+pub struct SweepEntry {
+    /// Keywords seen in the node's subtree so far.
+    pub mask: u64,
+    /// Length of [`RtfScratch::pending`] when the node was opened: the
+    /// keyword nodes below it that no deeper node has claimed start
+    /// here.
+    pub pending_start: u32,
+    /// Index into the anchor list when the node is an anchor, else
+    /// [`NONE`].
+    pub anchor: u32,
+}
+
+/// Buffers of the `getRTF` sweep. After a sweep, `ranges[a]` is the
+/// `(start, len)` window of `nodes` holding anchor `a`'s partition as
+/// indices into the merged stream, in document order.
+#[derive(Debug, Default)]
+pub struct RtfScratch {
+    /// Open path nodes, outermost first.
+    pub stack: Vec<SweepEntry>,
+    /// Components of the current path (mirrors `stack`).
+    pub path: Vec<u32>,
+    /// Keyword nodes (merged-stream indices) not yet claimed by a
+    /// common ancestor.
+    pub pending: Vec<u32>,
+    /// Partition members, one contiguous run per anchor.
+    pub nodes: Vec<u32>,
+    /// Per anchor: its run in `nodes`.
+    pub ranges: Vec<(u32, u32)>,
+}
+
+/// One node of a raw fragment laid out flat in pre-order (see
+/// `validrtf::fragment`): what `pruneRTF` decides over before any
+/// output node exists.
+#[derive(Debug, Clone)]
+pub struct SkelNode {
+    /// Dewey code.
+    pub dewey: Dewey,
+    /// Label id.
+    pub label: u32,
+    /// Keyword mask of the subtree within the fragment.
+    pub kset: u64,
+    /// Index of the parent ([`NONE`] for the anchor).
+    pub parent: u32,
+    /// Index of the next sibling, or [`NONE`]. A node's first child,
+    /// if any, is the node right after it.
+    pub next_sibling: u32,
+    /// The child linked last — by the layout while the node is open,
+    /// by the emit step (as an output index) afterwards.
+    pub last_child: u32,
+    /// The subtree's content feature as indices into
+    /// [`SkeletonScratch::feats`]: whose `min` and whose `max` it is
+    /// ([`NONE`] when no content lies below).
+    pub cid: (u32, u32),
+    /// The node is itself a keyword node.
+    pub is_keyword: bool,
+    /// The pruning decision.
+    pub kept: bool,
+    /// The node is the first of its sibling group with its keyword set.
+    pub kset_first: bool,
+}
+
+impl Default for SkelNode {
+    /// An unlinked, undecided node without keywords or content.
+    fn default() -> Self {
+        SkelNode {
+            dewey: Dewey::empty(),
+            label: 0,
+            kset: 0,
+            parent: NONE,
+            next_sibling: NONE,
+            last_child: NONE,
+            cid: (NONE, NONE),
+            is_keyword: false,
+            kept: false,
+            kset_first: false,
+        }
+    }
+}
+
+/// Buffers one fragment is laid out, decided and emitted from. Bounded
+/// by the largest single raw fragment, not by the result.
+#[derive(Debug, Default)]
+pub struct SkeletonScratch {
+    /// The raw fragment, pre-order.
+    pub nodes: Vec<SkelNode>,
+    /// The keyword nodes' own `(min, max)` content features.
+    pub feats: Vec<(Arc<str>, Arc<str>)>,
+    /// Node indices, one use per step: the open root path (layout), the
+    /// sibling group under decision, the emitted root path (emit).
+    pub order: Vec<u32>,
+    /// Distinct keyword sets of the group under decision, each with
+    /// its "dominated" and "seen" flags.
+    pub ksets: Vec<(u64, bool, bool)>,
+    /// Strict-subset tests performed by the decisions so far (the
+    /// quadratic term of Definition 4 rule 2(a); tests pin its growth).
+    pub dominance_tests: u64,
+}
 
 /// Working buffers reused across queries by **one thread** (or one
 /// single-threaded engine).
@@ -39,6 +146,12 @@ pub struct QueryContext {
     pub anchors: Vec<Dewey>,
     /// The ELCA stack's mask/path buffers.
     pub elca: ElcaScratch,
+    /// The `getRTF` sweep's buffers and its result, the keyword-node
+    /// partitions of the current query.
+    pub rtf: RtfScratch,
+    /// The flat raw fragment `pruneRTF` decides over, one fragment at
+    /// a time.
+    pub skeleton: SkeletonScratch,
     /// Per-context postings decode arena. Disk backends expose a
     /// cache-bypassing decode into a caller-owned arena
     /// (`xks-persist`'s `IndexReader::keyword_postings_into`); callers

@@ -41,7 +41,7 @@ pub use common::{
 };
 pub use context::{
     elca_into_context, planned_elca_into_context, planned_slca_into_context, slca_into_context,
-    QueryContext,
+    QueryContext, RtfScratch, SkelNode, SkeletonScratch, SweepEntry, NONE,
 };
 pub use elca::{elca_candidate_rmq, elca_from_merged, elca_stack, ElcaScratch};
 pub use gallop::{extract_anchored_into, gallop_elca, GallopScratch};

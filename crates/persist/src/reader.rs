@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use validrtf::fragment::Cid;
+use validrtf::fragment::{shared_cid, Cid};
 use validrtf::plan::KeywordStats;
 use validrtf::source::{CorpusSource, SourceElement, SourceError};
 use xks_xmltree::{Dewey, DeweyListBuf};
@@ -872,7 +872,7 @@ impl IndexReader {
             cursor.read_varint()?;
         }
         cursor.skip_cid()?; // subtree feature
-        let keyword_cid = cursor.read_cid()?;
+        let keyword_cid = shared_cid(cursor.read_cid()?);
         self.element_cache
             .insert(dewey, row, label, Some(keyword_cid.clone()));
         Ok(Some((label, keyword_cid)))
@@ -1173,7 +1173,7 @@ impl SectionCursor<'_> {
         }
     }
 
-    fn read_cid(&mut self) -> Result<Cid, PersistError> {
+    fn read_cid(&mut self) -> Result<Option<(String, String)>, PersistError> {
         if !self.read_cid_tag()? {
             return Ok(None);
         }
@@ -1295,8 +1295,8 @@ impl CorpusSource for IndexReader {
         Ok(record.map(|record| SourceElement {
             label: record.label,
             level: record.level,
-            keyword_cid: record.own_cid,
-            subtree_cid: record.subtree_cid,
+            keyword_cid: shared_cid(record.own_cid),
+            subtree_cid: shared_cid(record.subtree_cid),
         }))
     }
 

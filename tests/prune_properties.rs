@@ -1,26 +1,93 @@
-//! Property tests for the pruning step: structural invariants plus the
-//! Definition 4 postconditions, on random documents.
+//! Property tests for the pruning step, aimed at the one builder
+//! (`lay_out` → `decide` → `emit`): structural invariants plus
+//! Definition 4 and the contributor filter checked **group by group**
+//! against their literal statement, on random documents.
+
+use std::collections::HashSet;
 
 use proptest::prelude::*;
+use xks::core::fragment::FragNode;
 use xks::core::prune::{prune, Policy};
-use xks::core::{get_rtf, Fragment};
+use xks::core::{dispatch, Fragment, QueryContext};
 use xks::datagen::random_tree::{random_document, word, RandomDocConfig};
 use xks::index::{InvertedIndex, Query};
-use xks::lca::elca_stack;
-use xks::xmltree::XmlTree;
+use xks::lca::{elca_into_context, SkeletonScratch};
+use xks::xmltree::{Dewey, XmlTree};
 
-fn raw_fragments(tree: &XmlTree, k: usize) -> Vec<Fragment> {
+/// Per RTF of the `k`-keyword query: the raw fragment and the fragment
+/// the builder prunes in one pass under each policy.
+struct Built {
+    raw: Fragment,
+    valid: Fragment,
+    contributor: Fragment,
+}
+
+fn build_all(tree: &XmlTree, k: usize) -> Vec<Built> {
     let index = InvertedIndex::build(tree);
     let keywords: Vec<String> = (0..k).map(word).collect();
     let query = Query::from_words(&keywords).expect("non-empty");
     let Some(sets) = index.resolve(&query) else {
         return Vec::new();
     };
-    let anchors = elca_stack(sets.sets());
-    get_rtf(&anchors, &sets)
-        .iter()
-        .map(|r| Fragment::construct(tree, r))
+    let mut ctx = QueryContext::new();
+    elca_into_context(sets.sets(), &mut ctx);
+    let parts = dispatch(&ctx.anchors, &ctx.merged, k, true, &mut ctx.rtf);
+    let mut skel = SkeletonScratch::default();
+    (0..parts.len())
+        .map(|i| {
+            let mut build = |policy| {
+                Fragment::build(
+                    tree,
+                    parts.anchor(i),
+                    parts.knodes(i),
+                    policy,
+                    &mut skel,
+                    None,
+                )
+                .expect("tree holds every keyword node")
+            };
+            Built {
+                raw: build(None),
+                valid: build(Some(Policy::ValidContributor)),
+                contributor: build(Some(Policy::Contributor)),
+            }
+        })
         .collect()
+}
+
+/// Definition 4 read literally over one same-label sibling group
+/// (document order): the survivors.
+fn valid_contributors<'a>(group: &[&'a FragNode]) -> Vec<&'a Dewey> {
+    if group.len() == 1 {
+        return vec![&group[0].dewey]; // rule 1
+    }
+    let mut used_ksets = HashSet::new();
+    let mut used_cids = HashSet::new();
+    let mut out = Vec::new();
+    for ch in group {
+        if used_ksets.contains(&ch.kset) {
+            // Rule 2(b): ties a kept sibling — keep only novel content.
+            if used_cids.insert(ch.cid.clone().unwrap_or_else(|| ("".into(), "".into()))) {
+                out.push(&ch.dewey);
+            }
+        } else if !group.iter().any(|o| ch.kset.is_strict_subset(o.kset)) {
+            // Not rule 2(a): no same-label sibling strictly covers it.
+            out.push(&ch.dewey);
+            used_ksets.insert(ch.kset);
+            used_cids.insert(ch.cid.clone().unwrap_or_else(|| ("".into(), "".into())));
+        }
+    }
+    out
+}
+
+fn doc(nodes: usize, labels: usize, words: usize, seed: u64) -> XmlTree {
+    random_document(&RandomDocConfig {
+        nodes,
+        labels,
+        words,
+        max_words_per_node: 2,
+        seed,
+    })
 }
 
 proptest! {
@@ -34,27 +101,45 @@ proptest! {
         seed in any::<u64>(),
         k in 1usize..4,
     ) {
-        let tree = random_document(&RandomDocConfig {
-            nodes, labels, words, max_words_per_node: 2, seed,
-        });
-        for raw in raw_fragments(&tree, k) {
-            for policy in [Policy::ValidContributor, Policy::Contributor] {
-                let pruned = prune(&raw, policy);
+        let tree = doc(nodes, labels, words, seed);
+        for built in build_all(&tree, k) {
+            let raw = &built.raw;
+            for (policy, pruned) in [
+                (Policy::ValidContributor, &built.valid),
+                (Policy::Contributor, &built.contributor),
+            ] {
+                // One pass and the public two-step agree.
+                prop_assert_eq!(pruned, &prune(raw, policy));
                 // Subset of the raw fragment, anchor retained.
                 prop_assert!(pruned.contains(&raw.anchor));
                 prop_assert!(pruned.len() <= raw.len());
+                let mut linked = 1; // the anchor
                 for n in pruned.iter() {
-                    prop_assert!(raw.contains(&n.dewey), "{} not in raw", n.dewey);
+                    // Kept nodes keep their raw keyword set and feature.
+                    let source = raw.node(&n.dewey);
+                    prop_assert!(source.is_some(), "{} not in raw", n.dewey);
+                    let source = source.unwrap();
+                    prop_assert_eq!(
+                        (n.label, n.kset, &n.cid, n.is_keyword),
+                        (source.label, source.kset, &source.cid, source.is_keyword)
+                    );
                     // Connectivity: parent of every non-anchor node kept.
                     if n.dewey != pruned.anchor {
                         let parent = n.dewey.parent().expect("non-anchor has parent");
                         prop_assert!(pruned.contains(&parent), "orphan {}", n.dewey);
                     }
-                    // Children links point at kept nodes only.
-                    for c in &n.children {
-                        prop_assert!(pruned.contains(c));
+                    // Child links reach kept children of this node only,
+                    // in document order, and between them reach all.
+                    let mut last: Option<&Dewey> = None;
+                    for c in pruned.children(&n.dewey) {
+                        prop_assert!(pruned.contains(&c.dewey), "dangling child {}", c.dewey);
+                        prop_assert_eq!(c.dewey.parent().as_ref(), Some(&n.dewey));
+                        prop_assert!(last < Some(&c.dewey));
+                        last = Some(&c.dewey);
+                        linked += 1;
                     }
                 }
+                prop_assert_eq!(linked, pruned.len());
             }
         }
     }
@@ -67,37 +152,21 @@ proptest! {
         seed in any::<u64>(),
         k in 1usize..4,
     ) {
-        // Definition 4 on the *output*: among kept same-label siblings,
-        // no strict keyword-set subset and no (equal kset, equal cID)
-        // duplicate pair.
-        let tree = random_document(&RandomDocConfig {
-            nodes, labels, words, max_words_per_node: 2, seed,
-        });
-        for raw in raw_fragments(&tree, k) {
-            let pruned = prune(&raw, Policy::ValidContributor);
-            for n in pruned.iter() {
-                for group in pruned.label_groups(&n.dewey) {
-                    let children = &group.children;
-                    for a in children {
-                        for b in children {
-                            if a.dewey == b.dewey {
-                                continue;
-                            }
-                            prop_assert!(
-                                !a.kset.is_strict_subset(b.kset),
-                                "kept child {} strictly covered by kept sibling {}",
-                                a.dewey,
-                                b.dewey
-                            );
-                            prop_assert!(
-                                !(a.kset == b.kset && a.cid == b.cid),
-                                "kept duplicates {} / {}",
-                                a.dewey,
-                                b.dewey
-                            );
-                        }
-                    }
-                }
+        // Definition 4 rules 1, 2(a), 2(b) under every surviving
+        // parent: the kept children are exactly the rule's survivors of
+        // the raw same-label groups.
+        let tree = doc(nodes, labels, words, seed);
+        for built in build_all(&tree, k) {
+            for n in built.valid.iter() {
+                let mut want: Vec<&Dewey> = built
+                    .raw
+                    .label_groups(&n.dewey)
+                    .iter()
+                    .flat_map(|g| valid_contributors(&g.children))
+                    .collect();
+                want.sort_unstable();
+                let got: Vec<&Dewey> = built.valid.children(&n.dewey).map(|c| &c.dewey).collect();
+                prop_assert_eq!(got, want, "children of {}", n.dewey);
             }
         }
     }
@@ -110,29 +179,21 @@ proptest! {
         seed in any::<u64>(),
         k in 1usize..4,
     ) {
-        // MaxMatch's postcondition: among *all* kept siblings (any
-        // label), no strict keyword-set subset pair.
-        let tree = random_document(&RandomDocConfig {
-            nodes, labels, words, max_words_per_node: 2, seed,
-        });
-        for raw in raw_fragments(&tree, k) {
-            let pruned = prune(&raw, Policy::Contributor);
-            for n in pruned.iter() {
-                let children: Vec<_> = n
-                    .children
+        // MaxMatch's filter under every surviving parent: a raw child
+        // stays iff no sibling (any label) has a strictly larger
+        // keyword set.
+        let tree = doc(nodes, labels, words, seed);
+        for built in build_all(&tree, k) {
+            for n in built.contributor.iter() {
+                let siblings: Vec<&FragNode> = built.raw.children(&n.dewey).collect();
+                let want: Vec<&Dewey> = siblings
                     .iter()
-                    .map(|c| pruned.node(c).expect("kept child"))
+                    .filter(|c| !siblings.iter().any(|o| c.kset.is_strict_subset(o.kset)))
+                    .map(|c| &c.dewey)
                     .collect();
-                for a in &children {
-                    for b in &children {
-                        prop_assert!(
-                            a.dewey == b.dewey || !a.kset.is_strict_subset(b.kset),
-                            "kept child {} strictly covered by kept sibling {}",
-                            a.dewey,
-                            b.dewey
-                        );
-                    }
-                }
+                let got: Vec<&Dewey> =
+                    built.contributor.children(&n.dewey).map(|c| &c.dewey).collect();
+                prop_assert_eq!(got, want, "children of {}", n.dewey);
             }
         }
     }
@@ -147,12 +208,10 @@ proptest! {
         // Rule 1: when all children of a node have distinct labels,
         // ValidRTF prunes nothing below that node (only whole subtrees
         // pruned higher up can remove them).
-        let tree = random_document(&RandomDocConfig {
-            // Large label alphabet → most sibling labels distinct.
-            nodes, labels: 64, words, max_words_per_node: 2, seed,
-        });
-        for raw in raw_fragments(&tree, k) {
-            let pruned = prune(&raw, Policy::ValidContributor);
+        // Large label alphabet → most sibling labels distinct.
+        let tree = doc(nodes, 64, words, seed);
+        for built in build_all(&tree, k) {
+            let raw = &built.raw;
             // All raw groups have counter 1 (labels unique with high
             // probability — verify, skip otherwise).
             let all_unique = raw.iter().all(|n| {
@@ -161,7 +220,7 @@ proptest! {
                     .all(|g| g.counter() == 1)
             });
             prop_assume!(all_unique);
-            prop_assert_eq!(pruned.len(), raw.len(), "rule 1 must keep everything");
+            prop_assert_eq!(built.valid.len(), raw.len(), "rule 1 must keep everything");
         }
     }
 }

@@ -4,19 +4,123 @@
 //! The executable specification (`validrtf::spec`) enumerates `ECT_Q`
 //! and filters it by the three RTF conditions — exponential, so inputs
 //! are kept tiny; the pipeline must agree on anchors *and* keyword-node
-//! partitions for every random document and query.
+//! partitions for every random document and query — for ELCA and for
+//! SLCA anchors, over the full merged stream and over the planner's
+//! anchor-restricted one.
 
 use proptest::prelude::*;
 use xks::core::spec::spec_rtfs;
-use xks::core::{get_rtf, Rtf};
+use xks::core::{dispatch, get_rtf, get_rtf_unchecked, Rtf};
 use xks::datagen::random_tree::{random_document, word, RandomDocConfig};
-use xks::index::{InvertedIndex, Query};
-use xks::lca::elca_stack;
+use xks::index::{InvertedIndex, KeywordNodeSets, Query};
+use xks::lca::{elca_stack, extract_anchored_into, indexed_lookup_eager, merge_postings};
 use xks::xmltree::Dewey;
 
 fn pipeline_rtfs(sets: &xks::index::KeywordNodeSets) -> Vec<Rtf> {
     let anchors = elca_stack(sets.sets());
     get_rtf(&anchors, sets)
+}
+
+/// The sweep against Definition 2 for both anchor semantics over both
+/// streams. The RTF of an SLCA anchor is the spec's RTF at that node
+/// (an SLCA is an interesting LCA with no common ancestor below it).
+/// `Ok` when `sets` is too large for the oracle.
+fn sweep_vs_spec(sets: &[Vec<Dewey>]) -> Result<(), String> {
+    let Some(spec) = spec_rtfs(sets) else {
+        return Ok(());
+    };
+    let full = merge_postings(sets);
+    for (semantics, anchors) in [
+        ("elca", elca_stack(sets)),
+        ("slca", indexed_lookup_eager(sets)),
+    ] {
+        let want: Vec<(&Dewey, Vec<&Dewey>)> = spec
+            .iter()
+            .filter(|s| anchors.contains(&s.anchor))
+            .map(|s| (&s.anchor, s.nodes.iter().collect()))
+            .collect();
+        let mut restricted = Vec::new();
+        extract_anchored_into(sets, &anchors, &mut restricted);
+        for (stream, merged) in [("full", &full), ("restricted", &restricted)] {
+            let mut scratch = xks::lca::RtfScratch::default();
+            let got = dispatch(&anchors, merged, sets.len(), true, &mut scratch).to_rtfs();
+            let got: Vec<(&Dewey, Vec<&Dewey>)> = got
+                .iter()
+                .map(|r| (&r.anchor, r.knodes.iter().map(|(d, _)| d).collect()))
+                .collect();
+            if got != want {
+                return Err(format!(
+                    "{semantics} anchors over the {stream} stream:\n got {got:?}\nwant {want:?}"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+fn lists(sets: &[&[&str]]) -> Vec<Vec<Dewey>> {
+    sets.iter()
+        .map(|l| l.iter().map(|s| s.parse().unwrap()).collect())
+        .collect()
+}
+
+#[test]
+fn sweep_matches_definition_2_on_named_shapes() {
+    for (shape, sets) in [
+        (
+            "shadowed common ancestor 0.0 between anchors 0 and 0.0.0",
+            lists(&[&["0.0.0.0", "0.0.1", "0.1"], &["0.0.0.1", "0.2"]]),
+        ),
+        (
+            "keyword node that is its own anchor, inside another anchor",
+            lists(&[&["0.1", "0.3"], &["0.2", "0.3"]]),
+        ),
+        (
+            "nested anchors 0 and 0.0",
+            lists(&[&["0.0.0", "0.1"], &["0.0.1", "0.2"]]),
+        ),
+        (
+            "orphans 0.0.1 and 0.1 outside the only anchor 0.0.0",
+            lists(&[&["0.0.0.0", "0.0.1"], &["0.0.0.1", "0.1"]]),
+        ),
+        (
+            "one node listed under all three keywords",
+            lists(&[&["0.0", "0.1.0"], &["0.0", "0.1.1"], &["0.0", "0.2"]]),
+        ),
+        (
+            "single keyword: every node its own anchor",
+            lists(&[&["0.0", "0.0.0", "0.2"]]),
+        ),
+    ] {
+        sweep_vs_spec(&sets).unwrap_or_else(|e| panic!("{shape}: {e}"));
+        assert!(
+            spec_rtfs(&sets).is_some(),
+            "{shape}: within the oracle's reach"
+        );
+    }
+}
+
+#[test]
+fn unchecked_variant_keeps_its_documented_divergence() {
+    // On the shadowed shape the paper's literal dispatch hands 0.0.1 to
+    // the root although its deepest common ancestor is the shadowed
+    // 0.0; the checked sweep (and the spec) leave it out.
+    let sets = lists(&[&["0.0.0.0", "0.0.1", "0.1"], &["0.0.0.1", "0.2"]]);
+    let sets = KeywordNodeSets::new(Query::parse("k1 k2").unwrap(), sets);
+    let anchors = elca_stack(sets.sets());
+    let root = |rtfs: &[Rtf]| -> Vec<String> {
+        rtfs[0].knodes.iter().map(|(d, _)| d.to_string()).collect()
+    };
+    assert_eq!(root(&get_rtf(&anchors, &sets)), ["0.1", "0.2"]);
+    assert_eq!(
+        root(&get_rtf_unchecked(&anchors, &sets)),
+        ["0.0.1", "0.1", "0.2"]
+    );
+    // Everywhere else the two agree.
+    assert_eq!(
+        get_rtf(&anchors, &sets)[1],
+        get_rtf_unchecked(&anchors, &sets)[1]
+    );
 }
 
 proptest! {
@@ -67,6 +171,30 @@ proptest! {
             "pipeline vs Definition 2 on tree:\n{}",
             tree
         );
+    }
+
+    #[test]
+    fn sweep_matches_definition_2_for_both_anchor_sets_and_streams(
+        nodes in 2usize..14,
+        labels in 1usize..4,
+        words in 2usize..5,
+        seed in any::<u64>(),
+        k in 1usize..4,
+    ) {
+        let tree = random_document(&RandomDocConfig {
+            nodes,
+            labels,
+            words,
+            max_words_per_node: 2,
+            seed,
+        });
+        let index = InvertedIndex::build(&tree);
+        let keywords: Vec<String> = (0..k).map(word).collect();
+        let query = Query::from_words(&keywords).expect("non-empty");
+        let Some(sets) = index.resolve(&query) else { return Ok(()); };
+        prop_assume!(sets.sets().iter().all(|s| s.len() <= 5));
+        let outcome = sweep_vs_spec(sets.sets());
+        prop_assert!(outcome.is_ok(), "{}\non tree:\n{}", outcome.unwrap_err(), tree);
     }
 
     #[test]

@@ -14,7 +14,13 @@
 //! 4. per-thread [`QueryContext`]s keep that contract, and so does the
 //!    `.xks` element lookup the fragment constructor drives — a cache
 //!    hit, and with the cache off the whole finger search over resident
-//!    pages.
+//!    pages;
+//! 5. with a warm context the `getRTF` sweep, the fragment skeleton and
+//!    the pruning decision perform zero heap allocations and emitting a
+//!    fragment performs exactly one — however many raw nodes the
+//!    decision discarded — and the request path built on them reaches
+//!    a steady state;
+//! 6. stage tracing adds nothing to that.
 //!
 //! The whole proof lives in ONE `#[test]` so no concurrently running
 //! test can disturb the counter.
@@ -61,12 +67,17 @@ static ALLOC: CountingAllocator = CountingAllocator;
 
 /// Counts heap allocations performed by `f`.
 fn count_allocs(f: impl FnOnce()) -> u64 {
+    count_allocs_of(f).0
+}
+
+/// Counts heap allocations performed by `f` and hands its result on.
+fn count_allocs_of<T>(f: impl FnOnce() -> T) -> (u64, T) {
     COUNTING.store(true, Ordering::SeqCst);
     let before = ALLOCATIONS.load(Ordering::SeqCst);
-    f();
+    let out = f();
     let after = ALLOCATIONS.load(Ordering::SeqCst);
     COUNTING.store(false, Ordering::SeqCst);
-    after - before
+    (after - before, out)
 }
 
 #[test]
@@ -222,16 +233,63 @@ fn warm_query_hot_path_is_allocation_free() {
     );
     std::fs::remove_file(&index_path).unwrap();
 
-    // ---- 5. The request/response path preserves the warm pipeline -----
-    // `SearchEngine::execute_with` drives the exact anchor stages
-    // asserted zero-allocation above through the same `QueryContext`.
+    // ---- 5. getRTF and pruneRTF: decide before you build ---------------
+    // The sweep writes the partitions into the context, the raw
+    // fragment is laid out and decided over in the context's skeleton,
+    // and only `emit` touches the heap: one exactly-sized node vector
+    // per fragment, whatever the decision threw away (content features
+    // are shared with the corpus, so copying them allocates nothing).
+    use xks::core::fragment::{emit, lay_out};
+    use xks::core::prune::{decide, Policy};
+    use xks::core::{dispatch, MemoryCorpus, SearchEngine, SearchRequest};
+    let corpus = MemoryCorpus::new(xks::store::shred(&tree));
+    // (sweep, layout + decision, emit) allocations, then fragments, raw
+    // and surviving node counts of one pass over every RTF.
+    let staged = |ctx: &mut QueryContext| {
+        elca_into_context(sets.sets(), ctx);
+        let QueryContext {
+            anchors,
+            merged,
+            rtf,
+            skeleton,
+            ..
+        } = ctx;
+        let (sweep, parts) = count_allocs_of(|| dispatch(anchors, merged, sets.len(), true, rtf));
+        let (mut decided, mut emitted, mut raw, mut kept) = (0, 0, 0, 0);
+        for i in 0..parts.len() {
+            decided += count_allocs(|| {
+                lay_out(&corpus, parts.anchor(i), parts.knodes(i), skeleton).expect("in memory");
+                decide(skeleton, Policy::ValidContributor);
+            });
+            raw += skeleton.nodes.len();
+            let (n, fragment) = count_allocs_of(|| emit(skeleton, parts.anchor(i)));
+            emitted += n;
+            kept += fragment.len();
+        }
+        (sweep, decided, emitted, parts.len() as u64, raw, kept)
+    };
+    let mut staged_ctx = QueryContext::new();
+    staged(&mut staged_ctx); // grow the buffers
+    let (sweep, decided, emitted, fragments, raw, kept) = staged(&mut staged_ctx);
+    assert!(fragments > 1 && kept < raw, "the workload must prune");
+    assert_eq!(sweep, 0, "warm getRTF sweep allocated {sweep} times");
+    assert_eq!(
+        decided, 0,
+        "warm skeleton + decision allocated {decided} times"
+    );
+    assert_eq!(
+        emitted, fragments,
+        "emit allocates once per fragment ({raw} raw nodes, {kept} kept)"
+    );
+
+    // `SearchEngine::execute_with` drives the exact stages asserted
+    // above through the same `QueryContext`.
     // A warm context must reach a steady state: the second and third
     // warm executions allocate exactly the same amount (only the
     // unavoidable per-query output — postings clones, fragments, hits —
     // and no scratch re-growth), and strictly less than the cold run
     // that grew the buffers.
-    use xks::core::{MemoryCorpus, SearchEngine, SearchRequest};
-    let engine = SearchEngine::from_owned_source(MemoryCorpus::new(xks::store::shred(&tree)));
+    let engine = SearchEngine::from_owned_source(corpus);
     let request = SearchRequest::parse("data algorithm").expect("parses");
     let mut ctx = QueryContext::new();
     let run = |ctx: &mut QueryContext| {
