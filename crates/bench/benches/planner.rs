@@ -61,15 +61,6 @@ const SEED: u64 = 2009;
 struct NoStats(IndexReader);
 
 impl CorpusSource for NoStats {
-    fn keyword_deweys(&self, keyword: &str) -> Vec<Dewey> {
-        self.0.keyword_deweys(keyword)
-    }
-    fn element(&self, dewey: &Dewey) -> Option<SourceElement> {
-        CorpusSource::element(&self.0, dewey)
-    }
-    fn element_label(&self, dewey: &Dewey) -> Option<u32> {
-        self.0.element_label(dewey)
-    }
     fn label_name(&self, label: u32) -> Option<String> {
         self.0.label_name(label)
     }

@@ -19,14 +19,12 @@
 use std::time::{Duration, Instant};
 
 use xks_index::{InvertedIndex, KeywordNodeSets, Query};
-use xks_lca::{elca_into_context, slca_into_context};
+use xks_lca::{elca_into_context, slca_into_context, QueryContext};
 use xks_xmltree::XmlTree;
 
 use crate::fragment::{Fragment, NodeFacts};
 use crate::prune::{prune, Policy};
 use crate::rtf::{dispatch, Partitions, Rtf};
-use crate::scratch::QueryContext;
-use crate::source::CorpusSource;
 
 /// Which anchor semantics stage 2 uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,8 +106,8 @@ pub fn run(
 /// *after retrieving the Dewey codes* of the keyword nodes", §5.3) —
 /// and keeping every intermediate artifact: partitions, raw fragments,
 /// pruned fragments. `facts` is where node facts come from: the parsed
-/// tree or any [`CorpusSource`]; results are byte-identical across
-/// backends storing the same corpus.
+/// tree or any [`crate::CorpusSource`] (resolve with its `try_resolve`);
+/// results are byte-identical across backends storing the same corpus.
 #[must_use]
 pub fn run_from_sets(
     facts: &(impl NodeFacts + ?Sized),
@@ -181,24 +179,6 @@ pub(crate) fn anchor_stages(
     dispatch(&ctx.anchors, &ctx.merged, sets.len(), true, &mut ctx.rtf);
     timings.get_rtf = t.elapsed();
     ctx.trace.record_since(xks_obs::Stage::RtfDispatch, t);
-}
-
-/// Like [`run`] but over a [`CorpusSource`] (shredded tables or an
-/// opened on-disk index) instead of a parsed tree + in-memory index.
-#[must_use]
-pub fn run_source(
-    source: &dyn CorpusSource,
-    query: &Query,
-    anchors: AnchorSemantics,
-    policy: Policy,
-) -> Option<RunOutput> {
-    let mut timings = StageTimings::default();
-
-    let t0 = Instant::now();
-    let sets = source.resolve(query)?;
-    timings.get_keyword_nodes = t0.elapsed();
-
-    Some(run_from_sets(source, &sets, anchors, policy, timings))
 }
 
 /// ValidRTF (Algorithm 1): meaningful RTFs at all interesting LCA nodes,

@@ -2,10 +2,12 @@
 //! [`SearchRequest`]s through a single pipeline and producing the §5.1
 //! comparison in one call.
 
+use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use xks_index::{InvertedIndex, KeywordNodeSets, Query, QuerySpec};
+use xks_lca::{QueryContext, SkeletonScratch};
 use xks_obs::{Counter, Histogram, Stage};
 use xks_xmltree::{Dewey, XmlTree};
 
@@ -17,9 +19,8 @@ use crate::prune::Policy;
 use crate::rank::RankedFragment;
 use crate::request::{Hit, SearchError, SearchRequest, SearchResponse, SearchStats, SearchTimeout};
 use crate::rtf::Partitions;
-use crate::scratch::QueryContext;
-use crate::shards::{scatter, ShardSet};
-use crate::source::{CorpusSource, SourceError};
+use crate::shards::{scatter, scatter_resolve, ShardSet};
+use crate::source::{CorpusSource, TreeCorpus};
 
 /// Which end-to-end algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,15 +49,6 @@ impl AlgorithmKind {
     }
 }
 
-/// A search result: fragments plus timing.
-#[derive(Debug, Clone)]
-pub struct SearchResult {
-    /// The meaningful fragments.
-    pub fragments: Vec<Fragment>,
-    /// Elapsed time, broken down per stage.
-    pub timings: StageTimings,
-}
-
 /// The per-query comparison of ValidRTF against the revised MaxMatch —
 /// one data point of Figures 5 and 6.
 #[derive(Debug, Clone)]
@@ -71,47 +63,43 @@ pub struct Comparison {
     pub effectiveness: Effectiveness,
 }
 
-/// The storage behind an engine: a parsed tree with its in-memory
-/// inverted index, any [`CorpusSource`] backend (shredded tables, an
-/// `xks-persist` on-disk index, …), or a [`ShardSet`] searched with
-/// scatter-gather (keyword resolution fanned out per shard, fragment
-/// construction fanned out per RTF, anchors computed globally — see
-/// [`crate::shards`] for why that split is what keeps sharded results
-/// byte-identical).
-#[derive(Debug)]
-enum Backend {
-    Tree {
-        tree: XmlTree,
-        index: InvertedIndex,
-    },
-    Source(Arc<dyn CorpusSource>),
-    Sharded {
-        set: Arc<ShardSet>,
-        /// Worker threads each scatter stage fans out to (1 = inline).
-        threads: usize,
-    },
-}
-
-/// Document + index, ready to answer keyword queries.
+/// One corpus, ready to answer keyword queries.
 ///
 /// `SearchEngine` is the shared **immutable** half of the read path —
 /// it is `Send + Sync` and designed to be queried from many threads at
-/// once (see [`crate::executor`]). All per-query mutable state lives in
-/// a [`QueryContext`]:
+/// once (see [`crate::executor`]). It holds exactly one
+/// [`CorpusSource`] — a parsed tree ([`TreeCorpus`]), shredded tables,
+/// an `xks-persist` on-disk index, a [`ShardSet`], … — and runs every
+/// request through the same pipeline over it. Sharding is that source
+/// plus a fan-out: keyword resolution scatters per shard and fragment
+/// construction per RTF, while the anchor stages stay one global pass
+/// (see [`crate::shards`] for why that split is what keeps sharded
+/// results byte-identical).
 ///
-/// * [`SearchEngine::search_with`] takes an explicit `&mut
+/// All per-query mutable state lives in a [`QueryContext`]:
+///
+/// * [`SearchEngine::execute_with`] takes an explicit `&mut
 ///   QueryContext` — the per-thread, lock-free path the concurrent
 ///   executor uses;
-/// * [`SearchEngine::search`] keeps the convenient `&self` signature by
-///   checking a context in and out of a small internal pool (one
-///   uncontended `Mutex` lock per query, never held across the query).
+/// * [`SearchEngine::execute`] keeps the convenient `&self` signature
+///   by checking a context in and out of a small internal pool (one
+///   uncontended `Mutex` lock each way, never held across the query).
 ///
 /// A warm context answers queries without heap allocation in the
 /// anchor pipeline (asserted by the workspace's counting-allocator
 /// test).
 #[derive(Debug)]
 pub struct SearchEngine {
-    backend: Backend,
+    source: Arc<dyn CorpusSource>,
+    /// `source` again, typed, when it is a parsed tree — what
+    /// [`SearchEngine::tree`] and [`SearchEngine::index`] hand out.
+    parsed: Option<Arc<TreeCorpus>>,
+    /// `source` again, typed, when it is a shard set — the topology the
+    /// scattered keyword resolution and `explain` read.
+    shards: Option<Arc<ShardSet>>,
+    /// Worker threads each scatter stage fans out to (1 = inline on the
+    /// caller's context; always 1 on unsharded engines).
+    fan_out: usize,
     /// Pool of warm contexts for the `&self` entry points. Capped so a
     /// burst of threads cannot pin unbounded scratch memory.
     contexts: Mutex<Vec<QueryContext>>,
@@ -130,15 +118,25 @@ const CONTEXT_POOL_CAP: usize = 64;
 const DEADLINE_STRIDE: usize = 64;
 
 impl SearchEngine {
+    fn over(source: Arc<dyn CorpusSource>) -> Self {
+        SearchEngine {
+            source,
+            parsed: None,
+            shards: None,
+            fan_out: 1,
+            contexts: Mutex::new(Vec::new()),
+            metrics: EngineMetrics::from_global(),
+        }
+    }
+
     /// Builds the engine from a parsed tree (index construction happens
     /// here).
     #[must_use]
     pub fn new(tree: XmlTree) -> Self {
-        let index = InvertedIndex::build(&tree);
+        let parsed = Arc::new(TreeCorpus::new(tree));
         SearchEngine {
-            backend: Backend::Tree { tree, index },
-            contexts: Mutex::new(Vec::new()),
-            metrics: EngineMetrics::from_global(),
+            parsed: Some(Arc::clone(&parsed)),
+            ..Self::over(parsed)
         }
     }
 
@@ -152,11 +150,7 @@ impl SearchEngine {
     /// in memory.
     #[must_use]
     pub fn from_source(source: Arc<dyn CorpusSource>) -> Self {
-        SearchEngine {
-            backend: Backend::Source(source),
-            contexts: Mutex::new(Vec::new()),
-            metrics: EngineMetrics::from_global(),
-        }
+        Self::over(source)
     }
 
     /// Convenience form of [`SearchEngine::from_source`] for callers
@@ -164,7 +158,7 @@ impl SearchEngine {
     /// corpus in an `Arc` internally.
     #[must_use]
     pub fn from_owned_source(source: impl CorpusSource + 'static) -> Self {
-        Self::from_source(Arc::new(source))
+        Self::over(Arc::new(source))
     }
 
     /// Builds the engine over a sharded corpus, searched with
@@ -193,14 +187,12 @@ impl SearchEngine {
     #[must_use]
     pub fn from_shard_set(set: ShardSet) -> Self {
         let parallelism = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        let threads = set.shard_count().min(parallelism).max(1);
+        let fan_out = set.shard_count().min(parallelism).max(1);
+        let set = Arc::new(set);
         SearchEngine {
-            backend: Backend::Sharded {
-                set: Arc::new(set),
-                threads,
-            },
-            contexts: Mutex::new(Vec::new()),
-            metrics: EngineMetrics::from_global(),
+            shards: Some(Arc::clone(&set)),
+            fan_out,
+            ..Self::over(set)
         }
     }
 
@@ -211,8 +203,8 @@ impl SearchEngine {
     /// threads may run up to `T × S` workers at once.
     #[must_use]
     pub fn with_scatter_threads(mut self, threads: usize) -> Self {
-        if let Backend::Sharded { threads: t, .. } = &mut self.backend {
-            *t = threads.max(1);
+        if self.shard_set().is_some() {
+            self.fan_out = threads.max(1);
         }
         self
     }
@@ -221,61 +213,59 @@ impl SearchEngine {
     /// backends).
     #[must_use]
     pub fn scatter_threads(&self) -> Option<usize> {
-        match &self.backend {
-            Backend::Sharded { threads, .. } => Some(*threads),
-            _ => None,
-        }
+        self.shard_set().map(|_| self.fan_out)
     }
 
     /// The shard set of a sharded engine (`None` otherwise).
     #[must_use]
     pub fn shard_set(&self) -> Option<&ShardSet> {
-        match &self.backend {
-            Backend::Sharded { set, .. } => Some(set),
-            _ => None,
-        }
+        self.shards.as_deref()
+    }
+
+    /// The parsed document, for engines built with
+    /// [`SearchEngine::new`] (`None` otherwise) — the only backend that
+    /// keeps original text and attributes around for display.
+    #[must_use]
+    pub fn parsed_tree(&self) -> Option<&XmlTree> {
+        self.parsed.as_deref().map(TreeCorpus::tree)
     }
 
     /// The underlying document.
     ///
     /// # Panics
-    /// Panics for engines built with [`SearchEngine::from_source`]
-    /// (there is no parsed tree); use [`SearchEngine::corpus`] instead.
+    /// Panics for engines not built with [`SearchEngine::new`] (there
+    /// is no parsed tree); use [`SearchEngine::parsed_tree`] or
+    /// [`SearchEngine::corpus`] instead.
     #[must_use]
     pub fn tree(&self) -> &XmlTree {
-        match &self.backend {
-            Backend::Tree { tree, .. } => tree,
-            Backend::Source(_) | Backend::Sharded { .. } => {
-                panic!("SearchEngine::tree() on a source-backed engine")
-            }
-        }
+        self.parsed_tree()
+            .expect("SearchEngine::tree() on a source-backed engine")
     }
 
     /// The underlying inverted index.
     ///
     /// # Panics
-    /// Panics for engines built with [`SearchEngine::from_source`];
-    /// use [`SearchEngine::corpus`] instead.
+    /// Panics for engines not built with [`SearchEngine::new`]; use
+    /// [`SearchEngine::corpus`] instead.
     #[must_use]
     pub fn index(&self) -> &InvertedIndex {
-        match &self.backend {
-            Backend::Tree { index, .. } => index,
-            Backend::Source(_) | Backend::Sharded { .. } => {
-                panic!("SearchEngine::index() on a source-backed engine")
-            }
-        }
+        self.parsed
+            .as_deref()
+            .expect("SearchEngine::index() on a source-backed engine")
+            .index()
     }
 
-    /// The corpus source for source-backed engines (`None` for
-    /// tree-backed ones). Sharded engines expose their [`ShardSet`] —
-    /// itself a routing [`CorpusSource`] over the whole corpus.
+    /// The engine's one corpus source.
+    #[must_use]
+    pub fn source(&self) -> &dyn CorpusSource {
+        self.source.as_ref()
+    }
+
+    /// [`SearchEngine::source`] behind the `Option` it had when
+    /// tree-backed engines kept no source: `Some` for every engine.
     #[must_use]
     pub fn corpus(&self) -> Option<&dyn CorpusSource> {
-        match &self.backend {
-            Backend::Tree { .. } => None,
-            Backend::Source(source) => Some(source.as_ref()),
-            Backend::Sharded { set, .. } => Some(set.as_ref() as &dyn CorpusSource),
-        }
+        Some(self.source())
     }
 
     /// Executes a [`SearchRequest`] — **the** entry point of the read
@@ -292,11 +282,10 @@ impl SearchEngine {
     /// Executes a [`SearchRequest`] with a caller-owned per-thread
     /// [`QueryContext`] — the lock-free path the concurrent
     /// [`crate::executor`] drives. Threads sharing one engine each
-    /// bring their own context; the warm zero-allocation anchor
-    /// pipeline of the legacy path is preserved unchanged (same
-    /// [`QueryContext`] scratch, same staged
-    /// `getKeywordNodes → getLCA → getRTF → pruneRTF` flow; asserted by
-    /// the workspace's counting-allocator test).
+    /// bring their own context. One straight-line pipeline for every
+    /// backend: `getKeywordNodes → plan → getLCA → getRTF → pruneRTF →
+    /// post-filter → rank`, the anchor stages allocation-free on a warm
+    /// context (asserted by the workspace's counting-allocator test).
     ///
     /// Every failure comes back typed: grammar errors as
     /// [`SearchError::Parse`] (from [`SearchRequest::parse`]), backend
@@ -340,31 +329,23 @@ impl SearchEngine {
         self.check_deadline(deadline, exec_start, "resolve", &stats)?;
 
         // getKeywordNodes — the one stage that touches cold storage
-        // (scattered across shards on sharded backends; the recorded
-        // timing is the wall clock of the whole fan-out). Traced
-        // queries resolve keyword by keyword so each postings decode
-        // gets its own span: byte-identical results (the default
-        // `try_resolve` is this same loop, and a sharded set's serial
-        // routed resolution is proven identical to the scatter by the
-        // sharded differential test), at the cost of the scatter's
-        // parallelism for that one query.
+        // (scattered across shards on sharded engines, Bloom skips
+        // included; the recorded timing is the wall clock of the whole
+        // fan-out). Traced queries resolve keyword by keyword so each
+        // postings decode gets its own span: byte-identical results
+        // (the default `try_resolve` is this same loop, and a sharded
+        // set's serial routed resolution is proven identical to the
+        // scatter by the sharded differential test), at the cost of the
+        // scatter's parallelism for that one query.
         let t0 = Instant::now();
-        let resolved = match &self.backend {
-            Backend::Tree { index, .. } => index.resolve(spec.query()),
-            Backend::Source(source) if traced => {
-                resolve_traced(source.as_ref(), spec.query(), ctx)?
-            }
-            Backend::Source(source) => source.try_resolve(spec.query())?,
-            Backend::Sharded { set, .. } if traced => {
-                resolve_traced(set.as_ref(), spec.query(), ctx)?
-            }
-            Backend::Sharded { set, threads } => crate::shards::scatter_resolve(
-                self,
-                set,
-                *threads,
-                spec.query(),
-                &mut stats.shards_skipped,
-            )?,
+        let source = self.source();
+        let resolved = if traced {
+            resolve_traced(source, spec.query(), ctx)?
+        } else if let Some(set) = self.shard_set() {
+            let skipped = &mut stats.shards_skipped;
+            scatter_resolve(self, set, self.fan_out, spec.query(), ctx, skipped)?
+        } else {
+            source.try_resolve(spec.query())?
         };
         timings.get_keyword_nodes = t0.elapsed();
         ctx.trace.record_since(Stage::Resolve, t0);
@@ -418,57 +399,49 @@ impl SearchEngine {
             });
         }
 
-        // pruneRTF — lay out, decide, emit, one RTF at a time in
-        // document order. A `max_fragments` cap with no post-filter to
-        // feed keeps exactly the first `cap` fragments, so only those
-        // are built. Sharded backends fan the per-RTF work out; gather
-        // preserves anchor document order.
+        // pruneRTF — lay out, decide, emit, one RTF per task in
+        // document order (inline on this context at fan-out 1, spread
+        // over pooled contexts above it; gather preserves anchor
+        // order). A `max_fragments` cap with no post-filter to feed
+        // keeps exactly the first `cap` fragments, so only those are
+        // built.
         let t = Instant::now();
         let build_count = match request.max_fragments_cap() {
             Some(cap) if spec.is_plain() => cap.min(rtf_count),
             _ => rtf_count,
         };
         let parts = Partitions::new(&ctx.anchors, &ctx.merged, &ctx.rtf);
-        let mid_stage_deadline = |i: usize| {
-            if i > 0 && i.is_multiple_of(DEADLINE_STRIDE) {
-                self.check_deadline(deadline, exec_start, "construct", &stats)
-            } else {
-                Ok(())
-            }
-        };
-        let mut fragments;
-        if let Backend::Sharded { threads, .. } = &self.backend {
-            fragments = scatter(self, build_count, *threads, |i, worker| {
-                mid_stage_deadline(i)?;
-                Ok(self.build(parts, i, kind.policy(), &mut worker.skeleton, None)?)
-            })
-            .into_iter()
-            .collect::<Result<Vec<Fragment>, SearchError>>()?;
-            // The fan-out interleaves the steps per worker, so the
-            // trace gets one combined span.
-            ctx.trace.record_since(Stage::Construct, t);
+        // Traced queries sum the per-fragment layout time here.
+        let layout_ns = AtomicU64::new(0);
+        let mut fragments = scatter(
+            self,
+            build_count,
+            self.fan_out,
+            &mut ctx.skeleton,
+            |worker| &mut worker.skeleton,
+            |i, skel| {
+                if i > 0 && i.is_multiple_of(DEADLINE_STRIDE) {
+                    self.check_deadline(deadline, exec_start, "construct", &stats)?;
+                }
+                self.build(parts, i, kind.policy(), skel, traced.then_some(&layout_ns))
+            },
+        )?;
+        if traced && self.fan_out == 1 {
+            // One construct span of the summed layout time, the rest of
+            // the stage as the prune span, laid end to end from the
+            // stage start (the steps interleave per anchor, so honest
+            // per-iteration spans would explode the span buffer).
+            let (base, construct_ns) = (ctx.trace.offset_ns(t), layout_ns.into_inner());
+            let stage_ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            let prune_ns = stage_ns.saturating_sub(construct_ns);
+            ctx.trace
+                .record_manual(Stage::Construct, base, construct_ns);
+            ctx.trace
+                .record_manual(Stage::Prune, base + construct_ns, prune_ns);
         } else {
-            // Per-fragment layout time accumulates into one construct
-            // span and the rest of the stage is the prune span, laid end
-            // to end from the stage start (the steps interleave per
-            // anchor, so honest per-iteration spans would explode the
-            // span buffer).
-            let mut layout = Duration::ZERO;
-            fragments = Vec::with_capacity(build_count);
-            for i in 0..build_count {
-                mid_stage_deadline(i)?;
-                let layout = traced.then_some(&mut layout);
-                fragments.push(self.build(parts, i, kind.policy(), &mut ctx.skeleton, layout)?);
-            }
-            if traced {
-                let ns = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-                let (base, construct_ns) = (ctx.trace.offset_ns(t), ns(layout));
-                let prune_ns = ns(t.elapsed()).saturating_sub(construct_ns);
-                ctx.trace
-                    .record_manual(Stage::Construct, base, construct_ns);
-                ctx.trace
-                    .record_manual(Stage::Prune, base + construct_ns, prune_ns);
-            }
+            // A fan-out interleaves the steps per worker, so the trace
+            // gets one combined span.
+            ctx.trace.record_since(Stage::Construct, t);
         }
         timings.prune_rtf = t.elapsed();
         self.check_deadline(deadline, exec_start, "post_process", &stats)?;
@@ -576,23 +549,14 @@ impl SearchEngine {
             return AnchorExec::Merge;
         }
         let lens = &lens[..k];
-        // Sealed means every term has authoritative stored statistics.
-        // The tree backend's in-memory index is authoritative by
-        // construction; sources answer per keyword (`None` = unknown,
-        // e.g. a mutable delta touched the term → whole query merges).
-        let all_sealed = match &self.backend {
-            Backend::Tree { .. } => true,
-            Backend::Source(source) => sets
-                .query()
-                .keywords()
-                .iter()
-                .all(|kw| source.keyword_stats(kw).is_some()),
-            Backend::Sharded { set, .. } => sets
-                .query()
-                .keywords()
-                .iter()
-                .all(|kw| set.keyword_stats(kw).is_some()),
-        };
+        // Sealed means every term has authoritative stored statistics;
+        // the source answers per keyword (`None` = unknown, e.g. a
+        // mutable delta touched the term → whole query merges).
+        let all_sealed = sets
+            .query()
+            .keywords()
+            .iter()
+            .all(|kw| self.source.keyword_stats(kw).is_some());
         match choose_strategy(lens, all_sealed) {
             PlanStrategy::FullMerge => AnchorExec::Merge,
             PlanStrategy::Gallop => {
@@ -607,7 +571,7 @@ impl SearchEngine {
     /// Whether this request qualifies for bound-ordered top-k
     /// construction (skipping fragments that provably miss the top k):
     /// a ranked `top_k ≥ 1` over a plain query with no `max_fragments`
-    /// cap, untraced, on an unsharded backend (the scatter path keeps
+    /// cap, untraced, on an unsharded engine (the scatter path keeps
     /// its own fan-out), with non-negative weights summing above zero
     /// (negative weights would invert the score bound). Returns the
     /// limit and the effective weights.
@@ -620,7 +584,7 @@ impl SearchEngine {
         if traced
             || !spec.is_plain()
             || request.max_fragments_cap().is_some()
-            || matches!(self.backend, Backend::Sharded { .. })
+            || self.shard_set().is_some()
         {
             return None;
         }
@@ -727,28 +691,25 @@ impl SearchEngine {
             .collect())
     }
 
-    /// [`Fragment::build`] over this backend's node facts: partition
+    /// [`Fragment::build`] over the source's node facts: partition
     /// `i`, pruned under `policy`.
     fn build(
         &self,
         parts: Partitions<'_>,
         i: usize,
         policy: Policy,
-        skel: &mut xks_lca::SkeletonScratch,
-        layout_time: Option<&mut Duration>,
-    ) -> Result<Fragment, SourceError> {
-        let (anchor, knodes, policy) = (parts.anchor(i), parts.knodes(i), Some(policy));
-        match &self.backend {
-            Backend::Tree { tree, .. } => {
-                Fragment::build(tree, anchor, knodes, policy, skel, layout_time)
-            }
-            Backend::Source(source) => {
-                Fragment::build(source.as_ref(), anchor, knodes, policy, skel, layout_time)
-            }
-            Backend::Sharded { set, .. } => {
-                Fragment::build(set.as_ref(), anchor, knodes, policy, skel, layout_time)
-            }
-        }
+        skel: &mut SkeletonScratch,
+        layout_ns: Option<&AtomicU64>,
+    ) -> Result<Fragment, SearchError> {
+        let (anchor, knodes) = (parts.anchor(i), parts.knodes(i));
+        Ok(Fragment::build(
+            self.source(),
+            anchor,
+            knodes,
+            Some(policy),
+            skel,
+            layout_ns,
+        )?)
     }
 
     /// Explains how the planner would execute `request` against this
@@ -757,38 +718,13 @@ impl SearchEngine {
     /// and per-term shard-filter skips (see [`PlanReport`] and the
     /// `xks explain` CLI subcommand).
     pub fn explain(&self, request: &SearchRequest) -> Result<PlanReport, SearchError> {
-        let query = request.query();
-        let report = match &self.backend {
-            Backend::Tree { index, .. } => {
-                let mut terms = Vec::with_capacity(query.len());
-                let mut lens = Vec::with_capacity(query.len());
-                for kw in query.keywords() {
-                    let postings = index.postings(kw);
-                    lens.push(postings.len());
-                    terms.push(crate::plan::TermPlan {
-                        keyword: kw.clone(),
-                        postings: postings.len() as u64,
-                        doc_freq: Some(crate::plan::doc_frequency(postings)),
-                        sealed: true,
-                        shards_skipped: 0,
-                    });
-                }
-                let strategy = choose_strategy(&lens, true);
-                terms.sort_by(|a, b| a.postings.cmp(&b.postings).then(a.keyword.cmp(&b.keyword)));
-                PlanReport {
-                    terms,
-                    strategy,
-                    shards: 0,
-                }
-            }
-            Backend::Source(source) => PlanReport::build(source.as_ref(), query, 0, |_| 0)?,
-            Backend::Sharded { set, .. } => {
-                PlanReport::build(set.as_ref(), query, set.shard_count() as u32, |kw| {
-                    set.shard_skips(kw)
-                })?
-            }
-        };
-        Ok(report)
+        let set = self.shard_set();
+        Ok(PlanReport::build(
+            self.source(),
+            request.query(),
+            set.map_or(0, |set| set.shard_count() as u32),
+            |kw| set.map_or(0, |set| set.shard_skips(kw)),
+        )?)
     }
 
     /// Drops every fragment violating an operator constraint. Phrases
@@ -802,7 +738,6 @@ impl SearchEngine {
         sets: &KeywordNodeSets,
         fragments: &mut Vec<Fragment>,
     ) -> Result<(), SearchError> {
-        use std::borrow::Cow;
         use std::collections::HashMap;
 
         let phrase_masks: Vec<u64> = spec
@@ -811,18 +746,12 @@ impl SearchEngine {
             .map(|group| group.iter().fold(0u64, |m, &p| m | (1 << p)))
             .collect();
         // Excluded keywords resolve like any other keyword; an absent
-        // word simply excludes nothing. The tree backend's postings are
-        // borrowed — only sources that hand out owned lists pay a copy.
-        let mut exclusion_postings: Vec<Cow<'_, [Dewey]>> =
-            Vec::with_capacity(spec.exclusions().len());
-        for word in spec.exclusions() {
-            let list = match &self.backend {
-                Backend::Tree { index, .. } => Cow::Borrowed(index.postings(word)),
-                Backend::Source(source) => Cow::Owned(source.try_keyword_deweys(word)?),
-                Backend::Sharded { set, .. } => Cow::Owned(set.try_keyword_deweys(word)?),
-            };
-            exclusion_postings.push(list);
-        }
+        // word simply excludes nothing.
+        let exclusion_postings = spec
+            .exclusions()
+            .iter()
+            .map(|word| self.source.try_keyword_deweys(word))
+            .collect::<Result<Vec<Vec<Dewey>>, _>>()?;
         // Label-name lookups cross the backend and lowercase a string;
         // memoize per (filter, label id) so the walk below does integer
         // compares after the first sighting of each label.
@@ -874,18 +803,12 @@ impl SearchEngine {
         Ok(())
     }
 
-    /// Case-insensitive label comparison through whichever backend owns
-    /// the label table (`want` is already lowercased by the grammar).
+    /// Case-insensitive label comparison through the source's label
+    /// table (`want` is already lowercased by the grammar).
     fn label_name_matches(&self, label: xks_xmltree::LabelId, want: &str) -> bool {
-        match &self.backend {
-            Backend::Tree { tree, .. } => tree.labels().name(label).to_lowercase() == want,
-            Backend::Source(source) => source
-                .label_name(label.as_u32())
-                .is_some_and(|name| name.to_lowercase() == want),
-            Backend::Sharded { set, .. } => set
-                .label_name(label.as_u32())
-                .is_some_and(|name| name.to_lowercase() == want),
-        }
+        self.source
+            .label_name(label.as_u32())
+            .is_some_and(|name| name.to_lowercase() == want)
     }
 
     /// Takes a warm context from the pool (or makes a fresh one). The
@@ -916,73 +839,6 @@ impl SearchEngine {
         });
         if pool.len() < CONTEXT_POOL_CAP {
             pool.push(ctx);
-        }
-    }
-
-    /// Runs one algorithm on one query, reusing a pooled
-    /// [`QueryContext`].
-    #[deprecated(note = "build a `SearchRequest` and call `SearchEngine::execute`")]
-    #[must_use]
-    pub fn search(&self, query: &Query, kind: AlgorithmKind) -> SearchResult {
-        let mut ctx = self.checkout_context();
-        #[allow(deprecated)]
-        let result = self.search_with(query, kind, &mut ctx);
-        self.checkin_context(ctx);
-        result
-    }
-
-    /// Runs one algorithm on one query with a caller-owned
-    /// [`QueryContext`].
-    ///
-    /// # Panics
-    /// Panics on backend errors — the legacy contract. Use
-    /// [`SearchEngine::execute_with`] for typed errors.
-    #[deprecated(note = "build a `SearchRequest` and call `SearchEngine::execute_with`")]
-    #[must_use]
-    pub fn search_with(
-        &self,
-        query: &Query,
-        kind: AlgorithmKind,
-        ctx: &mut QueryContext,
-    ) -> SearchResult {
-        let request = SearchRequest::from_query(query.clone()).algorithm(kind);
-        match self.execute_with(&request, ctx) {
-            Ok(response) => SearchResult {
-                timings: response.timings,
-                fragments: response.into_fragments(),
-            },
-            Err(e) => panic!("search failed: {e}"),
-        }
-    }
-
-    /// Runs one algorithm and returns the fragments **ranked best
-    /// first** (the §7 future-work stage; see [`mod@crate::rank`]).
-    /// The rank permutation is applied by moving fragments, never by
-    /// cloning them.
-    ///
-    /// # Panics
-    /// Panics on backend errors — the legacy contract. Use
-    /// [`SearchEngine::execute`] with
-    /// [`SearchRequest::weights`] for typed errors.
-    #[deprecated(
-        note = "build a `SearchRequest` with `.weights(..)` and call `SearchEngine::execute`"
-    )]
-    #[must_use]
-    pub fn search_ranked(
-        &self,
-        query: &Query,
-        kind: AlgorithmKind,
-        weights: &crate::rank::RankWeights,
-    ) -> SearchResult {
-        let request = SearchRequest::from_query(query.clone())
-            .algorithm(kind)
-            .weights(*weights);
-        match self.execute(&request) {
-            Ok(response) => SearchResult {
-                timings: response.timings,
-                fragments: response.into_fragments(),
-            },
-            Err(e) => panic!("search failed: {e}"),
         }
     }
 
@@ -1151,7 +1007,6 @@ fn subtree_contains(anchor: &Dewey, sorted: &[Dewey]) -> bool {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the legacy shims are asserted against `execute`
 mod tests {
     use super::*;
     use crate::source::{MemoryCorpus, SourceElement, SourceError};
@@ -1183,25 +1038,6 @@ mod tests {
         assert_eq!(engine.contexts.lock().unwrap().len(), 1);
         let _ = engine.execute(&request).unwrap();
         assert_eq!(engine.contexts.lock().unwrap().len(), 1);
-    }
-
-    #[test]
-    fn legacy_shims_match_execute() {
-        let engine = SearchEngine::new(publications());
-        for kind in [
-            AlgorithmKind::ValidRtf,
-            AlgorithmKind::MaxMatchRtf,
-            AlgorithmKind::MaxMatchSlca,
-        ] {
-            let legacy = engine.search(&q("liu keyword"), kind);
-            let response = engine.execute(&req("liu keyword").algorithm(kind)).unwrap();
-            let fragments: Vec<&Fragment> = response.fragments().collect();
-            assert_eq!(
-                legacy.fragments.iter().collect::<Vec<_>>(),
-                fragments,
-                "{kind:?}"
-            );
-        }
     }
 
     #[test]
@@ -1259,13 +1095,6 @@ mod tests {
         assert_eq!(r.hits[0].fragment.anchor.to_string(), "0.2.0.3.0");
         assert!(r.hits[0].score.unwrap() > r.hits[1].score.unwrap());
         assert!(r.hits.iter().all(|h| h.signals.is_some()));
-        // The deprecated shim produces the same order.
-        let legacy = engine.search_ranked(
-            &q("liu keyword"),
-            AlgorithmKind::ValidRtf,
-            &crate::rank::RankWeights::default(),
-        );
-        assert_eq!(legacy.fragments[0], r.hits[0].fragment);
     }
 
     #[test]
@@ -1292,14 +1121,14 @@ mod tests {
     }
 
     impl CorpusSource for ProbedCorpus {
-        fn keyword_deweys(&self, keyword: &str) -> Vec<Dewey> {
-            self.inner.keyword_deweys(keyword)
+        fn try_keyword_deweys(&self, keyword: &str) -> Result<Vec<Dewey>, SourceError> {
+            self.inner.try_keyword_deweys(keyword)
         }
-        fn element(&self, dewey: &Dewey) -> Option<SourceElement> {
-            self.inner.element(dewey)
+        fn try_element(&self, dewey: &Dewey) -> Result<Option<SourceElement>, SourceError> {
+            self.inner.try_element(dewey)
         }
-        fn element_label(&self, dewey: &Dewey) -> Option<u32> {
-            self.inner.element_label(dewey)
+        fn try_element_label(&self, dewey: &Dewey) -> Result<Option<u32>, SourceError> {
+            self.inner.try_element_label(dewey)
         }
         fn label_name(&self, label: u32) -> Option<String> {
             self.inner.label_name(label)
@@ -1522,12 +1351,6 @@ mod tests {
     }
 
     impl CorpusSource for FailingCorpus {
-        fn keyword_deweys(&self, keyword: &str) -> Vec<Dewey> {
-            self.inner.keyword_deweys(keyword)
-        }
-        fn element(&self, dewey: &Dewey) -> Option<SourceElement> {
-            self.inner.element(dewey)
-        }
         fn label_name(&self, label: u32) -> Option<String> {
             self.inner.label_name(label)
         }
@@ -1538,19 +1361,13 @@ mod tests {
             if self.fail.all_postings || self.fail.keyword == Some(keyword) {
                 return Err(SourceError::new("synthetic postings I/O failure"));
             }
-            Ok(self.inner.keyword_deweys(keyword))
+            self.inner.try_keyword_deweys(keyword)
         }
         fn try_element(&self, dewey: &Dewey) -> Result<Option<SourceElement>, SourceError> {
             if self.fail.elements {
                 return Err(SourceError::new("synthetic element I/O failure"));
             }
-            Ok(self.inner.element(dewey))
-        }
-        fn try_element_label(&self, dewey: &Dewey) -> Result<Option<u32>, SourceError> {
-            if self.fail.elements {
-                return Err(SourceError::new("synthetic element I/O failure"));
-            }
-            Ok(self.inner.element_label(dewey))
+            self.inner.try_element(dewey)
         }
     }
 
@@ -1572,6 +1389,17 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, SearchError::Backend(_)), "{err}");
         assert!(err.to_string().contains("postings"));
+        // The traced resolve and `explain` read the same lookups.
+        let dead = failing_engine(Failures {
+            all_postings: true,
+            ..Failures::default()
+        });
+        for result in [
+            dead.execute(&req("rust async").trace(true)).map(drop),
+            dead.explain(&req("rust async")).map(drop),
+        ] {
+            assert!(matches!(result, Err(SearchError::Backend(_))), "{result:?}");
+        }
         // Fragment-construction failure (stage 4).
         let err = failing_engine(Failures {
             elements: true,
@@ -1612,14 +1440,14 @@ mod tests {
     struct NoStats(MemoryCorpus);
 
     impl CorpusSource for NoStats {
-        fn keyword_deweys(&self, keyword: &str) -> Vec<Dewey> {
-            self.0.keyword_deweys(keyword)
+        fn try_keyword_deweys(&self, keyword: &str) -> Result<Vec<Dewey>, SourceError> {
+            self.0.try_keyword_deweys(keyword)
         }
-        fn element(&self, dewey: &Dewey) -> Option<SourceElement> {
-            self.0.element(dewey)
+        fn try_element(&self, dewey: &Dewey) -> Result<Option<SourceElement>, SourceError> {
+            self.0.try_element(dewey)
         }
-        fn element_label(&self, dewey: &Dewey) -> Option<u32> {
-            self.0.element_label(dewey)
+        fn try_element_label(&self, dewey: &Dewey) -> Result<Option<u32>, SourceError> {
+            self.0.try_element_label(dewey)
         }
         fn label_name(&self, label: u32) -> Option<String> {
             self.0.label_name(label)
@@ -1760,7 +1588,5 @@ mod tests {
         // Queries keep working: checkout/checkin recover the poison.
         let r = engine.execute(&req("rust async")).unwrap();
         assert_eq!(r.hits.len(), 2);
-        let legacy = engine.search(&q("rust"), AlgorithmKind::ValidRtf);
-        assert_eq!(legacy.fragments.len(), 2);
     }
 }

@@ -24,8 +24,9 @@
 //! 3. [`emit`] materializes only the survivors, once, into an exactly
 //!    sized node vector.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use xks_lca::{SkelNode, SkeletonScratch, NONE};
 use xks_xmltree::content::{content_feature, node_content};
@@ -118,20 +119,27 @@ pub trait NodeFacts {
     fn keyword_node(&self, dewey: &Dewey) -> Result<(u32, Cid), SourceError>;
 }
 
+/// The label id of `dewey` read straight off the parsed tree.
+pub(crate) fn tree_label(tree: &XmlTree, dewey: &Dewey) -> Option<u32> {
+    let id = tree.node_by_dewey(dewey)?;
+    Some(tree.node(id).label.as_u32())
+}
+
+/// The label id and own-content feature of `dewey` read straight off
+/// the parsed tree.
+pub(crate) fn tree_keyword_node(tree: &XmlTree, dewey: &Dewey) -> Option<(u32, Cid)> {
+    let id = tree.node_by_dewey(dewey)?;
+    let cid = shared_cid(content_feature(&node_content(tree, id)));
+    Some((tree.node(id).label.as_u32(), cid))
+}
+
 impl NodeFacts for XmlTree {
     fn label(&self, dewey: &Dewey) -> Result<u32, SourceError> {
-        let id = self
-            .node_by_dewey(dewey)
-            .ok_or_else(|| SourceError::missing_node(dewey))?;
-        Ok(self.node(id).label.as_u32())
+        tree_label(self, dewey).ok_or_else(|| SourceError::missing_node(dewey))
     }
 
     fn keyword_node(&self, dewey: &Dewey) -> Result<(u32, Cid), SourceError> {
-        let id = self
-            .node_by_dewey(dewey)
-            .ok_or_else(|| SourceError::missing_node(dewey))?;
-        let cid = shared_cid(content_feature(&node_content(self, id)));
-        Ok((self.node(id).label.as_u32(), cid))
+        tree_keyword_node(self, dewey).ok_or_else(|| SourceError::missing_node(dewey))
     }
 }
 
@@ -321,21 +329,22 @@ impl Fragment {
     /// fragment of `anchor` and `knodes`, prunes it under `policy`
     /// (`None` keeps the raw fragment) and materializes the result.
     /// Buffers come from `skel`, so a warm caller pays one allocation
-    /// per fragment. `layout_time`, when given, accumulates the time of
-    /// the first step (a traced caller's construct span; the rest of
-    /// its stage is pruning).
+    /// per fragment. `layout_ns`, when given, accumulates the
+    /// nanoseconds of the first step (a traced caller's construct span;
+    /// the rest of its stage is pruning).
     pub fn build<'k>(
         facts: &(impl NodeFacts + ?Sized),
         anchor: &Dewey,
         knodes: impl Iterator<Item = (&'k Dewey, KeySet)>,
         policy: Option<Policy>,
         skel: &mut SkeletonScratch,
-        layout_time: Option<&mut Duration>,
+        layout_ns: Option<&AtomicU64>,
     ) -> Result<Self, SourceError> {
-        let started = layout_time.is_some().then(Instant::now);
+        let started = layout_ns.map(|total| (total, Instant::now()));
         lay_out(facts, anchor, knodes, skel)?;
-        if let (Some(total), Some(started)) = (layout_time, started) {
-            *total += started.elapsed();
+        if let Some((total, started)) = started {
+            let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            total.fetch_add(ns, Ordering::Relaxed);
         }
         match policy {
             Some(policy) => decide(skel, policy),

@@ -61,7 +61,6 @@ pub mod quality;
 pub mod rank;
 pub mod request;
 pub mod rtf;
-pub mod scratch;
 pub mod shards;
 pub mod source;
 pub mod spec;
@@ -82,6 +81,9 @@ pub use quality::{assess, assess_all, AxiomCounts, QualityConfig, QualityReport}
 pub use rank::{rank, score_fragment, RankWeights, RankedFragment};
 pub use request::{Hit, SearchError, SearchRequest, SearchResponse, SearchStats, SearchTimeout};
 pub use rtf::{dispatch, get_rtf, get_rtf_unchecked, Partitions, Rtf};
-pub use scratch::{QueryContext, QueryScratch};
 pub use shards::ShardSet;
-pub use source::{CorpusSource, MemoryCorpus, SourceElement, SourceError};
+pub use source::{CorpusSource, MemoryCorpus, SourceElement, SourceError, TreeCorpus};
+/// Per-thread query working memory — the mutable half of the read path,
+/// owned one per thread by the [`executor`] and checked in and out of a
+/// pool by [`SearchEngine::execute`].
+pub use xks_lca::QueryContext;

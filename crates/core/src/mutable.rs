@@ -13,8 +13,8 @@
 //!   [`xks_store::shred_document`] into the base's label dictionary
 //!   and addressed as `0.<ordinal>` subtrees;
 //! * a **tombstone set** of deleted document ordinals, consulted at
-//!   the anchor pass: [`MutableSource::keyword_deweys`] (the feed of
-//!   `getKeywordNodes`) drops every posting inside a tombstoned
+//!   the anchor pass: [`MutableSource::try_keyword_deweys`] (the feed
+//!   of `getKeywordNodes`) drops every posting inside a tombstoned
 //!   document, so a deleted document can never anchor or join a
 //!   result fragment.
 //!
@@ -58,6 +58,8 @@ pub enum MutationError {
         /// The corpus's next unassigned ordinal.
         next: u32,
     },
+    /// The sealed base could not be read while checking a document.
+    Backend(SourceError),
 }
 
 impl fmt::Display for MutationError {
@@ -71,6 +73,7 @@ impl fmt::Display for MutationError {
                 f,
                 "replayed ordinal {ordinal} regresses below the corpus high-water mark {next}"
             ),
+            MutationError::Backend(e) => write!(f, "{e}"),
         }
     }
 }
@@ -79,6 +82,7 @@ impl std::error::Error for MutationError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             MutationError::Xml(e) => Some(e),
+            MutationError::Backend(e) => Some(e),
             _ => None,
         }
     }
@@ -88,6 +92,19 @@ impl From<ParseError> for MutationError {
     fn from(e: ParseError) -> Self {
         MutationError::Xml(e)
     }
+}
+
+impl From<SourceError> for MutationError {
+    fn from(e: SourceError) -> Self {
+        MutationError::Backend(e)
+    }
+}
+
+/// The label id of the corpus root `0`, which every base must hold.
+fn root_label_of(base: &dyn CorpusSource) -> Result<u32, SourceError> {
+    let root = Dewey::from_components(vec![0]);
+    base.try_element_label(&root)?
+        .ok_or_else(|| SourceError::missing_node(&root))
 }
 
 /// The rows of one delta document, kept for compaction export.
@@ -215,13 +232,15 @@ impl MutableSource {
 
     /// Wraps a sealed base corpus holding documents `0..next_doc`.
     /// `labels` must be the base's own dictionary (delta documents
-    /// extend it); the base must contain the corpus root `0`.
-    #[must_use]
-    pub fn from_base(base: Arc<dyn CorpusSource>, labels: Vec<String>, next_doc: u32) -> Self {
-        let root_label = base
-            .element_label(&Dewey::from_components(vec![0]))
-            .expect("base corpus has a root element");
-        MutableSource {
+    /// extend it); a base that cannot be read or lacks the corpus root
+    /// `0` is an error.
+    pub fn from_base(
+        base: Arc<dyn CorpusSource>,
+        labels: Vec<String>,
+        next_doc: u32,
+    ) -> Result<Self, SourceError> {
+        let root_label = root_label_of(base.as_ref())?;
+        Ok(MutableSource {
             state: RwLock::new(State {
                 base: Some(base),
                 labels,
@@ -233,7 +252,7 @@ impl MutableSource {
                 tombstones: BTreeSet::new(),
                 next_doc,
             }),
-        }
+        })
     }
 
     fn read(&self) -> std::sync::RwLockReadGuard<'_, State> {
@@ -257,23 +276,30 @@ impl MutableSource {
         self.read().next_doc
     }
 
-    /// True when document `ordinal` exists and is not deleted.
-    #[must_use]
-    pub fn exists(&self, ordinal: u32) -> bool {
+    /// True when document `ordinal` exists and is not deleted; an
+    /// error when only the base could tell and it cannot be read.
+    pub fn try_exists(&self, ordinal: u32) -> Result<bool, SourceError> {
         let state = self.read();
         if state.tombstones.contains(&ordinal) || ordinal >= state.next_doc {
-            return false;
+            return Ok(false);
         }
         let dewey = Dewey::from_components(vec![0, ordinal]);
         if state.delta_elements.contains_key(&dewey) {
-            return true;
+            return Ok(true);
         }
         // Compaction never renumbers, so a base may have ordinal holes
         // from deletes sealed before it was built.
-        state
-            .base
-            .as_ref()
-            .is_some_and(|b| b.element_label(&dewey).is_some())
+        match &state.base {
+            Some(base) => Ok(base.try_element_label(&dewey)?.is_some()),
+            None => Ok(false),
+        }
+    }
+
+    /// [`MutableSource::try_exists`] for callers with no error path: an
+    /// unreadable base counts as not holding the document.
+    #[must_use]
+    pub fn exists(&self, ordinal: u32) -> bool {
+        self.try_exists(ordinal).unwrap_or(false)
     }
 
     /// Inserts a document from XML text, returning its ordinal.
@@ -320,7 +346,7 @@ impl MutableSource {
     /// Tombstones document `ordinal`; every posting and element inside
     /// it disappears from the read path immediately.
     pub fn delete(&self, ordinal: u32) -> Result<(), MutationError> {
-        if !self.exists(ordinal) {
+        if !self.try_exists(ordinal)? {
             return Err(MutationError::UnknownDocument(ordinal));
         }
         self.write().tombstones.insert(ordinal);
@@ -383,12 +409,17 @@ impl MutableSource {
 
     /// Replaces the layering after compaction: the freshly sealed base
     /// takes over, the delta and tombstones reset. The ordinal
-    /// high-water mark is preserved (sealed holes stay holes).
-    pub fn swap_base(&self, base: Arc<dyn CorpusSource>, labels: Vec<String>) {
+    /// high-water mark is preserved (sealed holes stay holes). A base
+    /// that cannot be read or lacks the corpus root is an error and
+    /// leaves the layering as it was.
+    pub fn swap_base(
+        &self,
+        base: Arc<dyn CorpusSource>,
+        labels: Vec<String>,
+    ) -> Result<(), SourceError> {
+        let root_label = root_label_of(base.as_ref())?;
         let mut state = self.write();
-        state.root_label = base
-            .element_label(&Dewey::from_components(vec![0]))
-            .expect("sealed base has a root element");
+        state.root_label = root_label;
         state.base = Some(base);
         state.labels = labels;
         state.delta_postings.clear();
@@ -396,36 +427,11 @@ impl MutableSource {
         state.delta_docs.clear();
         state.root_rows = None;
         state.tombstones.clear();
+        Ok(())
     }
 }
 
 impl CorpusSource for MutableSource {
-    fn keyword_deweys(&self, keyword: &str) -> Vec<Dewey> {
-        let state = self.read();
-        let mut out = match &state.base {
-            Some(base) => base.keyword_deweys(keyword),
-            None => Vec::new(),
-        };
-        if !state.tombstones.is_empty() {
-            out.retain(|d| !state.tombstoned(d));
-        }
-        if let Some(delta) = state.delta_postings.get(keyword) {
-            out.extend(delta.iter().filter(|d| !state.tombstoned(d)).cloned());
-        }
-        out
-    }
-
-    fn element(&self, dewey: &Dewey) -> Option<SourceElement> {
-        let state = self.read();
-        if state.tombstoned(dewey) {
-            return None;
-        }
-        if let Some(found) = state.delta_elements.get(dewey) {
-            return Some(found.clone());
-        }
-        state.base.as_ref().and_then(|b| b.element(dewey))
-    }
-
     fn keyword_stats(&self, keyword: &str) -> Option<crate::plan::KeywordStats> {
         // Sealed statistics exist only where the live overlay cannot
         // have changed them: any tombstone may have removed base
@@ -438,17 +444,6 @@ impl CorpusSource for MutableSource {
             return None;
         }
         state.base.as_ref()?.keyword_stats(keyword)
-    }
-
-    fn element_label(&self, dewey: &Dewey) -> Option<u32> {
-        let state = self.read();
-        if state.tombstoned(dewey) {
-            return None;
-        }
-        if let Some(found) = state.delta_elements.get(dewey) {
-            return Some(found.label);
-        }
-        state.base.as_ref().and_then(|b| b.element_label(dewey))
     }
 
     fn label_name(&self, label: u32) -> Option<String> {
@@ -486,45 +481,40 @@ impl CorpusSource for MutableSource {
     }
 
     fn try_element(&self, dewey: &Dewey) -> Result<Option<SourceElement>, SourceError> {
-        let state = self.read();
-        if state.tombstoned(dewey) {
-            return Ok(None);
-        }
-        if let Some(found) = state.delta_elements.get(dewey) {
-            return Ok(Some(found.clone()));
-        }
-        match &state.base {
-            Some(base) => base.try_element(dewey),
-            None => Ok(None),
-        }
+        self.overlaid(dewey, Clone::clone, |base| base.try_element(dewey))
     }
 
     fn try_element_label(&self, dewey: &Dewey) -> Result<Option<u32>, SourceError> {
-        let state = self.read();
-        if state.tombstoned(dewey) {
-            return Ok(None);
-        }
-        if let Some(found) = state.delta_elements.get(dewey) {
-            return Ok(Some(found.label));
-        }
-        match &state.base {
-            Some(base) => base.try_element_label(dewey),
-            None => Ok(None),
-        }
+        self.overlaid(dewey, |e| e.label, |base| base.try_element_label(dewey))
     }
 
     fn try_keyword_node(&self, dewey: &Dewey) -> Result<Option<(u32, Cid)>, SourceError> {
+        self.overlaid(
+            dewey,
+            |e| (e.label, e.keyword_cid.clone()),
+            |base| base.try_keyword_node(dewey),
+        )
+    }
+}
+
+impl MutableSource {
+    /// The overlay rule of every node lookup: nothing inside a
+    /// tombstoned document, else the delta's row (read by `delta`),
+    /// else whatever the base answers (asked by `base`).
+    fn overlaid<T>(
+        &self,
+        dewey: &Dewey,
+        delta: impl FnOnce(&SourceElement) -> T,
+        base: impl FnOnce(&dyn CorpusSource) -> Result<Option<T>, SourceError>,
+    ) -> Result<Option<T>, SourceError> {
         let state = self.read();
         if state.tombstoned(dewey) {
             return Ok(None);
         }
         if let Some(found) = state.delta_elements.get(dewey) {
-            return Ok(Some((found.label, found.keyword_cid.clone())));
+            return Ok(Some(delta(found)));
         }
-        match &state.base {
-            Some(base) => base.try_keyword_node(dewey),
-            None => Ok(None),
-        }
+        state.base.as_deref().map_or(Ok(None), base)
     }
 }
 
@@ -562,7 +552,7 @@ mod tests {
             .map_while(|i| base.label_name(i))
             .collect::<Vec<String>>();
         assert!(base.keyword_stats("xml").is_some());
-        let src = MutableSource::from_base(std::sync::Arc::new(base), labels, 1);
+        let src = MutableSource::from_base(std::sync::Arc::new(base), labels, 1).unwrap();
         // Untouched keywords delegate to the sealed base.
         assert!(src.keyword_stats("xml").is_some());
         assert_eq!(
@@ -629,16 +619,17 @@ mod tests {
         let drop = src
             .insert_xml("<paper><title>xml skyline</title></paper>")
             .unwrap();
-        assert_eq!(src.keyword_deweys("xml").len(), 2);
+        assert_eq!(src.try_keyword_deweys("xml").unwrap().len(), 2);
         src.delete(drop).unwrap();
         assert!(src.exists(keep));
         assert!(!src.exists(drop));
-        let xml_nodes = src.keyword_deweys("xml");
+        let xml_nodes = src.try_keyword_deweys("xml").unwrap();
         assert_eq!(xml_nodes.len(), 1);
         assert_eq!(xml_nodes[0].components()[1], keep);
-        assert!(src.keyword_deweys("skyline").is_empty());
+        assert!(src.try_keyword_deweys("skyline").unwrap().is_empty());
         assert!(src
-            .element(&Dewey::from_components(vec![0, drop]))
+            .try_element(&Dewey::from_components(vec![0, drop]))
+            .unwrap()
             .is_none());
         // Deleting again (or a never-assigned ordinal) is typed.
         assert!(matches!(
@@ -680,9 +671,9 @@ mod tests {
         let after = src.labels_snapshot();
         assert_eq!(&after[..before.len()], &before[..]);
         assert!(after.iter().any(|l| l == "venue"));
-        let venue_nodes = src.keyword_deweys("venue");
+        let venue_nodes = src.try_keyword_deweys("venue").unwrap();
         assert_eq!(venue_nodes.len(), 1);
-        let label = src.element_label(&venue_nodes[0]).unwrap();
+        let label = src.try_element_label(&venue_nodes[0]).unwrap().unwrap();
         assert_eq!(src.label_name(label).as_deref(), Some("venue"));
     }
 

@@ -54,8 +54,8 @@ use xks_xmltree::Dewey;
 
 use crate::engine::SearchEngine;
 use crate::fragment::Cid;
-use crate::scratch::QueryContext;
 use crate::source::{CorpusSource, SourceElement, SourceError};
+use crate::QueryContext;
 
 /// N corpus shards glued into one logical [`CorpusSource`] (see the
 /// module docs for the topology and merge/routing invariants).
@@ -211,19 +211,6 @@ impl ShardSet {
 }
 
 impl CorpusSource for ShardSet {
-    fn keyword_deweys(&self, keyword: &str) -> Vec<Dewey> {
-        self.try_keyword_deweys(keyword)
-            .unwrap_or_else(|e| panic!("sharded keyword lookup failed: {e}"))
-    }
-
-    fn element(&self, dewey: &Dewey) -> Option<SourceElement> {
-        self.route(dewey).element(dewey)
-    }
-
-    fn element_label(&self, dewey: &Dewey) -> Option<u32> {
-        self.route(dewey).element_label(dewey)
-    }
-
     fn label_name(&self, label: u32) -> Option<String> {
         // Label tables are replicated in full across shards (a
         // partition invariant — `xks_store::partition`), so any shard
@@ -281,32 +268,36 @@ impl CorpusSource for ShardSet {
 
 /// Runs the cursor-strided scatter loop shared by both fan-out stages
 /// (keyword resolution here, per-RTF fragment building in the engine's
-/// construct stage): `threads` workers (inline when 1) claim task
-/// indices from one atomic cursor — the same work-stealing shape as
-/// [`crate::executor`] — each holding one warm [`QueryContext`] drawn
-/// from the engine's pool, and results land in input order.
-pub(crate) fn scatter<T: Send>(
+/// construct stage): `threads` workers claim task indices from one
+/// atomic cursor — the same work-stealing shape as [`crate::executor`]
+/// — and results land in input order. Each worker hands its tasks one
+/// piece of a warm [`QueryContext`], picked by `lend`: with one thread
+/// the loop runs inline on `own`, the caller's piece; otherwise every
+/// worker draws a context from the engine's pool. The first failing
+/// task (lowest index among those run) stops the claiming and is the
+/// error returned.
+pub(crate) fn scatter<W: ?Sized, T: Send, E: Send>(
     engine: &SearchEngine,
     tasks: usize,
     threads: usize,
-    task: impl Fn(usize, &mut QueryContext) -> T + Sync,
-) -> Vec<T> {
+    own: &mut W,
+    lend: impl Fn(&mut QueryContext) -> &mut W + Sync,
+    task: impl Fn(usize, &mut W) -> Result<T, E> + Sync,
+) -> Result<Vec<T>, E> {
     let threads = threads.clamp(1, tasks.max(1));
-    let mut slots: Vec<Option<T>> = (0..tasks).map(|_| None).collect();
     if threads == 1 {
-        let mut ctx = engine.checkout_context();
-        for (i, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(task(i, &mut ctx));
+        let mut results = Vec::with_capacity(tasks);
+        for i in 0..tasks {
+            results.push(task(i, own)?);
         }
-        engine.checkin_context(ctx);
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let task = &task;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for _ in 0..threads {
-                let cursor = &cursor;
-                handles.push(scope.spawn(move || {
+        return Ok(results);
+    }
+    let cursor = AtomicUsize::new(0);
+    let mut slots: Vec<Option<Result<T, E>>> = (0..tasks).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
                     let mut ctx = engine.checkout_context();
                     let mut mine = Vec::new();
                     loop {
@@ -314,23 +305,26 @@ pub(crate) fn scatter<T: Send>(
                         if i >= tasks {
                             break;
                         }
-                        mine.push((i, task(i, &mut ctx)));
+                        let result = task(i, lend(&mut ctx));
+                        if result.is_err() {
+                            cursor.store(tasks, Ordering::Relaxed);
+                        }
+                        mine.push((i, result));
                     }
                     engine.checkin_context(ctx);
                     mine
-                }));
+                })
+            })
+            .collect();
+        for handle in handles {
+            for (i, result) in handle.join().expect("scatter worker panicked") {
+                slots[i] = Some(result);
             }
-            for handle in handles {
-                for (i, result) in handle.join().expect("scatter worker panicked") {
-                    slots[i] = Some(result);
-                }
-            }
-        });
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every scatter task claimed exactly once"))
-        .collect()
+        }
+    });
+    // Indices are claimed in order, so the unclaimed ones all lie past
+    // the first failure.
+    slots.into_iter().map_while(|slot| slot).collect()
 }
 
 /// `getKeywordNodes`, scattered: every (keyword × shard) lookup is one
@@ -347,6 +341,7 @@ pub(crate) fn scatter_resolve(
     set: &ShardSet,
     threads: usize,
     query: &Query,
+    ctx: &mut QueryContext,
     skipped: &mut u32,
 ) -> Result<Option<KeywordNodeSets>, SourceError> {
     let keywords = query.keywords();
@@ -356,32 +351,28 @@ pub(crate) fn scatter_resolve(
         engine,
         keywords.len() * shards.len(),
         threads,
-        |i, ctx| -> Result<Vec<Dewey>, SourceError> {
+        &mut ctx.postings,
+        |worker| &mut worker.postings,
+        |i, arena| -> Result<Vec<Dewey>, SourceError> {
             let shard_idx = i % shards.len();
             let keyword = &keywords[i / shards.len()];
             if !set.shard_may_contain(shard_idx, keyword) {
                 return Ok(Vec::new());
             }
-            // Decode into the context's warm arena (reused across every
-            // shard this worker visits), bypassing shard-shared caches.
-            shards[shard_idx].try_keyword_deweys_into(keyword, &mut ctx.postings)?;
-            Ok(ctx.postings.to_deweys())
+            // Decode into the worker's warm arena (reused across every
+            // shard it visits), bypassing shard-shared caches.
+            shards[shard_idx].try_keyword_deweys_into(keyword, arena)?;
+            Ok(arena.to_deweys())
         },
-    );
+    )?;
     let mut lists = lists.into_iter();
     let mut sets: Vec<Vec<Dewey>> = Vec::with_capacity(keywords.len());
-    for _ in 0..keywords.len() {
-        let per_shard: Vec<Vec<Dewey>> = lists
-            .by_ref()
-            .take(shards.len())
-            .collect::<Result<_, _>>()?;
-        let total: usize = per_shard.iter().map(Vec::len).sum();
-        if total == 0 {
+    for _ in keywords {
+        let per_shard: Vec<Vec<Dewey>> = lists.by_ref().take(shards.len()).collect();
+        let mut merged = Vec::with_capacity(per_shard.iter().map(Vec::len).sum());
+        per_shard.into_iter().for_each(|list| merged.extend(list));
+        if merged.is_empty() {
             return Ok(None);
-        }
-        let mut merged = Vec::with_capacity(total);
-        for list in per_shard {
-            merged.extend(list);
         }
         sets.push(merged);
     }
@@ -414,7 +405,7 @@ mod tests {
             for kw in ["liu", "keyword", "xml", "publications", "unobtainium"] {
                 assert_eq!(
                     set.try_keyword_deweys(kw).unwrap(),
-                    whole.keyword_deweys(kw),
+                    whole.try_keyword_deweys(kw).unwrap(),
                     "{kw} with {parts} parts"
                 );
             }
@@ -427,8 +418,15 @@ mod tests {
         // Root and deep nodes alike.
         for dewey in ["0", "0.0", "0.2.0.1", "0.2.1.1", "0.9.9"] {
             let d: Dewey = dewey.parse().unwrap();
-            assert_eq!(set.element(&d), whole.element(&d), "{dewey}");
-            assert_eq!(set.element_label(&d), whole.element_label(&d));
+            assert_eq!(
+                set.try_element(&d).unwrap(),
+                whole.try_element(&d).unwrap(),
+                "{dewey}"
+            );
+            assert_eq!(
+                set.try_element_label(&d).unwrap(),
+                whole.try_element_label(&d).unwrap()
+            );
         }
         assert_eq!(set.node_count(), whole.node_count());
         assert_eq!(set.label_name(0), whole.label_name(0));
@@ -594,11 +592,11 @@ mod tests {
         #[derive(Debug)]
         struct Opaque(Arc<dyn CorpusSource>);
         impl CorpusSource for Opaque {
-            fn keyword_deweys(&self, keyword: &str) -> Vec<Dewey> {
-                self.0.keyword_deweys(keyword)
+            fn try_keyword_deweys(&self, keyword: &str) -> Result<Vec<Dewey>, SourceError> {
+                self.0.try_keyword_deweys(keyword)
             }
-            fn element(&self, dewey: &Dewey) -> Option<SourceElement> {
-                self.0.element(dewey)
+            fn try_element(&self, dewey: &Dewey) -> Result<Option<SourceElement>, SourceError> {
+                self.0.try_element(dewey)
             }
             fn label_name(&self, label: u32) -> Option<String> {
                 self.0.label_name(label)
@@ -639,11 +637,8 @@ mod tests {
         #[derive(Debug)]
         struct DeadShard;
         impl CorpusSource for DeadShard {
-            fn keyword_deweys(&self, _: &str) -> Vec<Dewey> {
-                panic!("legacy accessor unused")
-            }
-            fn element(&self, _: &Dewey) -> Option<SourceElement> {
-                None
+            fn try_element(&self, _: &Dewey) -> Result<Option<SourceElement>, SourceError> {
+                Ok(None)
             }
             fn label_name(&self, _: u32) -> Option<String> {
                 None

@@ -10,25 +10,26 @@
 //!    seeds keyword nodes with).
 //!
 //! [`CorpusSource`] captures exactly that, so ValidRTF/MaxMatch run
-//! identically over the in-memory [`ShreddedDoc`] tables (via
-//! [`MemoryCorpus`]) or an `xks-persist` on-disk index opened with a
-//! buffer pool — see [`crate::engine::SearchEngine::from_source`] and
-//! [`crate::algorithms::run_source`].
+//! identically over a parsed document ([`TreeCorpus`]), the in-memory
+//! [`ShreddedDoc`] tables ([`MemoryCorpus`]) or an `xks-persist`
+//! on-disk index opened with a buffer pool — every
+//! [`crate::engine::SearchEngine`] holds exactly one.
 
 use std::collections::HashMap;
 use std::fmt;
 
-use xks_index::{KeywordNodeSets, Query};
+use xks_index::{InvertedIndex, KeywordNodeSets, Query};
 use xks_store::ShreddedDoc;
-use xks_xmltree::Dewey;
+use xks_xmltree::content::{content_feature, node_content, tree_content};
+use xks_xmltree::{Dewey, LabelId, XmlTree};
 
-use crate::fragment::{shared_cid, Cid};
+use crate::fragment::{shared_cid, tree_keyword_node, tree_label, Cid};
+use crate::plan::{doc_frequency, KeywordStats};
 
-/// A storage-backend failure surfaced on the query path — the typed
-/// alternative to the panics the infallible [`CorpusSource`] accessors
-/// raise. Wraps whatever error the backend produces (`xks-persist`'s
-/// `PersistError`, an I/O error, …) so `validrtf` stays independent of
-/// any particular storage crate.
+/// A storage-backend failure surfaced on the query path. Wraps whatever
+/// error the backend produces (`xks-persist`'s `PersistError`, an I/O
+/// error, …) so `validrtf` stays independent of any particular storage
+/// crate.
 #[derive(Debug)]
 pub struct SourceError(Box<dyn std::error::Error + Send + Sync + 'static>);
 
@@ -85,7 +86,16 @@ pub struct SourceElement {
 ///
 /// Implementations must present postings **sorted in document order and
 /// deduplicated**, and label ids consistent between
-/// [`CorpusSource::element`] and [`CorpusSource::label_name`].
+/// [`CorpusSource::try_element`] and [`CorpusSource::label_name`].
+///
+/// Every lookup that can touch storage is fallible: a backend that can
+/// fail after opening (an on-disk index hitting I/O errors or latent
+/// corruption) reports a typed [`SourceError`], which
+/// `SearchEngine::execute` surfaces as `SearchError::Backend`. Four
+/// methods are required — [`try_keyword_deweys`](Self::try_keyword_deweys),
+/// [`try_element`](Self::try_element), [`label_name`](Self::label_name),
+/// [`node_count`](Self::node_count) — and the other five default to
+/// them; backends override a default only to answer it cheaper.
 ///
 /// The trait requires `Send + Sync`: a corpus is the shared immutable
 /// half of the read path (the *index handle*), designed to back many
@@ -95,19 +105,11 @@ pub struct SourceElement {
 pub trait CorpusSource: std::fmt::Debug + Send + Sync {
     /// Sorted Dewey codes of the keyword nodes for `keyword`
     /// (empty when the keyword is absent).
-    fn keyword_deweys(&self, keyword: &str) -> Vec<Dewey>;
+    fn try_keyword_deweys(&self, keyword: &str) -> Result<Vec<Dewey>, SourceError>;
 
     /// The stored facts for one node, `None` if `dewey` is not in the
     /// corpus.
-    fn element(&self, dewey: &Dewey) -> Option<SourceElement>;
-
-    /// The label id of one node only — what the fragment constructor
-    /// needs for the (far more numerous) non-keyword path nodes.
-    /// Backends override this to skip materializing the content-feature
-    /// strings a full [`CorpusSource::element`] carries.
-    fn element_label(&self, dewey: &Dewey) -> Option<u32> {
-        self.element(dewey).map(|e| e.label)
-    }
+    fn try_element(&self, dewey: &Dewey) -> Result<Option<SourceElement>, SourceError>;
 
     /// The label string for a label id, `None` for a foreign id.
     fn label_name(&self, label: u32) -> Option<String>;
@@ -115,52 +117,12 @@ pub trait CorpusSource: std::fmt::Debug + Send + Sync {
     /// Number of element nodes in the corpus.
     fn node_count(&self) -> usize;
 
-    /// Sealed selectivity statistics for `keyword`, `None` when the
-    /// backend has no sealed stats for it (the planner then falls back
-    /// to the full merge — see [`crate::plan`]). `Some` with zero
-    /// counts means the keyword is known absent. The default is
-    /// *unknown*, so existing backends stay on the legacy path until
-    /// they opt in.
-    fn keyword_stats(&self, _keyword: &str) -> Option<crate::plan::KeywordStats> {
-        None
-    }
-
-    /// Resolves a query to its `D_1..D_k` keyword-node sets
-    /// (`getKeywordNodes`); `None` when some keyword has no match.
-    fn resolve(&self, query: &Query) -> Option<KeywordNodeSets> {
-        let mut sets = Vec::with_capacity(query.len());
-        for kw in query.keywords() {
-            let list = self.keyword_deweys(kw);
-            if list.is_empty() {
-                return None;
-            }
-            sets.push(list);
-        }
-        Some(KeywordNodeSets::new(query.clone(), sets))
-    }
-
-    // ---- fallible accessors -------------------------------------------
-    //
-    // The `try_` family is what `SearchEngine::execute` drives: backends
-    // that can fail after opening (an on-disk index hitting I/O errors
-    // or latent corruption) override these to surface a typed
-    // [`SourceError`] instead of panicking. The defaults delegate to
-    // the infallible accessors, so purely in-memory backends implement
-    // nothing extra.
-
-    /// Fallible form of [`CorpusSource::keyword_deweys`].
-    fn try_keyword_deweys(&self, keyword: &str) -> Result<Vec<Dewey>, SourceError> {
-        Ok(self.keyword_deweys(keyword))
-    }
-
-    /// Fallible form of [`CorpusSource::element`].
-    fn try_element(&self, dewey: &Dewey) -> Result<Option<SourceElement>, SourceError> {
-        Ok(self.element(dewey))
-    }
-
-    /// Fallible form of [`CorpusSource::element_label`].
+    /// The label id of one node only — what the fragment constructor
+    /// needs for the (far more numerous) non-keyword path nodes.
+    /// Backends override this to skip materializing the content-feature
+    /// strings a full [`CorpusSource::try_element`] carries.
     fn try_element_label(&self, dewey: &Dewey) -> Result<Option<u32>, SourceError> {
-        Ok(self.element_label(dewey))
+        Ok(self.try_element(dewey)?.map(|e| e.label))
     }
 
     /// Everything the constructing step reads of a **keyword node** —
@@ -191,9 +153,17 @@ pub trait CorpusSource: std::fmt::Debug + Send + Sync {
         Ok(arena.len())
     }
 
-    /// Fallible form of [`CorpusSource::resolve`] — built on
-    /// [`CorpusSource::try_keyword_deweys`], so overriding that one
-    /// method is enough to make resolution error-aware.
+    /// Sealed selectivity statistics for `keyword`, `None` when the
+    /// backend has no sealed stats for it (the planner then falls back
+    /// to the full merge — see [`crate::plan`]). `Some` with zero
+    /// counts means the keyword is known absent. The default is
+    /// *unknown*.
+    fn keyword_stats(&self, _keyword: &str) -> Option<KeywordStats> {
+        None
+    }
+
+    /// Resolves a query to its `D_1..D_k` keyword-node sets
+    /// (`getKeywordNodes`); `None` when some keyword has no match.
     fn try_resolve(&self, query: &Query) -> Result<Option<KeywordNodeSets>, SourceError> {
         let mut sets = Vec::with_capacity(query.len());
         for kw in query.keywords() {
@@ -207,66 +177,98 @@ pub trait CorpusSource: std::fmt::Debug + Send + Sync {
     }
 }
 
-macro_rules! delegate_corpus_source {
-    ($($ptr:ident),*) => {$(
-        /// Delegation so engines can share a source with outside
-        /// observers (e.g. keep reading an index reader's stats while a
-        /// `SearchEngine` owns it). `Rc` deliberately has no delegation:
-        /// a corpus is the shared `Send + Sync` half of the read path,
-        /// so cross-owner sharing goes through `Arc`.
-        impl<S: CorpusSource + ?Sized> CorpusSource for $ptr<S> {
-            fn keyword_deweys(&self, keyword: &str) -> Vec<Dewey> {
-                (**self).keyword_deweys(keyword)
-            }
-            fn element(&self, dewey: &Dewey) -> Option<SourceElement> {
-                (**self).element(dewey)
-            }
-            fn element_label(&self, dewey: &Dewey) -> Option<u32> {
-                (**self).element_label(dewey)
-            }
-            fn label_name(&self, label: u32) -> Option<String> {
-                (**self).label_name(label)
-            }
-            fn node_count(&self) -> usize {
-                (**self).node_count()
-            }
-            fn keyword_stats(&self, keyword: &str) -> Option<crate::plan::KeywordStats> {
-                (**self).keyword_stats(keyword)
-            }
-            fn resolve(&self, query: &Query) -> Option<KeywordNodeSets> {
-                (**self).resolve(query)
-            }
-            fn try_keyword_deweys(&self, keyword: &str) -> Result<Vec<Dewey>, SourceError> {
-                (**self).try_keyword_deweys(keyword)
-            }
-            fn try_element(&self, dewey: &Dewey) -> Result<Option<SourceElement>, SourceError> {
-                (**self).try_element(dewey)
-            }
-            fn try_element_label(&self, dewey: &Dewey) -> Result<Option<u32>, SourceError> {
-                (**self).try_element_label(dewey)
-            }
-            fn try_keyword_node(&self, dewey: &Dewey) -> Result<Option<(u32, Cid)>, SourceError> {
-                (**self).try_keyword_node(dewey)
-            }
-            fn try_keyword_deweys_into(
-                &self,
-                keyword: &str,
-                arena: &mut xks_xmltree::DeweyListBuf,
-            ) -> Result<usize, SourceError> {
-                (**self).try_keyword_deweys_into(keyword, arena)
-            }
-            fn try_resolve(
-                &self,
-                query: &Query,
-            ) -> Result<Option<KeywordNodeSets>, SourceError> {
-                (**self).try_resolve(query)
-            }
-        }
-    )*};
+/// Per-keyword sealed statistics of fully resident postings — the table
+/// the in-memory backends build once at construction, so the planner
+/// never scans a list per query.
+fn sealed_stats<'a>(
+    postings: impl Iterator<Item = (&'a str, &'a [Dewey])>,
+) -> HashMap<String, KeywordStats> {
+    postings
+        .map(|(kw, deweys)| {
+            let stats = KeywordStats {
+                postings: deweys.len() as u64,
+                docs: doc_frequency(deweys),
+            };
+            (kw.to_owned(), stats)
+        })
+        .collect()
 }
 
-use std::sync::Arc;
-delegate_corpus_source!(Box, Arc);
+/// The parsed-document backend: an [`XmlTree`] with the
+/// [`InvertedIndex`] built over it. Postings come from the index, node
+/// facts straight from the tree — no shredding in between, which is
+/// what makes this backend the independent oracle the shredded and
+/// on-disk backends are compared against.
+#[derive(Debug)]
+pub struct TreeCorpus {
+    tree: XmlTree,
+    index: InvertedIndex,
+    stats: HashMap<String, KeywordStats>,
+}
+
+impl TreeCorpus {
+    /// Indexes `tree` (index construction happens here).
+    #[must_use]
+    pub fn new(tree: XmlTree) -> Self {
+        let index = InvertedIndex::build(&tree);
+        let stats = sealed_stats(index.frequencies().map(|(kw, _)| (kw, index.postings(kw))));
+        TreeCorpus { tree, index, stats }
+    }
+
+    /// The parsed document.
+    #[must_use]
+    pub fn tree(&self) -> &XmlTree {
+        &self.tree
+    }
+
+    /// The inverted index over it.
+    #[must_use]
+    pub fn index(&self) -> &InvertedIndex {
+        &self.index
+    }
+}
+
+impl CorpusSource for TreeCorpus {
+    fn try_keyword_deweys(&self, keyword: &str) -> Result<Vec<Dewey>, SourceError> {
+        Ok(self.index.postings(keyword).to_vec())
+    }
+
+    fn try_element(&self, dewey: &Dewey) -> Result<Option<SourceElement>, SourceError> {
+        let Some(id) = self.tree.node_by_dewey(dewey) else {
+            return Ok(None);
+        };
+        let feature = |words| shared_cid(content_feature(&words));
+        Ok(Some(SourceElement {
+            label: self.tree.node(id).label.as_u32(),
+            level: dewey.level() as u32,
+            keyword_cid: feature(node_content(&self.tree, id)),
+            subtree_cid: feature(tree_content(&self.tree, id)),
+        }))
+    }
+
+    fn try_element_label(&self, dewey: &Dewey) -> Result<Option<u32>, SourceError> {
+        Ok(tree_label(&self.tree, dewey))
+    }
+
+    fn try_keyword_node(&self, dewey: &Dewey) -> Result<Option<(u32, Cid)>, SourceError> {
+        Ok(tree_keyword_node(&self.tree, dewey))
+    }
+
+    fn label_name(&self, label: u32) -> Option<String> {
+        let labels = self.tree.labels();
+        ((label as usize) < labels.len()).then(|| labels.name(LabelId(label)).to_owned())
+    }
+
+    fn node_count(&self) -> usize {
+        self.tree.len()
+    }
+
+    fn keyword_stats(&self, keyword: &str) -> Option<KeywordStats> {
+        // The index is authoritative by construction: an absent keyword
+        // is known absent (zero stats), not unknown.
+        Some(self.stats.get(keyword).copied().unwrap_or_default())
+    }
+}
 
 /// The in-memory backend: shredded tables plus the derived own-content
 /// features (the shredder stores subtree features only; the keyword-node
@@ -281,7 +283,7 @@ pub struct MemoryCorpus {
     doc: ShreddedDoc,
     postings: HashMap<String, Vec<Dewey>>,
     elements: HashMap<Dewey, SourceElement>,
-    stats: HashMap<String, crate::plan::KeywordStats>,
+    stats: HashMap<String, KeywordStats>,
 }
 
 impl MemoryCorpus {
@@ -313,16 +315,7 @@ impl MemoryCorpus {
                 (dewey, element)
             })
             .collect();
-        let stats = postings
-            .iter()
-            .map(|(kw, deweys)| {
-                let stats = crate::plan::KeywordStats {
-                    postings: deweys.len() as u64,
-                    docs: crate::plan::doc_frequency(deweys),
-                };
-                (kw.clone(), stats)
-            })
-            .collect();
+        let stats = sealed_stats(postings.iter().map(|(kw, d)| (kw.as_str(), d.as_slice())));
         MemoryCorpus {
             doc,
             postings,
@@ -365,18 +358,18 @@ pub fn own_content_features(doc: &ShreddedDoc) -> HashMap<String, (String, Strin
 }
 
 impl CorpusSource for MemoryCorpus {
-    fn keyword_deweys(&self, keyword: &str) -> Vec<Dewey> {
+    fn try_keyword_deweys(&self, keyword: &str) -> Result<Vec<Dewey>, SourceError> {
         // One memcpy-style clone of the pre-parsed list; the codes
         // themselves are inline for ordinary document depths.
-        self.postings.get(keyword).cloned().unwrap_or_default()
+        Ok(self.postings.get(keyword).cloned().unwrap_or_default())
     }
 
-    fn element(&self, dewey: &Dewey) -> Option<SourceElement> {
-        self.elements.get(dewey).cloned()
+    fn try_element(&self, dewey: &Dewey) -> Result<Option<SourceElement>, SourceError> {
+        Ok(self.elements.get(dewey).cloned())
     }
 
-    fn element_label(&self, dewey: &Dewey) -> Option<u32> {
-        self.elements.get(dewey).map(|e| e.label)
+    fn try_element_label(&self, dewey: &Dewey) -> Result<Option<u32>, SourceError> {
+        Ok(self.elements.get(dewey).map(|e| e.label))
     }
 
     fn try_keyword_node(&self, dewey: &Dewey) -> Result<Option<(u32, Cid)>, SourceError> {
@@ -394,7 +387,7 @@ impl CorpusSource for MemoryCorpus {
         self.doc.element_count()
     }
 
-    fn keyword_stats(&self, keyword: &str) -> Option<crate::plan::KeywordStats> {
+    fn keyword_stats(&self, keyword: &str) -> Option<KeywordStats> {
         // In-memory postings are sealed by construction; absent
         // keywords are known absent (zero stats), not unknown.
         Some(self.stats.get(keyword).copied().unwrap_or_default())
@@ -419,43 +412,45 @@ mod tests {
     fn keyword_deweys_match_tables() {
         let c = corpus();
         let liu: Vec<String> = c
-            .keyword_deweys("liu")
+            .try_keyword_deweys("liu")
+            .unwrap()
             .iter()
             .map(ToString::to_string)
             .collect();
         assert_eq!(liu, ["0.2.0.0.0.0", "0.2.0.3.0"]);
-        assert!(c.keyword_deweys("unobtainium").is_empty());
+        assert!(c.try_keyword_deweys("unobtainium").unwrap().is_empty());
     }
 
     #[test]
     fn element_exposes_own_and_subtree_features() {
         let c = corpus();
         // Leaf title node: own content = subtree content.
-        let title = c.element(&d("0.2.0.1")).unwrap();
+        let title = c.try_element(&d("0.2.0.1")).unwrap().unwrap();
         assert_eq!(title.keyword_cid, Some(("keyword".into(), "xml".into())));
         assert_eq!(title.subtree_cid, Some(("keyword".into(), "xml".into())));
         assert_eq!(c.label_name(title.label).as_deref(), Some("title"));
         // Interior node: own feature spans only its own words, the
         // subtree feature spans all descendants.
-        let articles = c.element(&d("0.2")).unwrap();
+        let articles = c.try_element(&d("0.2")).unwrap().unwrap();
         assert_eq!(
             articles.keyword_cid,
             Some(("articles".into(), "articles".into()))
         );
         let (smin, smax) = articles.subtree_cid.clone().unwrap();
         assert!(&*smin < "articles" || &*smax > "articles");
-        assert!(c.element(&d("0.9.9")).is_none());
+        assert!(c.try_element(&d("0.9.9")).unwrap().is_none());
     }
 
     #[test]
     fn resolve_builds_keyword_node_sets() {
         let c = corpus();
         let q = Query::parse("liu keyword").unwrap();
-        let sets = c.resolve(&q).unwrap();
+        let sets = c.try_resolve(&q).unwrap().unwrap();
         assert_eq!(sets.len(), 2);
         assert_eq!(sets.set(0).len(), 2);
         assert!(c
-            .resolve(&Query::parse("liu unobtainium").unwrap())
+            .try_resolve(&Query::parse("liu unobtainium").unwrap())
+            .unwrap()
             .is_none());
     }
 

@@ -39,8 +39,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use validrtf::engine::{AlgorithmKind, SearchEngine};
-//! use xks_index::Query;
+//! use validrtf::{SearchEngine, SearchRequest};
 //! use xks_persist::{IndexReader, IndexWriter};
 //!
 //! let tree = xks_xmltree::parse(
@@ -52,11 +51,10 @@
 //!
 //! let reader = IndexReader::open(&path).unwrap();
 //! let engine = SearchEngine::from_owned_source(reader);
-//! let result = engine.search(
-//!     &Query::parse("xml keyword").unwrap(),
-//!     AlgorithmKind::ValidRtf,
-//! );
-//! assert_eq!(result.fragments.len(), 1);
+//! let response = engine
+//!     .execute(&SearchRequest::parse("xml keyword").unwrap())
+//!     .unwrap();
+//! assert_eq!(response.hits.len(), 1);
 //! # std::fs::remove_file(&path).unwrap();
 //! ```
 

@@ -283,11 +283,9 @@ impl MutableCorpus {
                     [_, ordinal, ..] => ordinal + 1,
                     _ => 0,
                 };
-                Arc::new(MutableSource::from_base(
-                    Arc::clone(base) as Arc<dyn CorpusSource>,
-                    labels,
-                    next_doc,
-                ))
+                let base = Arc::clone(base) as Arc<dyn CorpusSource>;
+                let source = MutableSource::from_base(base, labels, next_doc);
+                Arc::new(source.map_err(MutationError::from)?)
             }
             None => match records.next() {
                 Some(WalRecord::Init { root_label }) => {
@@ -399,7 +397,11 @@ impl MutableCorpus {
     /// before this returns.
     pub fn delete(&mut self, ordinal: u32) -> Result<(), MutableError> {
         self.ensure_usable()?;
-        if !self.source.exists(ordinal) {
+        if !self
+            .source
+            .try_exists(ordinal)
+            .map_err(MutationError::from)?
+        {
             return Err(MutationError::UnknownDocument(ordinal).into());
         }
         self.wal.append(&WalRecord::Delete { ordinal })?;
@@ -528,6 +530,10 @@ impl MutableCorpus {
                 self.injector.clone(),
             )?;
             let base = Arc::new(ShardedCorpus::open(&manifest_path)?);
+            let labels = base.readers()[0].labels().to_vec();
+            self.source
+                .swap_base(Arc::clone(&base) as Arc<dyn CorpusSource>, labels)
+                .map_err(MutationError::from)?;
             Ok((wal, base))
         })();
         let (wal, base) = match phase4 {
@@ -549,9 +555,6 @@ impl MutableCorpus {
                     .collect()
             })
             .unwrap_or_default();
-        let labels = base.readers()[0].labels().to_vec();
-        self.source
-            .swap_base(Arc::clone(&base) as Arc<dyn CorpusSource>, labels);
         self.base = Some(Arc::clone(&base));
         self.wal = wal;
         remove_best_effort(&old_names);

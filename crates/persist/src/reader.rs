@@ -1242,28 +1242,10 @@ fn decode_labels(bytes: &[u8], expected: u64) -> Result<Vec<String>, PersistErro
     Ok(labels)
 }
 
+// Every PersistError met after a successful open (I/O, truncation,
+// checksum, corruption) becomes a typed SourceError, keeping the
+// engine's execute path panic-free on any backend failure.
 impl CorpusSource for IndexReader {
-    /// # Panics
-    /// Panics on I/O errors or index corruption detected *after* a
-    /// successful [`IndexReader::open`] (this legacy accessor is
-    /// infallible; the `try_` trait family — what
-    /// `SearchEngine::execute` drives — surfaces the same failures as
-    /// typed errors instead).
-    fn keyword_deweys(&self, keyword: &str) -> Vec<Dewey> {
-        self.try_keyword_deweys(keyword)
-            .unwrap_or_else(|e| panic!("xks-persist: keyword lookup failed: {e}"))
-    }
-
-    fn element(&self, dewey: &Dewey) -> Option<SourceElement> {
-        CorpusSource::try_element(self, dewey)
-            .unwrap_or_else(|e| panic!("xks-persist: element lookup failed: {e}"))
-    }
-
-    fn element_label(&self, dewey: &Dewey) -> Option<u32> {
-        self.cached_label(dewey)
-            .unwrap_or_else(|e| panic!("xks-persist: element lookup failed: {e}"))
-    }
-
     fn label_name(&self, label: u32) -> Option<String> {
         self.label(label).map(str::to_owned)
     }
@@ -1277,10 +1259,6 @@ impl CorpusSource for IndexReader {
         // path) rather than surfacing an error mid-planning.
         IndexReader::keyword_stats(self, keyword).ok()
     }
-
-    // The fallible family routes every PersistError (I/O, truncation,
-    // checksum, corruption) into a typed SourceError, keeping the
-    // engine's execute path panic-free on any backend failure.
 
     fn try_keyword_deweys(&self, keyword: &str) -> Result<Vec<Dewey>, SourceError> {
         // Inherent method (returns PersistError), not this trait fn.
@@ -1461,7 +1439,9 @@ mod tests {
     #[test]
     fn corpus_source_impl_serves_engine_facts() {
         let (reader, path) = open_publications("source.xks");
-        let title = CorpusSource::element(&reader, &"0.2.0.1".parse().unwrap()).unwrap();
+        let title = CorpusSource::try_element(&reader, &"0.2.0.1".parse().unwrap())
+            .unwrap()
+            .unwrap();
         assert_eq!(reader.label_name(title.label).as_deref(), Some("title"));
         assert_eq!(title.keyword_cid, Some(("keyword".into(), "xml".into())));
         assert_eq!(reader.node_count() as u64, reader.element_count());
@@ -1569,7 +1549,7 @@ mod tests {
                         }
                         for row in doc.elements.iter().take(10) {
                             let dewey: Dewey = row.dewey.parse().unwrap();
-                            let label = reader.element_label(&dewey).expect("present");
+                            let label = reader.try_element_label(&dewey).unwrap().expect("present");
                             assert_eq!(label, row.label);
                         }
                     }
@@ -1681,7 +1661,7 @@ mod tests {
     fn document_order_sweep_costs_a_few_probes_per_lookup() {
         let (reader, rows) = open_generated("finger-sweep.xks", 0);
         for dewey in &rows {
-            assert!(reader.element_label(dewey).is_some());
+            assert!(reader.try_element_label(dewey).unwrap().is_some());
         }
         let stats = reader.stats();
         assert_eq!(
@@ -1698,7 +1678,7 @@ mod tests {
         let (scattered, _) = open_generated("finger-scatter.xks", 0);
         for i in 0..rows.len() {
             let dewey = &rows[i * 7919 % rows.len()];
-            assert!(scattered.element_label(dewey).is_some());
+            assert!(scattered.try_element_label(dewey).unwrap().is_some());
         }
         assert!(scattered.stats().element_probes > 3 * stats.element_probes);
     }
@@ -1711,7 +1691,7 @@ mod tests {
         let sweep = || {
             let before = reader.stats();
             for dewey in swept {
-                assert!(reader.element_label(dewey).is_some());
+                assert!(reader.try_element_label(dewey).unwrap().is_some());
             }
             let after = reader.stats();
             (

@@ -467,18 +467,6 @@ impl xks_obs::MetricSource for ShardedCorpus {
 }
 
 impl CorpusSource for ShardedCorpus {
-    fn keyword_deweys(&self, keyword: &str) -> Vec<Dewey> {
-        self.set.keyword_deweys(keyword)
-    }
-
-    fn element(&self, dewey: &Dewey) -> Option<SourceElement> {
-        self.set.element(dewey)
-    }
-
-    fn element_label(&self, dewey: &Dewey) -> Option<u32> {
-        self.set.element_label(dewey)
-    }
-
     fn label_name(&self, label: u32) -> Option<String> {
         self.set.label_name(label)
     }
@@ -597,8 +585,8 @@ mod tests {
         for kw in ["liu", "keyword", "xml", "unobtainium"] {
             assert_eq!(set.shard_skips(kw), 0, "{kw}: v1 manifest has no filters");
             assert_eq!(
-                v1_corpus.keyword_deweys(kw),
-                v2_corpus.keyword_deweys(kw),
+                v1_corpus.try_keyword_deweys(kw).unwrap(),
+                v2_corpus.try_keyword_deweys(kw).unwrap(),
                 "{kw}"
             );
             // Per-shard stats come from the shard readers, not the
@@ -627,13 +615,17 @@ mod tests {
         for kw in ["liu", "keyword", "xml", "publications", "unobtainium"] {
             assert_eq!(
                 corpus.try_keyword_deweys(kw).unwrap(),
-                memory.keyword_deweys(kw),
+                memory.try_keyword_deweys(kw).unwrap(),
                 "{kw}"
             );
         }
         for row in &doc.elements {
             let dewey: Dewey = row.dewey.parse().unwrap();
-            assert_eq!(corpus.element(&dewey), memory.element(&dewey), "{dewey}");
+            assert_eq!(
+                corpus.try_element(&dewey).unwrap(),
+                memory.try_element(&dewey).unwrap(),
+                "{dewey}"
+            );
         }
         assert_eq!(corpus.node_count(), memory.node_count());
         assert_eq!(corpus.label_name(0), memory.label_name(0));

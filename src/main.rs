@@ -158,23 +158,31 @@ fn is_shard_manifest(path: &str) -> Result<bool, String> {
     }
 }
 
+/// The live-metrics handle of an opened index: shares its readers with
+/// the engine (`Arc` all the way down), so the counters a workload
+/// bumps are the ones it collects.
+type IndexMetrics = Arc<dyn MetricSource + Send + Sync>;
+
 /// Opens `--index` as whatever it is: a shard manifest becomes a
 /// scatter-gather engine over a [`ShardedCorpus`] (fan-out from
 /// `--shard-threads`, default `min(shards, cores)`), a monolithic
 /// `.xks` becomes the familiar single-reader engine.
-fn open_index_engine(path: &str, shard_threads: Option<usize>) -> Result<SearchEngine, String> {
+fn open_index_engine(path: &str, flags: &Flags) -> Result<(SearchEngine, IndexMetrics), String> {
     if is_shard_manifest(path)? {
         let corpus = ShardedCorpus::open(Path::new(path))
             .map_err(|e| format!("cannot open sharded index {path}: {e}"))?;
         let mut engine = SearchEngine::from_shard_set(corpus.shard_set());
-        if let Some(threads) = shard_threads {
+        if let Some(threads) = flags.get_usize("shard-threads")? {
             engine = engine.with_scatter_threads(threads);
         }
-        Ok(engine)
+        Ok((engine, Arc::new(corpus)))
     } else {
-        let reader = IndexReader::open(Path::new(path))
-            .map_err(|e| format!("cannot open index {path}: {e}"))?;
-        Ok(SearchEngine::from_owned_source(reader))
+        let reader = Arc::new(
+            IndexReader::open(Path::new(path))
+                .map_err(|e| format!("cannot open index {path}: {e}"))?,
+        );
+        let engine = SearchEngine::from_source(Arc::clone(&reader) as _);
+        Ok((engine, reader))
     }
 }
 
@@ -284,8 +292,7 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
                             .to_owned(),
                     );
                 }
-                let engine = open_index_engine(index_file, flags.get_usize("shard-threads")?)?;
-                (engine, queries)
+                (open_index_engine(index_file, &flags)?.0, queries)
             }
             None => {
                 let [file, queries @ ..] = positional.as_slice() else {
@@ -388,7 +395,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     // The full metric catalog (durability + server) shows up in /stats
     // as explicit zeros even before any traffic.
     preregister_durability_metrics();
-    type Collector = (String, Arc<dyn MetricSource + Send + Sync>);
+    type Collector = (String, IndexMetrics);
     let reject_positional = || -> Result<(), String> {
         if let [extra, ..] = positional.as_slice() {
             return Err(format!(
@@ -406,22 +413,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             (engine, Some(("corpus.".to_owned(), Arc::new(corpus) as _)))
         } else if let Some(index_file) = flags.get_str("index") {
             reject_positional()?;
-            if is_shard_manifest(index_file)? {
-                let corpus = ShardedCorpus::open(Path::new(index_file))
-                    .map_err(|e| format!("cannot open sharded index {index_file}: {e}"))?;
-                let mut engine = SearchEngine::from_shard_set(corpus.shard_set());
-                if let Some(threads) = flags.get_usize("shard-threads")? {
-                    engine = engine.with_scatter_threads(threads);
-                }
-                (engine, Some(("index.".to_owned(), Arc::new(corpus) as _)))
-            } else {
-                let reader = Arc::new(
-                    IndexReader::open(Path::new(index_file))
-                        .map_err(|e| format!("cannot open index {index_file}: {e}"))?,
-                );
-                let engine = SearchEngine::from_source(Arc::clone(&reader) as _);
-                (engine, Some(("index.".to_owned(), reader as _)))
-            }
+            let (engine, metrics) = open_index_engine(index_file, &flags)?;
+            (engine, Some(("index.".to_owned(), metrics)))
         } else {
             let [file] = positional.as_slice() else {
                 return Err(format!(
@@ -477,8 +470,7 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
         let [query] = positional.as_slice() else {
             return Err(format!("explain --index needs one <query>\n{USAGE}"));
         };
-        let engine = open_index_engine(index_file, flags.get_usize("shard-threads")?)?;
-        (engine, query)
+        (open_index_engine(index_file, &flags)?.0, query)
     } else {
         let [file, query] = positional.as_slice() else {
             return Err(format!("explain needs <file.xml> and <query>\n{USAGE}"));
@@ -609,15 +601,18 @@ fn print_text_response(
     for raw in &stats.dropped_terms {
         eprintln!("note: duplicate term {raw:?} dropped");
     }
+    // Only a parsed tree keeps the original text `--xml` and the
+    // stored-text outline show; every other backend marks keyword nodes.
+    let tree = engine.parsed_tree();
     for hit in response.hits.iter().take(limit) {
         match hit.score {
             Some(score) => println!("# anchor {} (score {score:.3})", hit.fragment.anchor),
             None => println!("# anchor {}", hit.fragment.anchor),
         }
-        match engine.corpus() {
-            Some(source) => print!("{}", hit.fragment.render_source(source)),
-            None if as_xml => println!("{}", hit.fragment.to_xml(engine.tree())),
-            None => print!("{}", hit.fragment.render(engine.tree())),
+        match tree {
+            None => print!("{}", hit.fragment.render_source(engine.source())),
+            Some(tree) if as_xml => println!("{}", hit.fragment.to_xml(tree)),
+            Some(tree) => print!("{}", hit.fragment.render(tree)),
         }
     }
     if response.hits.len() > limit {
@@ -669,7 +664,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
                      drop --index to bench an XML document\n{USAGE}"
                 ));
             }
-            open_index_engine(index_file, flags.get_usize("shard-threads")?)?
+            open_index_engine(index_file, &flags)?.0
         }
         None => {
             let [file] = positional.as_slice() else {
@@ -945,29 +940,7 @@ fn cmd_stats_index(index_file: &str, flags: &Flags) -> Result<(), String> {
     let top_k = flags.get_usize("top-k")?;
     let threads = flags.get_usize("threads")?.unwrap_or(1).max(1);
 
-    // The collection handle and the engine share the same readers
-    // (`Arc` all the way down), so the counters the workload bumps are
-    // the ones collected below.
-    enum Collector {
-        Mono(Arc<IndexReader>),
-        Sharded(ShardedCorpus),
-    }
-    let (engine, collector) = if is_shard_manifest(index_file)? {
-        let corpus = ShardedCorpus::open(Path::new(index_file))
-            .map_err(|e| format!("cannot open sharded index {index_file}: {e}"))?;
-        let mut engine = SearchEngine::from_shard_set(corpus.shard_set());
-        if let Some(threads) = flags.get_usize("shard-threads")? {
-            engine = engine.with_scatter_threads(threads);
-        }
-        (engine, Collector::Sharded(corpus))
-    } else {
-        let reader = Arc::new(
-            IndexReader::open(Path::new(index_file))
-                .map_err(|e| format!("cannot open index {index_file}: {e}"))?,
-        );
-        let engine = SearchEngine::from_source(Arc::clone(&reader) as _);
-        (engine, Collector::Mono(reader))
-    };
+    let (engine, metrics) = open_index_engine(index_file, flags)?;
 
     if let Some(queries_file) = flags.get_str("queries") {
         let lines = read_query_file(queries_file)?;
@@ -982,10 +955,7 @@ fn cmd_stats_index(index_file: &str, flags: &Flags) -> Result<(), String> {
     }
 
     let mut snap = xks::obs::global().snapshot();
-    match &collector {
-        Collector::Mono(reader) => reader.collect_into("index.", &mut snap),
-        Collector::Sharded(corpus) => corpus.collect_into("index.", &mut snap),
-    }
+    metrics.collect_into("index.", &mut snap);
     println!("{}", snap.to_json());
     Ok(())
 }

@@ -9,9 +9,9 @@
 
 use std::sync::Arc;
 
-use xks::core::engine::{SearchEngine, SearchResult};
+use xks::core::engine::SearchEngine;
 use xks::core::executor::BatchStats;
-use xks::core::{CorpusSource, MemoryCorpus, QueryContext};
+use xks::core::{CorpusSource, MemoryCorpus, QueryContext, SearchResponse};
 use xks::persist::pool::BufferPool;
 use xks::persist::IndexReader;
 
@@ -28,10 +28,10 @@ const _: () = {
     assert_send_sync::<dyn CorpusSource>();
     assert_send_sync::<BufferPool>();
 
-    // The engine itself (both constructors produce the same type), and
+    // The engine itself (every constructor produces the same type), and
     // what the executor moves across threads.
     assert_send_sync::<SearchEngine>();
-    assert_send::<SearchResult>();
+    assert_send::<SearchResponse>();
     assert_send::<BatchStats>();
 
     // The per-thread half only needs Send (it is never shared).
