@@ -92,8 +92,7 @@ pub fn run_batch(
 }
 
 /// Like [`run_batch`] but also reporting how many requests each worker
-/// claimed — the observability hook the `hotpath_mt` bench and the CLI
-/// use.
+/// claimed — the observability hook `xks bench` and `xks stats` use.
 #[must_use]
 pub fn run_batch_stats(
     engine: &SearchEngine,

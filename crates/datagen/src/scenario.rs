@@ -164,7 +164,7 @@ impl QueryClass {
         QueryClass::Adversarial,
     ];
 
-    /// Lowercase class name (used in `BENCH_matrix.json` and query-file
+    /// Lowercase class name (used in the golden digests and query-file
     /// comments).
     #[must_use]
     pub fn name(self) -> &'static str {

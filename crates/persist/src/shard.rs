@@ -5,11 +5,11 @@
 //! posting-merge stream) can serve. [`write_sharded`] instead
 //! partitions the documents (`xks_store::partition` — contiguous
 //! top-level ranges balanced by element rows, root rows in shard 0,
-//! label table replicated) and writes one ordinary v1 `.xks` file per
+//! label table replicated) and writes one ordinary `.xks` file per
 //! shard plus a **shard manifest** (`.xksm`) recording the topology and
 //! per-shard stats. [`ShardedCorpus::open`] validates the manifest
 //! (magic, version, trailing CRC-32 — the same single-byte-flip
-//! guarantees as the v1 header) and opens every shard through its own
+//! guarantees as the `.xks` header) and opens every shard through its own
 //! [`IndexReader`] with its own buffer pool and caches.
 //!
 //! `ShardedCorpus` implements [`CorpusSource`] by delegating to a
@@ -289,7 +289,7 @@ fn shard_file_name(manifest_path: &Path, i: usize) -> String {
 /// The part count is clamped to the number of top-level documents, so
 /// the manifest may record fewer shards than requested.
 ///
-/// Every shard file is an ordinary v1 index — [`IndexReader::open`]
+/// Every shard file is an ordinary `.xks` index — [`IndexReader::open`]
 /// reads one in isolation — and the manifest is written **last**, so a
 /// crash mid-build never leaves a manifest pointing at missing shards.
 pub fn write_sharded(
@@ -354,7 +354,7 @@ impl ShardedCorpus {
 
     /// Opens a manifest and every shard it names. Shard paths resolve
     /// relative to the manifest's directory; each shard file goes
-    /// through the full v1 open-time validation (header CRC, section
+    /// through the full `.xks` open-time validation (header CRC, section
     /// bounds, count cross-checks), and each shard's element count,
     /// keyword count, and file length are additionally cross-checked
     /// against the manifest, so a swapped-in foreign shard file is

@@ -11,8 +11,8 @@ use xks_xmltree::{Dewey, XmlTree};
 use crate::codec::{crc32, put_cid, put_postings, put_str, put_varint};
 use crate::error::PersistError;
 use crate::format::{
-    align_up, check_page_size, Header, Section, SectionEntry, DEFAULT_PAGE_SIZE, MIN_VERSION,
-    SECTION_COUNT, VERSION,
+    align_up, check_page_size, Header, Section, SectionEntry, DEFAULT_PAGE_SIZE, SECTION_COUNT,
+    VERSION,
 };
 
 /// What [`IndexWriter::write`] produced.
@@ -38,14 +38,12 @@ pub struct WriteSummary {
 #[derive(Debug, Clone, Copy)]
 pub struct IndexWriter {
     page_size: u32,
-    format_version: u16,
 }
 
 impl Default for IndexWriter {
     fn default() -> Self {
         IndexWriter {
             page_size: DEFAULT_PAGE_SIZE,
-            format_version: VERSION,
         }
     }
 }
@@ -61,22 +59,7 @@ impl IndexWriter {
     /// `[512, 1 MiB]`).
     pub fn with_page_size(page_size: u32) -> Result<Self, PersistError> {
         check_page_size(page_size)?;
-        Ok(IndexWriter {
-            page_size,
-            format_version: VERSION,
-        })
-    }
-
-    /// Selects the on-disk format version to emit
-    /// ([`MIN_VERSION`]..=[`VERSION`]). Version 1 omits the per-keyword
-    /// stats — used by the v1→v2 compatibility tests; production
-    /// writers keep the default (current) version.
-    pub fn with_format_version(mut self, version: u16) -> Result<Self, PersistError> {
-        if !(MIN_VERSION..=VERSION).contains(&version) {
-            return Err(PersistError::UnsupportedVersion { found: version });
-        }
-        self.format_version = version;
-        Ok(self)
+        Ok(IndexWriter { page_size })
     }
 
     /// Shreds a parsed tree and writes its index to `path`.
@@ -96,8 +79,7 @@ impl IndexWriter {
         let labels = encode_labels(doc);
         let (element_offsets, elements) = encode_elements(doc)?;
         let postings_input = doc.to_postings();
-        let (keyword_offsets, keyword_dict, postings) =
-            encode_keywords(&postings_input, self.format_version);
+        let (keyword_offsets, keyword_dict, postings) = encode_keywords(&postings_input);
 
         let payloads: [&[u8]; SECTION_COUNT] = [
             &labels,
@@ -121,7 +103,7 @@ impl IndexWriter {
         let file_len = cursor;
 
         let header = Header {
-            version: self.format_version,
+            version: VERSION,
             page_size: self.page_size,
             element_count: doc.element_count() as u64,
             keyword_count: postings_input.len() as u64,
@@ -203,12 +185,10 @@ fn encode_elements(doc: &ShreddedDoc) -> Result<(Vec<u8>, Vec<u8>), PersistError
 }
 
 /// Keyword dictionary (sorted by keyword, byte order), its offset array,
-/// and the postings blob the dictionary points into. Format version 2
-/// appends the keyword's document frequency to each entry.
-fn encode_keywords(
-    postings_input: &[(String, Vec<Dewey>)],
-    format_version: u16,
-) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+/// and the postings blob the dictionary points into. Each entry ends
+/// with the keyword's document frequency (absent from version-1 files,
+/// which the reader still accepts).
+fn encode_keywords(postings_input: &[(String, Vec<Dewey>)]) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
     let mut offsets = Vec::with_capacity(postings_input.len() * 8);
     let mut dict = Vec::new();
     let mut postings = Vec::new();
@@ -221,9 +201,7 @@ fn encode_keywords(
         put_varint(&mut dict, deweys.len() as u64);
         put_varint(&mut dict, run_start);
         put_varint(&mut dict, run_len);
-        if format_version >= 2 {
-            put_varint(&mut dict, validrtf::plan::doc_frequency(deweys));
-        }
+        put_varint(&mut dict, validrtf::plan::doc_frequency(deweys));
     }
     (offsets, dict, postings)
 }

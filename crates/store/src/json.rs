@@ -1,11 +1,11 @@
-//! Minimal JSON reader/writer for snapshots.
+//! Minimal JSON reader/writer.
 //!
-//! The build environment has no crates.io access, so snapshots are
-//! (de)serialized through this small hand-rolled JSON module instead of
-//! `serde_json`. It supports what [`crate::snapshot`] needs — objects,
+//! The build environment has no crates.io access, so everything that
+//! speaks JSON — the CLI's `--format json` output, the `wire` renderers
+//! and the HTTP server's request bodies — goes through this small
+//! hand-rolled module instead of `serde_json`. It supports objects,
 //! arrays, strings (with `\uXXXX` escapes), unsigned integers, `null`,
-//! and booleans — plus finite floats for the CLI's `--format json`
-//! search output (rank scores, fractional timings).
+//! booleans, and finite floats (rank scores, fractional timings).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -17,7 +17,7 @@ pub enum Value {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// A number (snapshots only use unsigned integers).
+    /// An unsigned integer.
     Num(u64),
     /// A floating-point number (CLI scores/timings; never NaN or
     /// infinite — non-finite floats serialize as `null`).
@@ -26,7 +26,7 @@ pub enum Value {
     Str(String),
     /// An array.
     Arr(Vec<Value>),
-    /// An object (key order is not preserved; snapshots don't care).
+    /// An object (keys come back sorted, not in input order).
     Obj(BTreeMap<String, Value>),
 }
 
@@ -517,7 +517,7 @@ mod tests {
             assert_eq!(v.as_f64(), Some(want), "{text}");
             assert_eq!(parse(&to_string(&v)).unwrap(), v, "{text}");
         }
-        // Integers stay integers (snapshots depend on as_u64).
+        // Integers stay integers (request fields are read with as_u64).
         assert_eq!(parse("7").unwrap(), Value::Num(7));
         // Non-finite floats degrade to null on write.
         assert_eq!(to_string(&Value::Float(f64::NAN)), "null");

@@ -12,9 +12,10 @@
 //! This crate reproduces those three tables in memory (columnar structs
 //! of rows) plus the lookups the algorithms need: *keyword → Dewey
 //! codes* against the `value` table, and *Dewey → label-number-sequence /
-//! content feature* against the `element` table. A snapshot can be
-//! persisted to and reloaded from JSON, standing in for the database
-//! (see `DESIGN.md` §2).
+//! content feature* against the `element` table. The stored form of a
+//! shredded document is the paged `.xks` file written by `xks-persist`;
+//! [`json`] is the JSON value model the CLI, `wire` and the HTTP server
+//! share.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -22,7 +23,6 @@
 pub mod json;
 pub mod partition;
 pub mod shred;
-pub mod snapshot;
 pub mod tables;
 
 pub use partition::{partition, CorpusPart};

@@ -59,9 +59,8 @@ pub struct ShreddedDoc {
     pub elements: Vec<ElementRow>,
     /// `value` table rows.
     pub values: Vec<ValueRow>,
-    /// Derived: keyword → sorted, deduplicated Dewey strings. Rebuilt
-    /// from the `value` table on load (snapshots store only the three
-    /// tables).
+    /// Derived: keyword → sorted, deduplicated Dewey strings, built from
+    /// the `value` table by [`ShreddedDoc::rebuild_indexes`].
     keyword_index: BTreeMap<String, Vec<String>>,
     /// Derived: dewey string → row offset in `elements`.
     element_offsets: HashMap<String, usize>,
@@ -79,7 +78,7 @@ impl ShreddedDoc {
 
     /// Assembles a document from raw table rows (derived lookups are
     /// empty until [`ShreddedDoc::rebuild_indexes`] runs). Used by the
-    /// snapshot loader.
+    /// partitioner and the mutable corpus's compaction.
     #[must_use]
     pub fn from_tables(
         labels: Vec<String>,
@@ -95,7 +94,7 @@ impl ShreddedDoc {
     }
 
     /// Rebuilds the derived lookup structures (called by the shredder and
-    /// after deserialization).
+    /// after [`ShreddedDoc::from_tables`]).
     pub fn rebuild_indexes(&mut self) {
         self.element_offsets = self
             .elements
@@ -160,12 +159,6 @@ impl ShreddedDoc {
         self.values.iter().filter(|r| r.keyword == keyword).count()
     }
 
-    /// Number of keyword *nodes* for `keyword` (distinct Dewey codes).
-    #[must_use]
-    pub fn keyword_node_count(&self, keyword: &str) -> usize {
-        self.keyword_index.get(keyword).map_or(0, Vec::len)
-    }
-
     /// Iterates all `(keyword, node-count)` pairs in lexical order.
     pub fn keyword_stats(&self) -> impl Iterator<Item = (&str, usize)> {
         self.keyword_index
@@ -173,9 +166,9 @@ impl ShreddedDoc {
             .map(|(k, v)| (k.as_str(), v.len()))
     }
 
-    /// Exports the derived keyword index as raw postings — the bridge
-    /// to `xks_index::InvertedIndex::from_postings` for callers that
-    /// load a snapshot instead of re-parsing the XML.
+    /// Exports the derived keyword index as raw postings — what the
+    /// `.xks` writer encodes into the keyword dictionary and postings
+    /// sections.
     #[must_use]
     pub fn to_postings(&self) -> Vec<(String, Vec<Dewey>)> {
         self.keyword_index
@@ -298,7 +291,6 @@ mod tests {
     fn frequencies() {
         let d = doc();
         assert_eq!(d.keyword_frequency("alpha"), 3);
-        assert_eq!(d.keyword_node_count("alpha"), 2);
         assert_eq!(d.vocabulary_size(), 1);
         let stats: Vec<(&str, usize)> = d.keyword_stats().collect();
         assert_eq!(stats, vec![("alpha", 2)]);

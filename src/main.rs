@@ -10,7 +10,6 @@
 //! xks compare <file.xml> "<query>" [--format json|text]
 //! xks stats <file.xml> [--top N]
 //! xks stats --index <file.xks|file.xksm> [--queries <queries.txt>] [--threads N] [--algo ...] [--shard-threads N]
-//! xks shred <file.xml> <out.json>
 //! xks build-index <file.xml> <out.xks> [--page-size N]
 //! xks build-index <file.xml> <out.xksm> --shards N [--page-size N]
 //! xks index-stats <file.xks|file.xksm> [--format json|text]
@@ -79,7 +78,6 @@ fn main() -> ExitCode {
         "bench" => cmd_bench(&args[1..]),
         "compare" => cmd_compare(&args[1..]),
         "stats" => cmd_stats(&args[1..]),
-        "shred" => cmd_shred(&args[1..]),
         "build-index" => cmd_build_index(&args[1..]),
         "index-stats" => cmd_index_stats(&args[1..]),
         "verify" => cmd_verify(&args[1..]),
@@ -110,11 +108,10 @@ const USAGE: &str = "usage:
   xks explain <file.xml> \"<query>\" [same flags]
   xks explain \"<query>\" --corpus <dir> [same flags]
   xks bench   --index <file.xks|file.xksm> --queries <queries.txt> [--threads N] [--sweeps N] [--algo valid|maxmatch|slca] [--top-k N] [--format json|text] [--shard-threads N]
-  xks bench   <file.xml> --queries <queries.txt> [same flags]
+  xks bench   <file.xml> | --corpus <dir>  --queries <queries.txt> [same flags]
   xks compare <file.xml> \"<query>\" [--format json|text]
   xks stats   <file.xml> [--top N]
   xks stats   --index <file.xks|file.xksm> [--queries <queries.txt>] [--threads N] [--algo valid|maxmatch|slca] [--top-k N] [--shard-threads N]
-  xks shred   <file.xml> <out.json>
   xks build-index <file.xml> <out.xks> [--page-size N]
   xks build-index <file.xml> <out.xksm> --shards N [--page-size N]
   xks index-stats <file.xks|file.xksm> [--format json|text]
@@ -183,6 +180,35 @@ fn open_index_engine(path: &str, flags: &Flags) -> Result<(SearchEngine, IndexMe
         );
         let engine = SearchEngine::from_source(Arc::clone(&reader) as _);
         Ok((engine, reader))
+    }
+}
+
+/// A stored backend's live-metrics handle and the prefix its counters
+/// report under (`index.` / `corpus.`); a parsed XML file has none.
+type Collector = (&'static str, IndexMetrics);
+
+/// Opens the backend a query command names — `--corpus <dir>`,
+/// `--index <file.xks|file.xksm>`, or a leading `<file.xml>`
+/// positional — and returns the positionals it did not consume.
+fn open_engine<'a>(
+    positional: &'a [String],
+    flags: &Flags,
+) -> Result<(SearchEngine, Option<Collector>, &'a [String]), String> {
+    if let Some(dir) = flags.get_str("corpus") {
+        let corpus = MutableCorpus::open(Path::new(dir))
+            .map_err(|e| format!("cannot open corpus {dir}: {e}"))?;
+        let engine = SearchEngine::from_source(corpus.source() as _);
+        Ok((engine, Some(("corpus.", Arc::new(corpus))), positional))
+    } else if let Some(index_file) = flags.get_str("index") {
+        let (engine, metrics) = open_index_engine(index_file, flags)?;
+        Ok((engine, Some(("index.", metrics)), positional))
+    } else {
+        let [file, rest @ ..] = positional else {
+            return Err(format!(
+                "needs --index <file.xks|file.xksm>, --corpus <dir>, or <file.xml>\n{USAGE}"
+            ));
+        };
+        Ok((SearchEngine::new(load_tree(file)?), None, rest))
     }
 }
 
@@ -263,48 +289,17 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
 
     // One or more query strings; several queries fan out over the
     // executor's worker threads (`--threads N`).
-    let (engine, query_args) = if let Some(dir) = flags.get_str("corpus") {
-        let queries = positional.as_slice();
-        if queries.is_empty() {
-            return Err(format!("search --corpus needs <query>\n{USAGE}"));
-        }
-        if as_xml {
-            return Err(
-                "--xml needs the original document; mutable corpora keep only \
-                 keywords (drop --xml)"
-                    .to_owned(),
-            );
-        }
-        let corpus = MutableCorpus::open(Path::new(dir))
-            .map_err(|e| format!("cannot open corpus {dir}: {e}"))?;
-        (SearchEngine::from_source(corpus.source() as _), queries)
-    } else {
-        match flags.get_str("index") {
-            Some(index_file) => {
-                let queries = positional.as_slice();
-                if queries.is_empty() {
-                    return Err(format!("search --index needs <query>\n{USAGE}"));
-                }
-                if as_xml {
-                    return Err(
-                        "--xml needs the original document; shredded indexes keep only \
-                     keywords (drop --xml or search the .xml file)"
-                            .to_owned(),
-                    );
-                }
-                (open_index_engine(index_file, &flags)?.0, queries)
-            }
-            None => {
-                let [file, queries @ ..] = positional.as_slice() else {
-                    return Err(format!("search needs <file.xml> and <query>\n{USAGE}"));
-                };
-                if queries.is_empty() {
-                    return Err(format!("search needs <file.xml> and <query>\n{USAGE}"));
-                }
-                (SearchEngine::new(load_tree(file)?), queries)
-            }
-        }
-    };
+    let (engine, _, query_args) = open_engine(&positional, &flags)?;
+    if query_args.is_empty() {
+        return Err(format!("search needs at least one <query>\n{USAGE}"));
+    }
+    if as_xml && engine.parsed_tree().is_none() {
+        return Err(
+            "--xml needs the original document; stored indexes and corpora keep only \
+             keywords (drop --xml or search the .xml file)"
+                .to_owned(),
+        );
+    }
     let mut requests = build_requests(query_args, algo, top_k, ranked, traced)?;
     if let Some(budget) = timeout {
         // Each query gets its own budget, measured from here — queueing
@@ -395,34 +390,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     // The full metric catalog (durability + server) shows up in /stats
     // as explicit zeros even before any traffic.
     preregister_durability_metrics();
-    type Collector = (String, IndexMetrics);
-    let reject_positional = || -> Result<(), String> {
-        if let [extra, ..] = positional.as_slice() {
-            return Err(format!(
-                "serve --index/--corpus takes no positional file (got {extra:?})\n{USAGE}"
-            ));
-        }
-        Ok(())
-    };
-    let (engine, collector): (SearchEngine, Option<Collector>) =
-        if let Some(dir) = flags.get_str("corpus") {
-            reject_positional()?;
-            let corpus = MutableCorpus::open(Path::new(dir))
-                .map_err(|e| format!("cannot open corpus {dir}: {e}"))?;
-            let engine = SearchEngine::from_source(corpus.source() as _);
-            (engine, Some(("corpus.".to_owned(), Arc::new(corpus) as _)))
-        } else if let Some(index_file) = flags.get_str("index") {
-            reject_positional()?;
-            let (engine, metrics) = open_index_engine(index_file, &flags)?;
-            (engine, Some(("index.".to_owned(), metrics)))
-        } else {
-            let [file] = positional.as_slice() else {
-                return Err(format!(
-                    "serve needs --index <file>, --corpus <dir>, or <file.xml>\n{USAGE}"
-                ));
-            };
-            (SearchEngine::new(load_tree(file)?), None)
-        };
+    let (engine, collector, rest) = open_engine(&positional, &flags)?;
+    if let [extra, ..] = rest {
+        return Err(format!(
+            "serve takes one backend and no further arguments (got {extra:?})\n{USAGE}"
+        ));
+    }
 
     let addr = config.addr.clone();
     let mut server =
@@ -459,23 +432,9 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
     let algo = parse_algo(&flags)?;
     let format = Format::from_flags(&flags)?;
 
-    let (engine, query_text) = if let Some(dir) = flags.get_str("corpus") {
-        let [query] = positional.as_slice() else {
-            return Err(format!("explain --corpus needs one <query>\n{USAGE}"));
-        };
-        let corpus = MutableCorpus::open(Path::new(dir))
-            .map_err(|e| format!("cannot open corpus {dir}: {e}"))?;
-        (SearchEngine::from_source(corpus.source() as _), query)
-    } else if let Some(index_file) = flags.get_str("index") {
-        let [query] = positional.as_slice() else {
-            return Err(format!("explain --index needs one <query>\n{USAGE}"));
-        };
-        (open_index_engine(index_file, &flags)?.0, query)
-    } else {
-        let [file, query] = positional.as_slice() else {
-            return Err(format!("explain needs <file.xml> and <query>\n{USAGE}"));
-        };
-        (SearchEngine::new(load_tree(file)?), query)
+    let (engine, _, rest) = open_engine(&positional, &flags)?;
+    let [query_text] = rest else {
+        return Err(format!("explain needs exactly one <query>\n{USAGE}"));
     };
 
     let request = SearchRequest::parse(query_text)
@@ -656,23 +615,12 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         return Err(format!("bench needs --queries <file>\n{USAGE}"));
     };
 
-    let engine = match flags.get_str("index") {
-        Some(index_file) => {
-            if let [extra, ..] = positional.as_slice() {
-                return Err(format!(
-                    "bench --index takes no positional file (got {extra:?}); \
-                     drop --index to bench an XML document\n{USAGE}"
-                ));
-            }
-            open_index_engine(index_file, &flags)?.0
-        }
-        None => {
-            let [file] = positional.as_slice() else {
-                return Err(format!("bench needs <file.xml> or --index\n{USAGE}"));
-            };
-            SearchEngine::new(load_tree(file)?)
-        }
-    };
+    let (engine, _, rest) = open_engine(&positional, &flags)?;
+    if let [extra, ..] = rest {
+        return Err(format!(
+            "bench takes one backend and no further arguments (got {extra:?})\n{USAGE}"
+        ));
+    }
 
     let lines = read_query_file(queries_file)?;
     let requests = build_requests(&lines, algo, top_k, false, false)?;
@@ -892,22 +840,8 @@ fn snapshot_json(snap: &xks::obs::Snapshot) -> Value {
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
     let (positional, flags) = split_flags(args)?;
-    if let Some(dir) = flags.get_str("corpus") {
-        if let [extra, ..] = positional.as_slice() {
-            return Err(format!(
-                "stats --corpus takes no positional file (got {extra:?})\n{USAGE}"
-            ));
-        }
-        return cmd_stats_corpus(dir, &flags);
-    }
-    if let Some(index_file) = flags.get_str("index") {
-        if let [extra, ..] = positional.as_slice() {
-            return Err(format!(
-                "stats --index takes no positional file (got {extra:?}); \
-                 drop --index for the vocabulary report\n{USAGE}"
-            ));
-        }
-        return cmd_stats_index(index_file, &flags);
+    if flags.has("index") || flags.has("corpus") {
+        return cmd_stats_live(&positional, &flags);
     }
     let [file] = positional.as_slice() else {
         return Err(format!("stats needs <file.xml>\n{USAGE}"));
@@ -927,12 +861,20 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `xks stats --index`: the live-metrics form. Opens the index
-/// (monolithic or sharded), optionally replays a `--queries` workload
-/// through the engine, then prints one `xks-obs/1` snapshot — the
-/// process-wide registry (search/executor/lock metrics) merged with the
-/// index's own cache counters under the `index.` prefix.
-fn cmd_stats_index(index_file: &str, flags: &Flags) -> Result<(), String> {
+/// `xks stats --index` / `--corpus`: the live-metrics form. Opens the
+/// stored backend (opening a corpus runs recovery, so its `recovery.*`
+/// and `wal.*` counters reflect what this open did), optionally replays
+/// a `--queries` workload through the engine, then prints one
+/// `xks-obs/1` snapshot — the process-wide registry (search/executor/
+/// lock metrics) merged with the backend's own counters under the
+/// `index.` or `corpus.` prefix.
+fn cmd_stats_live(positional: &[String], flags: &Flags) -> Result<(), String> {
+    if let [extra, ..] = positional {
+        return Err(format!(
+            "stats --index/--corpus takes no positional file (got {extra:?}); \
+             drop the flag for the vocabulary report\n{USAGE}"
+        ));
+    }
     // Durability counters are part of the documented snapshot even when
     // no mutable corpus is involved — explicit zeros, not absence.
     preregister_durability_metrics();
@@ -940,7 +882,7 @@ fn cmd_stats_index(index_file: &str, flags: &Flags) -> Result<(), String> {
     let top_k = flags.get_usize("top-k")?;
     let threads = flags.get_usize("threads")?.unwrap_or(1).max(1);
 
-    let (engine, metrics) = open_index_engine(index_file, flags)?;
+    let (engine, collector, _) = open_engine(positional, flags)?;
 
     if let Some(queries_file) = flags.get_str("queries") {
         let lines = read_query_file(queries_file)?;
@@ -955,54 +897,10 @@ fn cmd_stats_index(index_file: &str, flags: &Flags) -> Result<(), String> {
     }
 
     let mut snap = xks::obs::global().snapshot();
-    metrics.collect_into("index.", &mut snap);
-    println!("{}", snap.to_json());
-    Ok(())
-}
-
-/// `xks stats --corpus`: the mutable-corpus form of the live-metrics
-/// snapshot. Opening the corpus runs recovery, so the `recovery.*` and
-/// `wal.*` counters reflect what this open actually did; the corpus
-/// contributes its WAL/delta/tombstone gauges (and the sealed base's
-/// cache counters) under the `corpus.` prefix.
-fn cmd_stats_corpus(dir: &str, flags: &Flags) -> Result<(), String> {
-    let algo = parse_algo(flags)?;
-    let top_k = flags.get_usize("top-k")?;
-    let threads = flags.get_usize("threads")?.unwrap_or(1).max(1);
-    let corpus = MutableCorpus::open(Path::new(dir))
-        .map_err(|e| format!("cannot open corpus {dir}: {e}"))?;
-    if let Some(queries_file) = flags.get_str("queries") {
-        let lines = read_query_file(queries_file)?;
-        let requests = build_requests(&lines, algo, top_k, false, false)?;
-        if requests.is_empty() {
-            return Err(format!("{queries_file} holds no queries"));
-        }
-        let engine = SearchEngine::from_source(corpus.source() as _);
-        let (results, _) = run_batch_stats(&engine, &requests, threads);
-        for result in results {
-            result.map_err(|e| e.to_string())?;
-        }
+    if let Some((prefix, metrics)) = collector {
+        metrics.collect_into(prefix, &mut snap);
     }
-    let mut snap = xks::obs::global().snapshot();
-    corpus.collect_into("corpus.", &mut snap);
     println!("{}", snap.to_json());
-    Ok(())
-}
-
-fn cmd_shred(args: &[String]) -> Result<(), String> {
-    let (positional, _) = split_flags(args)?;
-    let [file, out] = positional.as_slice() else {
-        return Err(format!("shred needs <file.xml> and <out.json>\n{USAGE}"));
-    };
-    let tree = load_tree(file)?;
-    let doc = xks::store::shred(&tree);
-    xks::store::snapshot::save(&doc, Path::new(out))
-        .map_err(|e| format!("cannot write {out}: {e}"))?;
-    eprintln!(
-        "shredded {} elements / {} value rows -> {out}",
-        doc.elements.len(),
-        doc.values.len()
-    );
     Ok(())
 }
 

@@ -423,21 +423,6 @@ fn stats_reports_counts() {
 }
 
 #[test]
-fn shred_writes_snapshot() {
-    let out_path = std::env::temp_dir().join("xks-cli-test/tables.json");
-    let out = xks()
-        .args(["shred"])
-        .arg(sample_file())
-        .arg(&out_path)
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    let doc = xks::store::snapshot::load(&out_path).expect("valid snapshot");
-    assert_eq!(doc.element_count(), 12);
-    std::fs::remove_file(&out_path).unwrap();
-}
-
-#[test]
 fn bad_usage_fails_cleanly() {
     for args in [
         vec![],

@@ -138,28 +138,6 @@ fn store_shreds_generated_corpus_consistently() {
 }
 
 #[test]
-fn snapshot_load_reindexes_identically() {
-    // Full store round trip: shred → save → load → to_postings →
-    // InvertedIndex, against the directly-built index.
-    let tree = generate_dblp(&DblpConfig::with_records(200, 3));
-    let doc = xks::store::shred(&tree);
-    let dir = std::env::temp_dir().join("xks-integration");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("snapshot.json");
-    xks::store::snapshot::save(&doc, &path).unwrap();
-    let loaded = xks::store::snapshot::load(&path).unwrap();
-    std::fs::remove_file(&path).unwrap();
-
-    let from_snapshot =
-        xks::index::InvertedIndex::from_postings(loaded.to_postings(), loaded.element_count());
-    let direct = xks::index::InvertedIndex::build(&tree);
-    assert_eq!(from_snapshot.vocabulary_size(), direct.vocabulary_size());
-    for kw in ["data", "algorithm", "title", "author"] {
-        assert_eq!(from_snapshot.postings(kw), direct.postings(kw), "{kw}");
-    }
-}
-
-#[test]
 fn stemmed_index_reproduces_lucene_style_matching() {
     // The paper's Example 2 relies on "Skyline Querying" matching the
     // query keyword "query" (Lucene analysis). The exact-match default

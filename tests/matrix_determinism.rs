@@ -1,7 +1,7 @@
 //! Determinism pin for the workload matrix: the same [`ScenarioSpec`]
 //! must expand to a byte-identical corpus and query set every time —
-//! otherwise the committed `BENCH_matrix.json`, the matrix golden
-//! digest, and any cross-machine comparison are meaningless.
+//! otherwise the matrix golden digest, `perfbench`'s workloads over
+//! these cells, and any cross-machine comparison are meaningless.
 //!
 //! `cargo test` checks the smoke cells (scale 1, every shape/skew/
 //! tenancy); the full 12-cell grid — including the 6000-record

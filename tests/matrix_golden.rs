@@ -4,9 +4,9 @@
 //! planner/ingest changes are pinned on a non-trivial corpus too.
 //!
 //! The digest is computed on the **memory** backend and independently
-//! on a **4-shard disk** corpus in exact mode; the two must agree byte
-//! for byte before either is compared to the committed file
-//! `tests/golden/matrix_digest.txt`.
+//! on a **monolithic `.xks`** reader and a **4-shard disk** corpus in
+//! exact mode; the three must agree byte for byte before any is
+//! compared to the committed file `tests/golden/matrix_digest.txt`.
 //!
 //! Regenerate deliberately with `XKS_BLESS_GOLDEN=1 cargo test -q
 //! --test matrix_golden` after a change that is *supposed* to alter
@@ -17,7 +17,7 @@ mod common;
 use common::{digest_line, ALGORITHMS};
 use xks::core::{Fragment, MemoryCorpus, SearchEngine, SearchRequest};
 use xks::datagen::scenario::ScenarioSpec;
-use xks::persist::{write_sharded, IndexWriter, ShardedCorpus};
+use xks::persist::{write_sharded, IndexReader, IndexWriter, ShardedCorpus};
 use xks::store::shred;
 
 const CELL: &str = "s10-flat-zipf-single";
@@ -58,12 +58,18 @@ fn matrix_cell_digest_is_pinned() {
     write_sharded(&IndexWriter::new(), &doc, &manifest, SHARDS).unwrap();
     let sharded = SearchEngine::from_shard_set(ShardedCorpus::open(&manifest).unwrap().shard_set());
 
+    let xks_path = dir.join(format!("{CELL}.xks"));
+    IndexWriter::new().write(&doc, &xks_path).unwrap();
+    let monolithic = SearchEngine::from_owned_source(IndexReader::open(&xks_path).unwrap());
+
     let memory_lines = digest_lines(&memory, &scenario);
-    let sharded_lines = digest_lines(&sharded, &scenario);
-    assert_eq!(
-        memory_lines, sharded_lines,
-        "memory and 4-shard disk digests must be byte-identical"
-    );
+    for (backend, engine) in [("monolithic", &monolithic), ("4-shard", &sharded)] {
+        assert_eq!(
+            memory_lines,
+            digest_lines(engine, &scenario),
+            "memory and {backend} disk digests must be byte-identical"
+        );
+    }
     assert_eq!(
         memory_lines.len(),
         scenario.queries.len() * ALGORITHMS.len()

@@ -186,35 +186,3 @@ fn single_query_reads_a_fraction_of_the_postings_section() {
     );
     std::fs::remove_file(&path).unwrap();
 }
-
-#[test]
-fn snapshot_and_index_agree_after_reload() {
-    // shred → JSON snapshot → load → MemoryCorpus  must equal
-    // shred → .xks → IndexReader, for postings and element facts.
-    let tree = generate_xmark(&XmarkConfig::sized(XmarkSize::Standard, 30, 11));
-    let doc = shred(&tree);
-
-    let dir = std::env::temp_dir().join("xks-persist-differential");
-    std::fs::create_dir_all(&dir).unwrap();
-    let json_path = dir.join("snapshot-agree.json");
-    let xks_path = dir.join("snapshot-agree.xks");
-    xks::store::snapshot::save(&doc, &json_path).unwrap();
-    IndexWriter::new().write(&doc, &xks_path).unwrap();
-
-    let from_json = MemoryCorpus::new(xks::store::snapshot::load(&json_path).unwrap());
-    let from_disk = IndexReader::open(&xks_path).unwrap();
-
-    for kw in ["particle", "egypt", "description", "order", "leon"] {
-        let postings = from_json.try_keyword_deweys(kw).unwrap();
-        assert_eq!(postings, from_disk.try_keyword_deweys(kw).unwrap(), "{kw}");
-        for dewey in postings.iter().take(5) {
-            assert_eq!(
-                from_json.try_element(dewey).unwrap(),
-                CorpusSource::try_element(&from_disk, dewey).unwrap(),
-                "{kw} @ {dewey}"
-            );
-        }
-    }
-    std::fs::remove_file(&json_path).unwrap();
-    std::fs::remove_file(&xks_path).unwrap();
-}

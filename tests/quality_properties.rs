@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use xks::core::axioms::Algorithm;
-use xks::core::quality::{algorithms, assess, QualityConfig};
+use xks::core::quality::{algorithms, assess, assess_all, QualityConfig};
 use xks::core::{max_match_slca, valid_rtf, Fragment};
 use xks::datagen::random_tree::{random_document, word, RandomDocConfig};
 use xks::datagen::scenario::{QueryClass, Scenario, ScenarioSpec};
@@ -71,7 +71,8 @@ proptest! {
 /// ValidRTF is the fixed point of its own reference: perfect
 /// precision/recall and zero axiom violations — score exactly 1.0 —
 /// on every smoke scenario (every shape, both skews, both tenancy
-/// mixes). The full 12-cell grid runs under `XKS_FULL_MATRIX=1`.
+/// mixes) — and neither baseline outscores it in any cell. The full
+/// 12-cell grid runs under `XKS_FULL_MATRIX=1`.
 #[test]
 fn valid_rtf_scores_one_on_every_scenario() {
     let specs = if std::env::var_os("XKS_FULL_MATRIX").is_some() {
@@ -84,7 +85,9 @@ fn valid_rtf_scores_one_on_every_scenario() {
         let queries = quality_queries(&scenario);
         assert!(!queries.is_empty(), "{}: no quality queries", spec.name());
         let cfg = QualityConfig::for_tree(&scenario.tree);
-        let report = assess(&scenario.tree, &queries, valid_rtf, &cfg);
+        let reports = assess_all(&scenario.tree, &queries, &cfg);
+        let (first, report) = &reports[0];
+        assert_eq!(*first, "valid_rtf");
         assert_eq!(report.precision, 1.0, "{}", spec.name());
         assert_eq!(report.recall, 1.0, "{}", spec.name());
         assert_eq!(
@@ -95,6 +98,14 @@ fn valid_rtf_scores_one_on_every_scenario() {
             report.axioms
         );
         assert_eq!(report.score(), 1.0, "{}", spec.name());
+        for (algo, baseline) in &reports[1..] {
+            assert!(
+                baseline.score() <= report.score(),
+                "{}: {algo} scored {} above valid_rtf",
+                spec.name(),
+                baseline.score()
+            );
+        }
     }
 }
 
