@@ -4,23 +4,28 @@
 //!   MaxMatch (measured after keyword-node retrieval, as in §5.3) plus
 //!   the RTF count per query;
 //! * **Figure 6(a)–(d)**: per-query CFR, APR′ and Max APR;
-//! * the **§5.1 keyword frequency table** of the generated corpora.
+//! * the **§5.1 keyword frequency table** of the generated corpora;
+//! * the **ablations** whose two sides are both code in this repository,
+//!   on the `xmark standard` corpus under the same timing protocol.
 //!
 //! ```sh
 //! cargo run --release -p xks-bench --bin repro                 # everything, default scale
 //! cargo run --release -p xks-bench --bin repro -- --scale small
-//! cargo run --release -p xks-bench --bin repro -- --only dblp  # one dataset
+//! cargo run --release -p xks-bench --bin repro -- --only dblp  # one panel: dblp|standard|data1|data2|ablations
 //! cargo run --release -p xks-bench --bin repro -- --freq       # frequency table only
 //! ```
 
-use std::time::Duration;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 use validrtf::engine::{AlgorithmKind, SearchEngine};
+use validrtf::{get_rtf, get_rtf_unchecked, SearchRequest};
 use xks_bench::{dataset_name, dblp_engine, xmark_engine, Scale};
 use xks_datagen::freq::{PAPER_DBLP_FREQS, PAPER_XMARK_FREQS};
 use xks_datagen::queries::{dblp_workload, xmark_workload};
 use xks_datagen::XmarkSize;
 use xks_index::Query;
+use xks_lca::{elca_stack, naive::naive_elca};
 
 /// Repetitions per query; the paper runs 6 and discards the first.
 const RUNS: usize = 6;
@@ -43,7 +48,7 @@ fn main() {
             "--only" => only = it.next().cloned(),
             "--freq" => freq_only = true,
             "--help" | "-h" => {
-                eprintln!("usage: repro [--scale small|default|large] [--only dblp|standard|data1|data2] [--freq]");
+                eprintln!("usage: repro [--scale small|default|large] [--only dblp|standard|data1|data2|ablations] [--freq]");
                 return;
             }
             other => {
@@ -58,10 +63,8 @@ fn main() {
     if want("dblp") {
         eprintln!("[repro] building dblp-alike at {scale:?}…");
         let engine = dblp_engine(scale);
-        if freq_only {
-            frequency_table_dblp(&engine);
-        } else {
-            frequency_table_dblp(&engine);
+        frequency_table_dblp(&engine);
+        if !freq_only {
             run_dataset("dblp", &engine, &dblp_workload());
         }
     }
@@ -70,7 +73,9 @@ fn main() {
         ("data1", XmarkSize::Data1),
         ("data2", XmarkSize::Data2),
     ] {
-        if !want(name) {
+        // The ablations run on the `standard` corpus, built once.
+        let ablate = size == XmarkSize::Standard && !freq_only && want("ablations");
+        if !want(name) && !ablate {
             continue;
         }
         eprintln!(
@@ -78,11 +83,14 @@ fn main() {
             dataset_name(size)
         );
         let engine = xmark_engine(scale, size);
-        if freq_only {
+        if want(name) {
             frequency_table_xmark(&engine, size);
-        } else {
-            frequency_table_xmark(&engine, size);
-            run_dataset(dataset_name(size), &engine, &xmark_workload());
+            if !freq_only {
+                run_dataset(dataset_name(size), &engine, &xmark_workload());
+            }
+        }
+        if ablate {
+            run_ablations(&engine);
         }
     }
 }
@@ -130,7 +138,13 @@ fn run_dataset(name: &str, engine: &SearchEngine, workload: &[(&str, String)]) {
     );
     for (abbrev, keywords) in workload {
         let query = Query::parse(keywords).expect("workload query parses");
-        let (vt, xt) = timed(engine, &query);
+        let [vt, xt] = [AlgorithmKind::ValidRtf, AlgorithmKind::MaxMatchRtf].map(|kind| {
+            let request = SearchRequest::from_query(query.clone()).algorithm(kind);
+            protocol(|| {
+                let response = engine.execute(&request).expect("workload query runs");
+                response.timings.algorithm_time()
+            })
+        });
         let cmp = engine.compare(&query).expect("comparison runs");
         println!(
             "{:<10} {:>6} {:>14} {:>14} {:>6.2} {:>7.3} {:>7.3}",
@@ -145,35 +159,58 @@ fn run_dataset(name: &str, engine: &SearchEngine, workload: &[(&str, String)]) {
     }
 }
 
-/// Average algorithm time (excluding keyword retrieval) over `RUNS`
-/// runs, discarding the first — the paper's protocol.
-fn timed(engine: &SearchEngine, query: &Query) -> (Duration, Duration) {
-    let mut valid = Vec::with_capacity(RUNS);
-    let mut mm = Vec::with_capacity(RUNS);
-    let request = validrtf::SearchRequest::from_query(query.clone());
-    for _ in 0..RUNS {
-        valid.push(
-            engine
-                .execute(&request.clone().algorithm(AlgorithmKind::ValidRtf))
-                .expect("workload query runs")
-                .timings
-                .algorithm_time(),
-        );
-        mm.push(
-            engine
-                .execute(&request.clone().algorithm(AlgorithmKind::MaxMatchRtf))
-                .expect("workload query runs")
-                .timings
-                .algorithm_time(),
-        );
-    }
-    (
-        average_discarding_first(&valid),
-        average_discarding_first(&mm),
-    )
+/// The ablations whose two sides are both code in this repository,
+/// one row each, wall clock per side.
+fn run_ablations(engine: &SearchEngine) {
+    // A moderate query for the brute-force oracle, a heavy one for the rest.
+    const LIGHT: &str = "particle threshold";
+    const HEAVY: &str = "preventions description order";
+    let resolve = |keywords: &str| {
+        let query = Query::parse(keywords).expect("ablation query parses");
+        engine.index().resolve(&query).expect("keywords present")
+    };
+    let row = |sides: &str, query: &str, times: &[Duration]| {
+        let times: Vec<String> = times.iter().map(|t| format!("{t:.3?}")).collect();
+        println!("{:<36} {:<30} {}", sides, query, times.join(" / "));
+    };
+    println!("\n## Ablations — {}", dataset_name(XmarkSize::Standard));
+    println!("{:<36} {:<30} time per side", "sides", "query");
+
+    let light = resolve(LIGHT);
+    let stack = protocol(|| wall(|| elca_stack(light.sets())));
+    let naive = protocol(|| wall(|| naive_elca(light.sets())));
+    row("elca_stack / naive_elca", LIGHT, &[stack, naive]);
+
+    // The Definition-2 dispatch check the paper's pseudo-code omits.
+    let heavy = resolve(HEAVY);
+    let anchors = elca_stack(heavy.sets());
+    let checked = protocol(|| wall(|| get_rtf(&anchors, &heavy)));
+    let unchecked = protocol(|| wall(|| get_rtf_unchecked(&anchors, &heavy)));
+    row("get_rtf / get_rtf_unchecked", HEAVY, &[checked, unchecked]);
+
+    let request = SearchRequest::parse(HEAVY).expect("ablation query parses");
+    let kinds = [
+        AlgorithmKind::ValidRtf,
+        AlgorithmKind::MaxMatchRtf,
+        AlgorithmKind::MaxMatchSlca,
+    ]
+    .map(|kind| {
+        let request = request.clone().algorithm(kind);
+        protocol(|| wall(|| engine.execute(&request)))
+    });
+    row("ValidRTF / MaxMatch / MaxMatch-SLCA", HEAVY, &kinds);
 }
 
-fn average_discarding_first(times: &[Duration]) -> Duration {
-    let rest = &times[1..];
-    rest.iter().sum::<Duration>() / rest.len() as u32
+/// Wall-clock time of one call.
+fn wall<T>(call: impl FnOnce() -> T) -> Duration {
+    let start = Instant::now();
+    black_box(call());
+    start.elapsed()
+}
+
+/// The paper's protocol: the average of `RUNS` runs, discarding the
+/// first. Figure 5 feeds it the engine's algorithm time, which excludes
+/// keyword-node retrieval.
+fn protocol(mut run: impl FnMut() -> Duration) -> Duration {
+    (0..RUNS).map(|_| run()).skip(1).sum::<Duration>() / (RUNS as u32 - 1)
 }

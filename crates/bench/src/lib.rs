@@ -1,9 +1,9 @@
-//! Shared corpus/bench scaffolding for the Figure 5/6 harness.
+//! Corpus scaffolding for the Figure 5/6 harness.
 //!
-//! The criterion benches and the `repro` binary both need the same
-//! engines: a DBLP-alike corpus and the three-step XMark ladder, at a
-//! scale chosen to finish on a laptop while preserving the paper's
-//! relative selectivities (`DESIGN.md` §2).
+//! The `repro` binary's engines: a DBLP-alike corpus and the three-step
+//! XMark ladder, at a scale chosen to finish on a laptop while
+//! preserving the paper's relative selectivities (`xks-datagen` plants
+//! the §5.1 keywords at the paper's frequencies, scaled to the corpus).
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -16,7 +16,7 @@ use xks_datagen::{generate_dblp, generate_xmark, DblpConfig, XmarkConfig, XmarkS
 pub enum Scale {
     /// CI-friendly: seconds to build, sub-second queries.
     Small,
-    /// The default harness scale (what `EXPERIMENTS.md` reports).
+    /// The default harness scale (what `repro` runs without `--scale`).
     Default,
     /// Closer to the paper's corpus sizes (minutes to build).
     Large,

@@ -15,6 +15,12 @@
 //! comparison (§4.3 footnote 10); `max_match_slca` is Liu & Chen's
 //! original algorithm, kept for the SLCA-vs-LCA illustrations of
 //! Example 1.
+//!
+//! The three functions are an engine-free, planner-free, merge-only
+//! path because the axiom and quality checkers want a paper-literal
+//! `fn(&XmlTree, &InvertedIndex, &Query) -> Vec<Fragment>` over a
+//! borrowed tree. They drive the same stages and the same single
+//! builder as `SearchEngine::execute_with`, which serves every query.
 
 use std::time::{Duration, Instant};
 
@@ -22,9 +28,9 @@ use xks_index::{InvertedIndex, KeywordNodeSets, Query};
 use xks_lca::{elca_into_context, slca_into_context, QueryContext};
 use xks_xmltree::XmlTree;
 
-use crate::fragment::{Fragment, NodeFacts};
-use crate::prune::{prune, Policy};
-use crate::rtf::{dispatch, Partitions, Rtf};
+use crate::fragment::Fragment;
+use crate::prune::Policy;
+use crate::rtf::{dispatch, Partitions};
 
 /// Which anchor semantics stage 2 uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,7 +54,7 @@ pub struct StageTimings {
     pub prune_rtf: Duration,
     /// Everything after the paper's pipeline: the operator post-filter
     /// stage (including its exclusion-posting lookups), ranking, and
-    /// hit materialization. Zero on the legacy four-stage entry points.
+    /// hit materialization.
     pub post_process: Duration,
 }
 
@@ -66,70 +72,6 @@ impl StageTimings {
     #[must_use]
     pub fn algorithm_time(&self) -> Duration {
         self.get_lca + self.get_rtf + self.prune_rtf
-    }
-}
-
-/// Result of a full run: the meaningful fragments plus instrumentation.
-#[derive(Debug, Clone)]
-pub struct RunOutput {
-    /// The pruned (meaningful) fragments, in anchor document order.
-    pub fragments: Vec<Fragment>,
-    /// The raw (unpruned) fragments, same order.
-    pub raw: Vec<Fragment>,
-    /// The keyword-node partitions.
-    pub rtfs: Vec<Rtf>,
-    /// Per-stage timings.
-    pub timings: StageTimings,
-}
-
-/// Runs the staged pipeline with explicit anchor semantics and pruning
-/// policy. Returns `None` when some query keyword has no match.
-#[must_use]
-pub fn run(
-    tree: &XmlTree,
-    index: &InvertedIndex,
-    query: &Query,
-    anchors: AnchorSemantics,
-    policy: Policy,
-) -> Option<RunOutput> {
-    let mut timings = StageTimings::default();
-
-    let t0 = Instant::now();
-    let sets = index.resolve(query)?;
-    timings.get_keyword_nodes = t0.elapsed();
-
-    Some(run_from_sets(tree, &sets, anchors, policy, timings))
-}
-
-/// Like [`run`] but starting from already-resolved keyword-node sets —
-/// the timing boundary the paper uses ("we record the elapsed time
-/// *after retrieving the Dewey codes* of the keyword nodes", §5.3) —
-/// and keeping every intermediate artifact: partitions, raw fragments,
-/// pruned fragments. `facts` is where node facts come from: the parsed
-/// tree or any [`crate::CorpusSource`] (resolve with its `try_resolve`);
-/// results are byte-identical across backends storing the same corpus.
-#[must_use]
-pub fn run_from_sets(
-    facts: &(impl NodeFacts + ?Sized),
-    sets: &KeywordNodeSets,
-    anchors: AnchorSemantics,
-    policy: Policy,
-    mut timings: StageTimings,
-) -> RunOutput {
-    let mut ctx = QueryContext::default();
-    anchor_stages(sets, anchors, AnchorExec::Merge, &mut timings, &mut ctx);
-    let rtfs = Partitions::new(&ctx.anchors, &ctx.merged, &ctx.rtf).to_rtfs();
-
-    let t = Instant::now();
-    let raw: Vec<Fragment> = rtfs.iter().map(|r| Fragment::construct(facts, r)).collect();
-    let fragments: Vec<Fragment> = raw.iter().map(|f| prune(f, policy)).collect();
-    timings.prune_rtf = t.elapsed();
-
-    RunOutput {
-        fragments,
-        raw,
-        rtfs,
-        timings,
     }
 }
 
@@ -181,53 +123,73 @@ pub(crate) fn anchor_stages(
     ctx.trace.record_since(xks_obs::Stage::RtfDispatch, t);
 }
 
+/// Algorithm 1 over a borrowed tree: resolve, the merge-only anchor
+/// stages, then the engine's single builder per partition. Empty when
+/// some query keyword has no match.
+fn pipeline(
+    tree: &XmlTree,
+    index: &InvertedIndex,
+    query: &Query,
+    anchors: AnchorSemantics,
+    policy: Policy,
+) -> Vec<Fragment> {
+    let Some(sets) = index.resolve(query) else {
+        return Vec::new();
+    };
+    let mut ctx = QueryContext::default();
+    let timings = &mut StageTimings::default();
+    anchor_stages(&sets, anchors, AnchorExec::Merge, timings, &mut ctx);
+    let parts = Partitions::new(&ctx.anchors, &ctx.merged, &ctx.rtf);
+    (0..parts.len())
+        .map(|i| {
+            let (anchor, knodes) = (parts.anchor(i), parts.knodes(i));
+            Fragment::build(tree, anchor, knodes, Some(policy), &mut ctx.skeleton, None)
+                .expect("keyword nodes resolved from this tree's own index are in the tree")
+        })
+        .collect()
+}
+
 /// ValidRTF (Algorithm 1): meaningful RTFs at all interesting LCA nodes,
 /// valid-contributor pruning.
 #[must_use]
 pub fn valid_rtf(tree: &XmlTree, index: &InvertedIndex, query: &Query) -> Vec<Fragment> {
-    run(
+    pipeline(
         tree,
         index,
         query,
         AnchorSemantics::AllLca,
         Policy::ValidContributor,
     )
-    .map(|o| o.fragments)
-    .unwrap_or_default()
 }
 
 /// Revised MaxMatch: same RTFs, contributor pruning.
 #[must_use]
 pub fn max_match_rtf(tree: &XmlTree, index: &InvertedIndex, query: &Query) -> Vec<Fragment> {
-    run(
+    pipeline(
         tree,
         index,
         query,
         AnchorSemantics::AllLca,
         Policy::Contributor,
     )
-    .map(|o| o.fragments)
-    .unwrap_or_default()
 }
 
 /// Original MaxMatch: SLCA anchors, contributor pruning.
 #[must_use]
 pub fn max_match_slca(tree: &XmlTree, index: &InvertedIndex, query: &Query) -> Vec<Fragment> {
-    run(
+    pipeline(
         tree,
         index,
         query,
         AnchorSemantics::SlcaOnly,
         Policy::Contributor,
     )
-    .map(|o| o.fragments)
-    .unwrap_or_default()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xks_xmltree::fixtures::{publications, team, PAPER_QUERIES};
+    use xks_xmltree::fixtures::{publications, PAPER_QUERIES};
     use xks_xmltree::Dewey;
 
     fn d(s: &str) -> Dewey {
@@ -262,25 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn run_reports_all_artifacts() {
-        let tree = team();
-        let index = InvertedIndex::build(&tree);
-        let out = run(
-            &tree,
-            &index,
-            &q("grizzlies position"),
-            AnchorSemantics::AllLca,
-            Policy::ValidContributor,
-        )
-        .unwrap();
-        assert_eq!(out.fragments.len(), 1);
-        assert_eq!(out.raw.len(), 1);
-        assert_eq!(out.rtfs.len(), 1);
-        assert!(out.raw[0].len() >= out.fragments[0].len());
-        assert!(out.timings.total() > Duration::ZERO);
-    }
-
-    #[test]
     fn stage_timings_arithmetic() {
         let t = StageTimings {
             get_keyword_nodes: Duration::from_millis(5),
@@ -293,33 +236,6 @@ mod tests {
         // The paper's measurement boundary excludes keyword retrieval
         // and the response post-processing outside its pipeline.
         assert_eq!(t.algorithm_time(), Duration::from_millis(9));
-    }
-
-    #[test]
-    fn run_from_sets_matches_run() {
-        // Feeding pre-resolved keyword-node sets must produce the same
-        // fragments as the end-to-end entry point.
-        let tree = publications();
-        let index = InvertedIndex::build(&tree);
-        let query = q("liu keyword");
-        let via_run = run(
-            &tree,
-            &index,
-            &query,
-            AnchorSemantics::AllLca,
-            Policy::ValidContributor,
-        )
-        .unwrap();
-        let sets = index.resolve(&query).unwrap();
-        let via_sets = run_from_sets(
-            &tree,
-            &sets,
-            AnchorSemantics::AllLca,
-            Policy::ValidContributor,
-            StageTimings::default(),
-        );
-        assert_eq!(via_run.fragments, via_sets.fragments);
-        assert_eq!(via_run.rtfs, via_sets.rtfs);
     }
 
     #[test]

@@ -129,8 +129,8 @@ pub fn check_data_consistency(
 /// gone, a sibling whose keyword set used to be strictly covered by the
 /// branch's is suddenly uncovered and re-qualifies — the ancestor's
 /// fragment gains a node that has nothing to do with the insertion.
-/// `tests in this module` pin a concrete counterexample; the harness
-/// documents the finding in `EXPERIMENTS.md`.
+/// `tests::strict_data_consistency_counterexample` in this module pins
+/// a concrete counterexample.
 #[must_use]
 pub fn check_data_consistency_strict(
     algo: Algorithm,

@@ -233,9 +233,9 @@ pub fn get_rtf(anchors: &[Dewey], sets: &KeywordNodeSets) -> Vec<Rtf> {
 /// Definition 2: when a keyword node's deepest common ancestor is a
 /// *shadowed* (non-interesting) node, this variant still assigns it to
 /// its lowest interesting-LCA ancestor, violating the RTF completeness
-/// conditions (see `EXPERIMENTS.md` "Findings" #2 and the unit test
-/// below). Use [`get_rtf`] unless you specifically want the paper's
-/// verbatim behaviour.
+/// conditions (see `tests::unchecked_variant_diverges_from_definition_2`
+/// below and `tests/rtf_spec_oracle.rs`). Use [`get_rtf`] unless you
+/// specifically want the paper's verbatim behaviour.
 #[must_use]
 pub fn get_rtf_unchecked(anchors: &[Dewey], sets: &KeywordNodeSets) -> Vec<Rtf> {
     let merged = merge_postings(sets.sets());
@@ -370,13 +370,13 @@ mod tests {
 
     #[test]
     fn unchecked_variant_diverges_from_definition_2() {
-        // The shadowed-combination counterexample (EXPERIMENTS.md
-        // Findings #2): root = 0, chain 0.0 → 0.0.0 with k1+k2 under
-        // 0.0.0 plus an extra k1 under 0.0 (0.0.1) and root-level
-        // witnesses 0.1 (k1), 0.2 (k2). ELCA = {0, 0.0.0}. The keyword
-        // node 0.0.1 (k1) combines with 0.0.0's k2 to an LCA of 0.0 —
-        // a CA but *shadowed* node — so Definition 2 bars it from the
-        // root partition; the paper's literal dispatch includes it.
+        // The shadowed-combination counterexample: root = 0, chain
+        // 0.0 → 0.0.0 with k1+k2 under 0.0.0 plus an extra k1 under 0.0
+        // (0.0.1) and root-level witnesses 0.1 (k1), 0.2 (k2).
+        // ELCA = {0, 0.0.0}. The keyword node 0.0.1 (k1) combines with
+        // 0.0.0's k2 to an LCA of 0.0 — a CA but *shadowed* node — so
+        // Definition 2 bars it from the root partition; the paper's
+        // literal dispatch includes it.
         let q = Query::parse("k1 k2").unwrap();
         let sets = KeywordNodeSets::new(
             q,

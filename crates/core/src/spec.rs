@@ -7,8 +7,7 @@
 //! with exponential enumeration as a ground-truth oracle — conditions 1
 //! and 3 literally, condition 2 as *maximality among the condition-1∧3
 //! survivors*: the literal text contradicts the paper's own Example 4
-//! (see the inline comment at the condition-2 pass and `EXPERIMENTS.md`
-//! "Findings" #1). Purpose:
+//! (see the inline comment at the condition-2 pass). Purpose:
 //! the paper's analysis claim (1) — *"after getting all the interesting
 //! LCA nodes, the getRTF procedure can retrieve all the basic RTFs"* —
 //! is verified by differential tests between this oracle and the

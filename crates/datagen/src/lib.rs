@@ -3,7 +3,7 @@
 //! The paper evaluates on DBLP (`dblp20040213`, 197.6 MB) and three
 //! XMark datasets (111.1 / 334.9 / 669.6 MB). Neither corpus ships with
 //! this repository, so this crate generates scaled stand-ins that
-//! preserve what the experiments actually measure (see `DESIGN.md` §2):
+//! preserve what the experiments actually measure:
 //!
 //! * the **document shapes** — flat, regular bibliography records for
 //!   DBLP ([`dblp`]); the deeply nested auction-site schema for XMark

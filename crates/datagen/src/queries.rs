@@ -4,7 +4,7 @@
 //! keywords (e.g. `vdo` = "preventions description order", the one
 //! mapping §5.1 spells out). The letter→keyword maps below follow that
 //! convention; where the scanned figure axis is ambiguous we chose the
-//! closest consistent reading (documented in `EXPERIMENTS.md`).
+//! closest consistent reading.
 
 /// DBLP letter → keyword map (20 keywords of §5.1).
 pub const DBLP_LETTERS: &[(char, &str)] = &[

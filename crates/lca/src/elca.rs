@@ -24,8 +24,8 @@
 //! ancestor).
 //!
 //! Complexity: `O(Σ|D_i| · depth)` time, `O(depth)` stack space — the
-//! same asymptotics Indexed Stack achieves on these inputs; the
-//! substitution is documented in `DESIGN.md` §2.
+//! same asymptotics Indexed Stack achieves on these inputs, which is
+//! why this pass stands in for it.
 
 use xks_xmltree::Dewey;
 
@@ -145,80 +145,6 @@ fn pop_to(scratch: &mut ElcaScratch, target: usize, full: u64, results: &mut Vec
             }
         }
     }
-}
-
-/// The candidate + range-minimum-verification ELCA algorithm — a second
-/// fast implementation in the spirit of ref. \[12\]'s Indexed Stack (smallest
-/// list drives candidate generation; each candidate is verified with
-/// indexed probes instead of re-scans).
-///
-/// How it works:
-///
-/// 1. **Candidates.** Every ELCA `u` has, in each `D_i`, a witness
-///    whose *deepest covering-combination LCA* is exactly `u`
-///    (a deeper one would be a CA node shadowing the witness). So the
-///    set `{deepest-combination-LCA(v) : v ∈ smallest list}` covers all
-///    ELCAs — `O(|S_1| · k)` binary searches.
-/// 2. **Shadow depths.** A node `n` is shadowed w.r.t. an ancestor `u`
-///    iff some CA node sits strictly between them; since every CA node
-///    is an ancestor-or-self of an SLCA, that holds iff
-///    `max_s len(lca(n, s)) > len(u)` over the SLCA set — again a
-///    neighbor (`lm`/`rm`) property, precomputed per posting.
-/// 3. **Verification.** `u` is an ELCA iff every `D_i` holds a witness
-///    in `[u, end(u))` whose shadow depth is `≤ len(u)` — a
-///    range-*minimum* probe over the precomputed depths, `O(1)` per
-///    `(candidate, keyword)` after building one sparse table per list.
-///
-/// Output-equivalent to [`elca_stack`] (differentially tested); the
-/// trade-off is `O(Σ|D_i| log)` preprocessing against the stack's
-/// strictly-streaming pass — the ablation bench compares them.
-#[must_use]
-pub fn elca_candidate_rmq(sets: &[Vec<Dewey>]) -> Vec<Dewey> {
-    use crate::common::{deepest_combination_len, deepest_lca_len};
-    use crate::rmq::Rmq;
-    use crate::slca::indexed_lookup_eager;
-
-    if sets.is_empty() || sets.iter().any(Vec::is_empty) {
-        return Vec::new();
-    }
-
-    let slcas = indexed_lookup_eager(sets);
-
-    // Shadow depth per posting, plus one RMQ table per list.
-    let tables: Vec<Rmq> = sets
-        .iter()
-        .map(|list| {
-            let depths: Vec<usize> = list.iter().map(|n| deepest_lca_len(&slcas, n)).collect();
-            Rmq::new(&depths)
-        })
-        .collect();
-
-    // Candidates from the smallest list.
-    let driver = sets.iter().min_by_key(|s| s.len()).expect("non-empty sets");
-    let mut candidates: Vec<Dewey> = driver
-        .iter()
-        .map(|v| Dewey::from_slice(&v.components()[..deepest_combination_len(v, sets)]))
-        .collect();
-    candidates.sort_unstable();
-    candidates.dedup();
-
-    // Verify each candidate against every list.
-    let mut out = Vec::with_capacity(candidates.len());
-    'cand: for u in candidates {
-        let Some(ub) = u.subtree_upper_bound() else {
-            continue;
-        };
-        for (list, table) in sets.iter().zip(&tables) {
-            let l = list.partition_point(|d| d < &u);
-            let r = list.partition_point(|d| d < &ub);
-            match table.min(l, r) {
-                Some(min_depth) if min_depth <= u.len() => {}
-                _ => continue 'cand, // empty range or all shadowed
-            }
-        }
-        out.push(u);
-    }
-    out
 }
 
 #[cfg(test)]

@@ -12,9 +12,7 @@
 //!    the smallest list and probes the others by binary search;
 //! 2. **candidates** are the deepest covering-combination LCA prefixes
 //!    of the *rarest* list's nodes ([`deepest_combination_len`]) — by
-//!    the witness argument documented at [`crate::elca_candidate_rmq`],
-//!    every ELCA `u` has in *each* list (hence in the driver list) a
-//!    witness whose deepest combination LCA is exactly `u`, so this
+//!    the witness argument documented at [`gallop_elca`], this
 //!    candidate set is complete for any choice of driver;
 //! 3. each candidate is **verified** exactly against the ELCA
 //!    definition: `u` is an ELCA iff every list has a witness inside
@@ -69,9 +67,21 @@ impl GallopScratch {
 /// `driver` should be the index of the smallest list (any index is
 /// correct, the smallest is fastest).
 ///
+/// Why candidates from one list suffice and the check is exact:
+///
+/// 1. **Candidates.** Every ELCA `u` has, in each `D_i`, a witness
+///    whose *deepest covering-combination LCA* is exactly `u`
+///    (a deeper one would be a CA node shadowing the witness). So the
+///    set `{deepest-combination-LCA(v) : v ∈ D_driver}` covers all
+///    ELCAs — `O(|D_driver| · k)` binary searches.
+/// 2. **Shadows.** A node `n` is shadowed w.r.t. an ancestor `u`
+///    iff some CA node sits strictly between them; since every CA node
+///    is an ancestor-or-self of an SLCA, that holds iff `n` lies under
+///    a child of `u` that contains an SLCA — a property of the SLCA
+///    frontier alone, which is all the verification probes.
+///
 /// Nodes whose subtree upper bound overflows (`u32::MAX` ordinals —
-/// unreachable for real corpora) are skipped, mirroring
-/// [`crate::elca_candidate_rmq`].
+/// unreachable for real corpora) are skipped.
 ///
 /// # Panics
 /// Panics when `driver >= sets.len()` on non-empty input.

@@ -7,20 +7,16 @@
 //! form instead computes the SLCA subset (Xu & Papakonstantinou, SIGMOD
 //! 2005).
 //!
-//! This crate implements both semantics, each with more than one
-//! algorithm so they can be differential-tested and ablated:
+//! This crate implements one kernel per semantics, each checked against
+//! a brute-force oracle by the differential and stress tests:
 //!
 //! * [`slca::indexed_lookup_eager`] — binary-search driven SLCA;
-//! * [`slca::scan_eager`] — cursor-scan SLCA (same candidates, different
-//!   lookup strategy);
 //! * [`elca::elca_stack`] — single-pass Dewey-path stack computing the
 //!   ELCA set in merged document order (output-equivalent to Indexed
 //!   Stack; see the module docs for the substitution note);
-//! * [`elca::elca_candidate_rmq`] — a second fast ELCA implementation
-//!   (smallest-list candidates + range-minimum verification, the
-//!   indexed-probing spirit of Indexed Stack);
-//! * [`naive`] — brute-force oracles for both semantics, used by the
-//!   property tests.
+//! * [`gallop::gallop_elca`] — the same ELCA set for planned queries,
+//!   galloping from the rarest list instead of merging every posting;
+//! * [`naive`] — the brute-force oracles for both semantics.
 //!
 //! Throughout, the inputs are the sorted Dewey posting lists produced by
 //! `xks-index`, and outputs are sorted in document order.
@@ -33,7 +29,6 @@ pub mod context;
 pub mod elca;
 pub mod gallop;
 pub mod naive;
-pub mod rmq;
 pub mod slca;
 
 pub use common::{
@@ -43,6 +38,6 @@ pub use context::{
     elca_into_context, planned_elca_into_context, planned_slca_into_context, slca_into_context,
     QueryContext, RtfScratch, SkelNode, SkeletonScratch, SweepEntry, NONE,
 };
-pub use elca::{elca_candidate_rmq, elca_from_merged, elca_stack, ElcaScratch};
+pub use elca::{elca_from_merged, elca_stack, ElcaScratch};
 pub use gallop::{extract_anchored_into, gallop_elca, GallopScratch};
-pub use slca::{indexed_lookup_eager, indexed_lookup_eager_into, scan_eager};
+pub use slca::{indexed_lookup_eager, indexed_lookup_eager_into};

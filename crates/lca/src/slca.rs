@@ -1,16 +1,11 @@
 //! SLCA algorithms (Xu & Papakonstantinou, SIGMOD 2005).
 //!
-//! Both algorithms compute, for each node `v` of the smallest keyword
-//! list, the candidate `slca({v}, S_2, …, S_k)` — the deepest LCA
-//! reachable from `v` using the *closest* match in every other list —
-//! and then drop candidates that are ancestors of other candidates
-//! (`removeAncestorNodes`). They differ only in how the closest matches
-//! are found:
-//!
-//! * [`indexed_lookup_eager`] uses binary search (`lm`/`rm`) per lookup —
-//!   `O(|S_1| · k · log |S_max|)`;
-//! * [`scan_eager`] advances one cursor per list monotonically —
-//!   `O(Σ|S_i|)` total scanning, better when list sizes are comparable.
+//! [`indexed_lookup_eager`] computes, for each node `v` of the smallest
+//! keyword list, the candidate `slca({v}, S_2, …, S_k)` — the deepest
+//! LCA reachable from `v` using the *closest* match in every other
+//! list, found by binary search (`lm`/`rm`) per lookup,
+//! `O(|S_1| · k · log |S_max|)` — and then drops candidates that are
+//! ancestors of other candidates (`removeAncestorNodes`).
 //!
 //! The original MaxMatch retrieves its SLCA anchors this way; ValidRTF
 //! replaces this stage with the ELCA computation in [`crate::elca`].
@@ -90,62 +85,6 @@ pub fn indexed_lookup_eager(sets: &[Vec<Dewey>]) -> Vec<Dewey> {
     out
 }
 
-/// The Scan Eager SLCA algorithm: identical candidates, found with
-/// monotone cursors instead of binary searches.
-#[must_use]
-pub fn scan_eager(sets: &[Vec<Dewey>]) -> Vec<Dewey> {
-    if sets.is_empty() || sets.iter().any(Vec::is_empty) {
-        return Vec::new();
-    }
-    let driver = sets
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, s)| s.len())
-        .map(|(i, _)| i)
-        .expect("non-empty sets");
-
-    // One cursor per non-driver list pointing at the first element >= the
-    // last probed position. Because driver nodes are processed in
-    // increasing order and the probe anchor `x` never moves left of the
-    // driver node's left neighborhood, cursors only advance.
-    let mut cursors = vec![0usize; sets.len()];
-    let mut out = Vec::with_capacity(sets[driver].len());
-    let mut dirty = false;
-
-    'outer: for v in &sets[driver] {
-        let mut x = v.clone();
-        for (i, list) in sets.iter().enumerate() {
-            if i == driver {
-                continue;
-            }
-            // Advance the cursor past everything < v (monotone in v, so
-            // amortized linear over the whole run). The closest match
-            // for the *current anchor* x is then found by a bounded
-            // local scan around the cursor.
-            while cursors[i] < list.len() && list[cursors[i]] < *v {
-                cursors[i] += 1;
-            }
-            let lm = if cursors[i] > 0 {
-                Some(&list[cursors[i] - 1])
-            } else {
-                None
-            };
-            let rm = list.get(cursors[i]);
-            let l = lm.map(|m| x.lca(m));
-            let r = rm.map(|m| x.lca(m));
-            match deeper(l, r) {
-                Some(next) => x = next,
-                None => continue 'outer,
-            }
-        }
-        fold_candidate(&mut out, x, &mut dirty);
-    }
-    if dirty {
-        out = remove_ancestors(out);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,7 +100,6 @@ mod tests {
 
     fn check_all(sets: &[Vec<Dewey>], expected: &[&str]) {
         assert_eq!(strs(&indexed_lookup_eager(sets)), expected, "ILE");
-        assert_eq!(strs(&scan_eager(sets)), expected, "ScanEager");
         assert_eq!(strs(&naive_slca(sets)), expected, "naive");
     }
 
@@ -203,10 +141,8 @@ mod tests {
     #[test]
     fn empty_inputs() {
         assert!(indexed_lookup_eager(&[]).is_empty());
-        assert!(scan_eager(&[]).is_empty());
         let sets = vec![list(&["0.1"]), vec![]];
         assert!(indexed_lookup_eager(&sets).is_empty());
-        assert!(scan_eager(&sets).is_empty());
     }
 
     #[test]

@@ -6,8 +6,8 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 use xks_lca::naive::{naive_elca, naive_slca};
 use xks_lca::{
-    elca_candidate_rmq, elca_stack, extract_anchored_into, gallop_elca, indexed_lookup_eager,
-    merge_postings, scan_eager, GallopScratch,
+    elca_stack, extract_anchored_into, gallop_elca, indexed_lookup_eager, merge_postings,
+    GallopScratch,
 };
 use xks_xmltree::Dewey;
 
@@ -59,7 +59,6 @@ proptest! {
         prop_assume!(sets.iter().all(|s| !s.is_empty()));
         let expected = naive_slca(&sets);
         prop_assert_eq!(&indexed_lookup_eager(&sets), &expected, "ILE mismatch");
-        prop_assert_eq!(&scan_eager(&sets), &expected, "ScanEager mismatch");
     }
 
     #[test]
@@ -72,18 +71,6 @@ proptest! {
         let sets = keyword_sets(&nodes, &marks, k);
         prop_assume!(sets.iter().all(|s| !s.is_empty()));
         prop_assert_eq!(elca_stack(&sets), naive_elca(&sets));
-    }
-
-    #[test]
-    fn elca_candidate_rmq_agrees_with_oracle(
-        choices in prop::collection::vec(any::<u8>(), 0..60),
-        marks in prop::collection::vec(any::<u8>(), 1..61),
-        k in 1usize..5,
-    ) {
-        let nodes = random_tree(&choices);
-        let sets = keyword_sets(&nodes, &marks, k);
-        prop_assume!(sets.iter().all(|s| !s.is_empty()));
-        prop_assert_eq!(elca_candidate_rmq(&sets), naive_elca(&sets));
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Stress and shape tests for the LCA algorithms: deep chains, broad
 //! fan-out, and fully-overlapping lists — shapes that exercise stack
-//! depth, cursor monotonicity, and mask merging beyond what random
-//! trees typically produce.
+//! depth and mask merging beyond what random trees typically produce.
 
 use xks_lca::naive::{naive_elca, naive_slca};
-use xks_lca::{elca_candidate_rmq, elca_stack, indexed_lookup_eager, scan_eager};
+use xks_lca::{elca_stack, indexed_lookup_eager};
 use xks_xmltree::Dewey;
 
 fn chain(depth: usize) -> Dewey {
@@ -24,14 +23,12 @@ fn deep_chain_alternating_keywords() {
     let slca = indexed_lookup_eager(&sets);
     assert_eq!(slca.len(), 1);
     assert_eq!(slca[0], chain(depth - 1), "deepest covering node");
-    assert_eq!(scan_eager(&sets), slca);
 
     let elca = elca_stack(&sets);
     // Every node 0..=depth-1 contains both keywords below it, but all
     // witnesses except the deepest pair are shadowed: only the deepest
     // CA is an ELCA.
     assert_eq!(elca, vec![chain(depth - 1)]);
-    assert_eq!(elca_candidate_rmq(&sets), elca);
 }
 
 #[test]
@@ -46,10 +43,8 @@ fn broad_fanout_each_child_full() {
 
     let slca = indexed_lookup_eager(&sets);
     assert_eq!(slca.len(), n as usize);
-    assert_eq!(scan_eager(&sets), slca);
     let elca = elca_stack(&sets);
     assert_eq!(elca, slca);
-    assert_eq!(elca_candidate_rmq(&sets), elca);
 }
 
 #[test]
@@ -59,7 +54,6 @@ fn identical_lists_every_node_is_its_own_anchor() {
     let nodes: Vec<Dewey> = (0..100).map(|i| root.child(i)).collect();
     let sets = vec![nodes.clone(), nodes.clone()];
     assert_eq!(elca_stack(&sets), nodes);
-    assert_eq!(elca_candidate_rmq(&sets), nodes);
     assert_eq!(indexed_lookup_eager(&sets), nodes);
 }
 
@@ -74,7 +68,6 @@ fn skewed_list_sizes() {
 
     let slca = indexed_lookup_eager(&sets);
     assert_eq!(slca, naive_slca(&sets));
-    assert_eq!(scan_eager(&sets), slca);
     assert_eq!(slca, vec![root.child(500)]);
 
     let elca = elca_stack(&sets);
@@ -94,7 +87,6 @@ fn three_way_overlap() {
         vec![d("0.1.0"), d("0.1.1"), d("0.3")],
     ];
     assert_eq!(indexed_lookup_eager(&sets), naive_slca(&sets));
-    assert_eq!(scan_eager(&sets), naive_slca(&sets));
     assert_eq!(elca_stack(&sets), naive_elca(&sets));
 }
 

@@ -2,7 +2,7 @@
 //!
 //! This crate provides everything the XML-keyword-search algorithms need
 //! from the document side, built from scratch (the paper used Xerces +
-//! Lucene; see `DESIGN.md` §2 for the substitution notes):
+//! Lucene):
 //!
 //! * [`dewey`] — Dewey codes (`0.2.0.1`) with pre-order ordering,
 //!   ancestor tests, and longest-common-prefix LCA — small codes are

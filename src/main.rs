@@ -1,23 +1,6 @@
 //! `xks` — command-line XML keyword search.
 //!
-//! ```text
-//! xks search <file.xml> "<query>" ["<query>" ...] [--algo valid|maxmatch|slca] [--top-k N]
-//!            [--format json|text] [--limit N] [--xml] [--rank] [--threads N]
-//!            [--trace] [--trace-out <trace.json>]
-//! xks search --index <file.xks|file.xksm> "<query>" ... [same flags] [--shard-threads N]
-//! xks serve  --index <file.xks|file.xksm> [--addr H:P] [--workers N] [--queue-depth N] [--timeout-ms N]
-//! xks bench  --index <file.xks|file.xksm> --queries <queries.txt> [--threads N] [--sweeps N] [--algo ...] [--format json|text]
-//! xks compare <file.xml> "<query>" [--format json|text]
-//! xks stats <file.xml> [--top N]
-//! xks stats --index <file.xks|file.xksm> [--queries <queries.txt>] [--threads N] [--algo ...] [--shard-threads N]
-//! xks build-index <file.xml> <out.xks> [--page-size N]
-//! xks build-index <file.xml> <out.xksm> --shards N [--page-size N]
-//! xks index-stats <file.xks|file.xksm> [--format json|text]
-//! xks verify  --index <file.xks|file.xksm>
-//! xks insert  --corpus <dir> <file.xml> [--root <label>]
-//! xks delete  --corpus <dir> --doc <ordinal>
-//! xks compact --corpus <dir> [--shards N]
-//! ```
+//! The commands and their flags are listed once, in `USAGE` (`xks help`).
 //!
 //! Queries use the operator grammar: plain keywords, quoted
 //! `"phrases"`, `-word` exclusions, and `label:word` filters (see
@@ -273,7 +256,7 @@ fn read_query_file(path: &str) -> Result<Vec<String>, String> {
 }
 
 fn cmd_search(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = split_flags(args)?;
+    let (positional, flags) = split_flags("search", args, accepts::SEARCH)?;
     let algo = parse_algo(&flags)?;
     let format = Format::from_flags(&flags)?;
     let limit = flags.get_usize("limit")?.unwrap_or(usize::MAX);
@@ -354,7 +337,7 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
 /// control, deadlines, and graceful shutdown are documented in
 /// docs/SERVER.md.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = split_flags(args)?;
+    let (positional, flags) = split_flags("serve", args, accepts::SERVE)?;
     let addr = match (flags.get_str("addr"), flags.get_usize("port")?) {
         (Some(_), Some(_)) => {
             return Err("--addr and --port are mutually exclusive (addr carries the port)".into())
@@ -428,7 +411,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 /// per-term selectivity, chosen intersection strategy, shard skips —
 /// without executing the query.
 fn cmd_explain(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = split_flags(args)?;
+    let (positional, flags) = split_flags("explain", args, accepts::EXPLAIN)?;
     let algo = parse_algo(&flags)?;
     let format = Format::from_flags(&flags)?;
 
@@ -605,7 +588,7 @@ fn format_us(ns: u64) -> String {
 /// Batch mode: run a whole query file through the concurrent executor
 /// against one shared engine and report aggregate throughput.
 fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = split_flags(args)?;
+    let (positional, flags) = split_flags("bench", args, accepts::BENCH)?;
     let algo = parse_algo(&flags)?;
     let format = Format::from_flags(&flags)?;
     let top_k = flags.get_usize("top-k")?;
@@ -727,7 +710,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_compare(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = split_flags(args)?;
+    let (positional, flags) = split_flags("compare", args, accepts::COMPARE)?;
     let format = Format::from_flags(&flags)?;
     let [file, keywords] = positional.as_slice() else {
         return Err(format!("compare needs <file.xml> and <query>\n{USAGE}"));
@@ -839,7 +822,7 @@ fn snapshot_json(snap: &xks::obs::Snapshot) -> Value {
 // -- remaining commands (unchanged surface) -----------------------------
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = split_flags(args)?;
+    let (positional, flags) = split_flags("stats", args, accepts::STATS)?;
     if flags.has("index") || flags.has("corpus") {
         return cmd_stats_live(&positional, &flags);
     }
@@ -905,7 +888,7 @@ fn cmd_stats_live(positional: &[String], flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_build_index(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = split_flags(args)?;
+    let (positional, flags) = split_flags("build-index", args, accepts::BUILD_INDEX)?;
     let [file, out] = positional.as_slice() else {
         return Err(format!(
             "build-index needs <file.xml> and <out.xks>\n{USAGE}"
@@ -988,7 +971,7 @@ fn index_stats_json(stats: &xks::persist::IndexStats) -> BTreeMap<String, Value>
 }
 
 fn cmd_index_stats(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = split_flags(args)?;
+    let (positional, flags) = split_flags("index-stats", args, accepts::INDEX_STATS)?;
     let format = Format::from_flags(&flags)?;
     let [file] = positional.as_slice() else {
         return Err(format!("index-stats needs <file.xks|file.xksm>\n{USAGE}"));
@@ -1109,7 +1092,7 @@ fn cmd_index_stats(args: &[String]) -> Result<(), String> {
 /// monolithic `.xks` or every shard of a `.xksm` corpus. Exits non-zero
 /// (via the `Err` path) on the first corrupt section, naming it.
 fn cmd_verify(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = split_flags(args)?;
+    let (positional, flags) = split_flags("verify", args, accepts::VERIFY)?;
     let path = match (flags.get_str("index"), positional.as_slice()) {
         (Some(p), []) => p.to_owned(),
         (None, [p]) => p.clone(),
@@ -1170,7 +1153,7 @@ fn open_or_create_corpus(
 /// creating the corpus on first use. The document is durable (framed,
 /// checksummed, fsynced) before the ordinal is reported.
 fn cmd_insert(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = split_flags(args)?;
+    let (positional, flags) = split_flags("insert", args, accepts::INSERT)?;
     let Some(dir) = flags.get_str("corpus") else {
         return Err(format!("insert needs --corpus <dir>\n{USAGE}"));
     };
@@ -1193,7 +1176,7 @@ fn cmd_insert(args: &[String]) -> Result<(), String> {
 /// `xks delete`: tombstone one document by ordinal. Durable in the WAL
 /// before this reports success; the ordinal is never reused.
 fn cmd_delete(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = split_flags(args)?;
+    let (positional, flags) = split_flags("delete", args, accepts::DELETE)?;
     let Some(dir) = flags.get_str("corpus") else {
         return Err(format!("delete needs --corpus <dir>\n{USAGE}"));
     };
@@ -1220,7 +1203,7 @@ fn cmd_delete(args: &[String]) -> Result<(), String> {
 /// `xks compact`: seal base + delta into a new generation of `.xks`
 /// shards, swap the manifest atomically, and reset the WAL.
 fn cmd_compact(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = split_flags(args)?;
+    let (positional, flags) = split_flags("compact", args, accepts::COMPACT)?;
     let Some(dir) = flags.get_str("corpus") else {
         return Err(format!("compact needs --corpus <dir>\n{USAGE}"));
     };
@@ -1253,7 +1236,7 @@ fn cmd_compact(args: &[String]) -> Result<(), String> {
 fn cmd_workload(args: &[String]) -> Result<(), String> {
     use xks::datagen::scenario::ScenarioSpec;
 
-    let (positional, flags) = split_flags(args)?;
+    let (positional, flags) = split_flags("workload", args, accepts::WORKLOAD)?;
     match positional.first().map(String::as_str) {
         Some("list") => cmd_workload_list(&flags),
         Some("show") => {
@@ -1470,53 +1453,62 @@ impl Flags {
     }
 }
 
-/// Splits positional arguments from `--flag [value]` pairs. Flags taking
-/// values: `algo`, `limit`, `top`, `top-k`, `format`, `index`,
-/// `page-size`, `threads`, `queries`, `sweeps`, `shards`,
-/// `shard-threads`, `trace-out`, `corpus`, `doc`, `root`, `timeout-ms`,
-/// and the `serve` knobs (`addr`, `port`, `workers`, `queue-depth`,
-/// `drain-ms`, `idle-ms`, `max-body-bytes`).
-fn split_flags(args: &[String]) -> Result<(Vec<String>, Flags), String> {
-    const VALUED: [&str; 25] = [
-        "out",
-        "algo",
-        "limit",
-        "top",
-        "top-k",
-        "format",
-        "index",
-        "page-size",
-        "threads",
-        "queries",
-        "sweeps",
-        "shards",
-        "shard-threads",
-        "trace-out",
-        "corpus",
-        "doc",
-        "root",
-        "timeout-ms",
-        "addr",
-        "port",
-        "workers",
-        "queue-depth",
-        "drain-ms",
-        "idle-ms",
-        "max-body-bytes",
+/// The flags each command takes: `(name, takes a value)`.
+#[rustfmt::skip]
+mod accepts {
+    pub const SEARCH: &[(&str, bool)] = &[
+        ("algo", true), ("format", true), ("limit", true), ("top-k", true), ("threads", true),
+        ("trace-out", true), ("timeout-ms", true), ("xml", false), ("rank", false),
+        ("trace", false), ("index", true), ("corpus", true), ("shard-threads", true),
     ];
+    pub const SERVE: &[(&str, bool)] = &[
+        ("addr", true), ("port", true), ("workers", true), ("queue-depth", true),
+        ("timeout-ms", true), ("drain-ms", true), ("idle-ms", true), ("max-body-bytes", true),
+        ("index", true), ("corpus", true), ("shard-threads", true),
+    ];
+    pub const EXPLAIN: &[(&str, bool)] = &[
+        ("algo", true), ("format", true), ("index", true), ("corpus", true), ("shard-threads", true),
+    ];
+    pub const BENCH: &[(&str, bool)] = &[
+        ("algo", true), ("format", true), ("top-k", true), ("threads", true), ("sweeps", true),
+        ("queries", true), ("index", true), ("corpus", true), ("shard-threads", true),
+    ];
+    pub const COMPARE: &[(&str, bool)] = &[("format", true)];
+    pub const STATS: &[(&str, bool)] = &[
+        ("top", true), ("algo", true), ("top-k", true), ("threads", true), ("queries", true),
+        ("index", true), ("corpus", true), ("shard-threads", true),
+    ];
+    pub const BUILD_INDEX: &[(&str, bool)] = &[("page-size", true), ("shards", true)];
+    pub const INDEX_STATS: &[(&str, bool)] = &[("format", true)];
+    pub const VERIFY: &[(&str, bool)] = &[("index", true)];
+    pub const INSERT: &[(&str, bool)] = &[("corpus", true), ("root", true)];
+    pub const DELETE: &[(&str, bool)] = &[("corpus", true), ("doc", true)];
+    pub const COMPACT: &[(&str, bool)] = &[("corpus", true), ("shards", true)];
+    pub const WORKLOAD: &[(&str, bool)] = &[("format", true), ("out", true)];
+}
+
+/// Splits positional arguments from `--flag [value]` pairs. `accepted`
+/// lists the flags `command` takes; any other flag is a usage error.
+fn split_flags(
+    command: &str,
+    args: &[String],
+    accepted: &[(&str, bool)],
+) -> Result<(Vec<String>, Flags), String> {
     let mut positional = Vec::new();
     let mut flags = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
-            if VALUED.contains(&name) {
-                let v = it
-                    .next()
-                    .ok_or_else(|| format!("--{name} expects a value"))?;
-                flags.push((name.to_owned(), Some(v.clone())));
+            let Some(&(_, valued)) = accepted.iter().find(|(n, _)| *n == name) else {
+                return Err(format!("{command}: unknown flag --{name}"));
+            };
+            let value = if valued {
+                let value = it.next().cloned();
+                Some(value.ok_or_else(|| format!("--{name} expects a value"))?)
             } else {
-                flags.push((name.to_owned(), None));
-            }
+                None
+            };
+            flags.push((name.to_owned(), value));
         } else {
             positional.push(a.clone());
         }

@@ -433,6 +433,30 @@ fn bad_usage_fails_cleanly() {
         assert!(!out.status.success(), "args {args:?} should fail");
         assert!(!out.stderr.is_empty());
     }
+    // A flag the command does not take is refused, not read as a
+    // boolean (which turned its value into a second query) or ignored.
+    let file = sample_file();
+    let file = file.to_str().unwrap();
+    for (args, command, flag) in [
+        (
+            vec!["search", file, "grizzlies position", "--topk", "5"],
+            "search",
+            "--topk",
+        ),
+        (vec!["stats", file, "--treads", "4"], "stats", "--treads"),
+        (
+            vec!["compare", file, "grizzlies position", "--rank"],
+            "compare",
+            "--rank",
+        ),
+    ] {
+        let out = xks().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "args {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let expected = format!("{command}: unknown flag {flag}");
+        assert!(stderr.contains(&expected), "args {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "args {args:?} ran anyway");
+    }
 }
 
 #[test]
