@@ -378,12 +378,6 @@ impl MutableSource {
         self.read().labels.clone()
     }
 
-    /// True when a sealed base backs this source.
-    #[must_use]
-    pub fn has_base(&self) -> bool {
-        self.read().base.is_some()
-    }
-
     /// Exports every **live** row the base does not hold, in document
     /// order — compaction's input. Root rows lead when the corpus was
     /// created empty; tombstoned delta documents are dropped (their

@@ -320,12 +320,6 @@ impl SearchRequest {
         self.max_fragments
     }
 
-    /// The explicit ranking weights, if set.
-    #[must_use]
-    pub fn rank_weights(&self) -> Option<&RankWeights> {
-        self.weights.as_ref()
-    }
-
     /// Whether execution ranks the hits (an explicit `weights` call or
     /// any `top_k`).
     #[must_use]

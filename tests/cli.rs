@@ -437,26 +437,193 @@ fn bad_usage_fails_cleanly() {
     // boolean (which turned its value into a second query) or ignored.
     let file = sample_file();
     let file = file.to_str().unwrap();
-    for (args, command, flag) in [
+    for (args, expected) in [
         (
             vec!["search", file, "grizzlies position", "--topk", "5"],
-            "search",
-            "--topk",
+            "search: unknown flag --topk",
         ),
-        (vec!["stats", file, "--treads", "4"], "stats", "--treads"),
+        (
+            vec!["stats", file, "--treads", "4"],
+            "stats: unknown flag --treads",
+        ),
         (
             vec!["compare", file, "grizzlies position", "--rank"],
-            "compare",
-            "--rank",
+            "compare: unknown flag --rank",
         ),
+        // A repeated flag is refused, not resolved to its first value
+        // with the second never validated.
+        (
+            vec![
+                "search",
+                file,
+                "grizzlies",
+                "--algo",
+                "slca",
+                "--algo",
+                "bogus",
+            ],
+            "search: --algo given more than once",
+        ),
+        // Surplus positionals are refused wherever the shape is fixed.
+        (
+            vec!["workload", "list", "extra", "junk"],
+            "workload: takes 1 positional argument(s), got 3",
+        ),
+        (
+            vec!["workload", "show", "s1-flat-zipf-single", "extra"],
+            "workload: takes 2 positional argument(s), got 3",
+        ),
+        (
+            vec!["workload", "generate", "s1-flat-zipf-single", "extra"],
+            "workload: takes 2 positional argument(s), got 3",
+        ),
+        (
+            vec!["compact", "--corpus", "/nonexistent", "extra"],
+            "compact: takes 0 positional argument(s), got 1",
+        ),
+        (vec!["help", "searchx"], "unknown command \"searchx\""),
     ] {
         let out = xks().args(&args).output().unwrap();
         assert_eq!(out.status.code(), Some(1), "args {args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        let expected = format!("{command}: unknown flag {flag}");
-        assert!(stderr.contains(&expected), "args {args:?}: {stderr}");
+        assert!(stderr.contains(expected), "args {args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "args {args:?} ran anyway");
     }
+    // No command at all is told apart from a bad one.
+    assert_eq!(xks().output().unwrap().status.code(), Some(2));
+}
+
+/// `xks <args>` must succeed; returns its stdout.
+fn stdout_of(args: &[&str]) -> String {
+    let out = xks().args(args).output().expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "xks {args:?} failed: {stderr}");
+    String::from_utf8(out.stdout).unwrap()
+}
+
+/// Every `--flag` spelled in `text` (a help block, a shell line).
+fn flags_in(text: &str) -> Vec<String> {
+    let is_name = |c: char| c.is_ascii_lowercase() || c == '-';
+    text.split(|c: char| c.is_whitespace() || "[]|`()".contains(c))
+        .filter_map(|word| word.strip_prefix("--"))
+        .map(|name| format!("--{}", name.trim_end_matches(|c| !is_name(c))))
+        .collect()
+}
+
+/// The command names `xks help` lists, in table order.
+fn listed_commands() -> Vec<String> {
+    let mut names: Vec<String> = Vec::new();
+    for line in stdout_of(&["help"]).lines() {
+        if let Some(rest) = line.strip_prefix("  xks ") {
+            let name = rest.split(' ').next().unwrap().to_owned();
+            if !names.contains(&name) {
+                names.push(name);
+            }
+        }
+    }
+    names
+}
+
+/// Help is generated from the table the parser enforces: whatever
+/// `xks help <command>` lists, the command accepts, `--help` prints the
+/// same block, and the four flags the hand-kept usage text had lost are
+/// back.
+#[test]
+fn help_lists_what_the_parser_accepts() {
+    let commands = listed_commands();
+    let known = "search serve explain bench compare stats build-index index-stats verify \
+                 insert delete compact workload help";
+    for name in known.split(' ') {
+        assert!(commands.iter().any(|c| c == name), "{name} not in xks help");
+    }
+    let all = stdout_of(&["help"]);
+    for command in &commands {
+        let block = stdout_of(&["help", command]);
+        assert!(block.starts_with("usage:\n  xks "), "{command}: {block}");
+        assert_eq!(stdout_of(&[command, "--help"]), block, "{command} --help");
+        assert!(
+            all.contains(block.trim_start_matches("usage:\n")),
+            "{command}"
+        );
+        // No listed flag starts a server or writes a file here: without a
+        // backend (or with the dummy value) every command stops first.
+        for flag in flags_in(&block) {
+            let out = xks().args([command, &flag, "x"]).output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                !stderr.contains("unknown flag"),
+                "xks help {command} lists {flag}, the parser refuses it: {stderr}"
+            );
+        }
+    }
+    for (command, listed) in [
+        ("serve", "[--port N]"),
+        ("search", "[--timeout-ms N]"),
+        ("explain", "[--shard-threads N]"),
+        ("verify", "\n  xks verify <file.xks|file.xksm>\n"),
+    ] {
+        let block = stdout_of(&["help", command]);
+        assert!(
+            block.contains(listed),
+            "{command} lacks {listed:?}: {block}"
+        );
+    }
+}
+
+/// The shell lines the docs show name real commands and only flags
+/// `xks help <command>` lists, and docs/SERVER.md's flag table (which
+/// carries the defaults) covers exactly the flags `xks serve` takes
+/// beyond its backend.
+#[test]
+fn documented_command_lines_match_help() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut docs = vec![root.join("README.md")];
+    for entry in std::fs::read_dir(root.join("docs")).unwrap() {
+        docs.push(entry.unwrap().path());
+    }
+    let commands = listed_commands();
+    let mut checked = 0;
+    for doc in docs
+        .iter()
+        .filter(|d| d.extension().is_some_and(|e| e == "md"))
+    {
+        let text = std::fs::read_to_string(doc).unwrap().replace("\\\n", " ");
+        let mut fenced = false;
+        for line in text.lines() {
+            if line.starts_with("```") {
+                fenced = !fenced;
+                continue;
+            }
+            let line = line.strip_prefix("target/release/").unwrap_or(line);
+            let Some(line) = line.strip_prefix("xks ").filter(|_| fenced) else {
+                continue;
+            };
+            let line = line.split(" #").next().unwrap();
+            let command = line.split_whitespace().next().unwrap();
+            let shown = format!("{}: xks {line}", doc.display());
+            assert!(commands.iter().any(|c| c == command), "{shown}");
+            let listed = flags_in(&stdout_of(&["help", command]));
+            for flag in flags_in(line) {
+                assert!(listed.contains(&flag), "{shown}: {flag} is not a flag");
+            }
+            checked += 1;
+        }
+    }
+    assert!(
+        checked >= 40,
+        "only {checked} documented command lines found"
+    );
+
+    let server = std::fs::read_to_string(root.join("docs/SERVER.md")).unwrap();
+    let mut table: Vec<String> = Vec::new();
+    for row in server.lines().filter(|l| l.starts_with("| `--")) {
+        table.extend(flags_in(row.split(" | ").next().unwrap()));
+    }
+    let mut listed = flags_in(&stdout_of(&["help", "serve"]));
+    listed.retain(|flag| flag != "--index" && flag != "--corpus");
+    table.sort();
+    listed.sort();
+    assert_eq!(table, listed, "docs/SERVER.md flag table vs xks help serve");
 }
 
 #[test]
