@@ -126,7 +126,8 @@ impl Handlers {
     /// `POST /search`: the JSON body maps onto a [`SearchRequest`],
     /// and the response body is byte-identical (modulo `timings_us`)
     /// to one element of `xks search --format json`'s `results` array
-    /// — both render through [`validrtf::wire::response_json`].
+    /// — both render through [`validrtf::wire::write_response`], here
+    /// straight into the reply body.
     fn search(&self, request: &Request, deadline: Option<Instant>) -> Reply {
         let body = match std::str::from_utf8(&request.body) {
             Ok(text) => text,
@@ -154,11 +155,22 @@ impl Handlers {
             engine_request = engine_request.deadline_at(deadline);
         }
         match self.engine.execute(&engine_request) {
-            Ok(response) => Reply::json(
-                200,
-                "OK",
-                &wire::response_json(&self.engine, &engine_request, &response, search.limit),
-            ),
+            Ok(response) => {
+                let mut body = String::new();
+                wire::write_response(
+                    &self.engine,
+                    &engine_request,
+                    &response,
+                    search.limit,
+                    &mut body,
+                );
+                Reply {
+                    status: 200,
+                    reason: "OK",
+                    body,
+                    extra: Vec::new(),
+                }
+            }
             Err(SearchError::Timeout(timeout)) => {
                 self.metrics.timeouts_503.inc();
                 let mut reply =

@@ -10,7 +10,7 @@
 //! worker can notice server drain even while parked on an idle
 //! keep-alive connection.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -373,7 +373,9 @@ fn parse_head(head: &[u8]) -> Result<(Request, usize), HttpError> {
 }
 
 /// Writes one response. `extra` headers ride between the fixed ones
-/// and the blank line (e.g. `Retry-After`).
+/// and the blank line (e.g. `Retry-After`). Head and body go out in
+/// one vectored write loop, so a response that fits the socket buffer
+/// leaves as one segment under `TCP_NODELAY`, not two.
 pub(crate) fn write_response(
     stream: &mut TcpStream,
     status: u16,
@@ -396,8 +398,18 @@ pub(crate) fn write_response(
         head.push_str("Connection: close\r\n");
     }
     head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    let mut parts = [IoSlice::new(head.as_bytes()), IoSlice::new(body)];
+    let mut unsent = &mut parts[..];
+    // `advance_slices` drops every fully written part, an empty body
+    // included, so the loop ends exactly when both are out.
+    while !unsent.is_empty() {
+        match stream.write_vectored(unsent) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut unsent, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     stream.flush()
 }
 
@@ -448,6 +460,43 @@ mod tests {
             head("POST /x HTTP/1.1\r\nTransfer-Encoding: chunked"),
             Err(HttpError::UnsupportedTransferEncoding)
         ));
+    }
+
+    /// The vectored write delivers head and body whole, through partial
+    /// writes (a body far past the socket buffer) and for an empty body.
+    #[test]
+    fn write_response_delivers_every_byte() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        for body in [Vec::new(), (0..4_000_000u32).map(|i| i as u8).collect()] {
+            let reader = std::thread::spawn(move || {
+                let mut received = Vec::new();
+                TcpStream::connect(addr)
+                    .unwrap()
+                    .read_to_end(&mut received)
+                    .unwrap();
+                received
+            });
+            let (mut stream, _) = listener.accept().unwrap();
+            write_response(
+                &mut stream,
+                200,
+                "OK",
+                &body,
+                &[("Retry-After", "1".to_owned())],
+                true,
+            )
+            .unwrap();
+            drop(stream);
+            let received = reader.join().unwrap();
+            let head = format!(
+                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\
+                 Retry-After: 1\r\nConnection: close\r\n\r\n",
+                body.len()
+            );
+            assert_eq!(&received[..head.len()], head.as_bytes());
+            assert!(received[head.len()..] == body[..], "body bytes differ");
+        }
     }
 
     #[test]

@@ -307,14 +307,12 @@ fn serve_connection(
                     .metrics
                     .request_ns
                     .record_duration(handled_at.elapsed());
-                let extra: Vec<(&str, String)> =
-                    reply.extra.iter().map(|(n, v)| (*n, v.clone())).collect();
                 let wrote = http::write_response(
                     &mut stream,
                     reply.status,
                     reply.reason,
                     reply.body.as_bytes(),
-                    &extra,
+                    &reply.extra,
                     close,
                 );
                 served.fetch_add(1, Ordering::SeqCst);

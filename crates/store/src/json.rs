@@ -5,7 +5,10 @@
 //! and the HTTP server's request bodies — goes through this small
 //! hand-rolled module instead of `serde_json`. It supports objects,
 //! arrays, strings (with `\uXXXX` escapes), unsigned integers, `null`,
-//! booleans, and finite floats (rank scores, fractional timings).
+//! booleans, and finite floats (rank scores, fractional timings). A
+//! [`Value::Raw`] carries text some other writer already serialized —
+//! the search response, which `wire::write_response` streams — so it
+//! can sit inside a composed document without being parsed back.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -28,6 +31,10 @@ pub enum Value {
     Arr(Vec<Value>),
     /// An object (keys come back sorted, not in input order).
     Obj(BTreeMap<String, Value>),
+    /// One pre-serialized JSON value, written verbatim. The producer
+    /// vouches that it is valid, compact JSON; [`parse`] never yields
+    /// it (serde_json's `RawValue` idea).
+    Raw(String),
 }
 
 impl Value {
@@ -418,10 +425,14 @@ pub fn write(value: &Value, out: &mut String) {
             }
             out.push('}');
         }
+        Value::Raw(text) => out.push_str(text),
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// Writes `s` as a quoted JSON string: `"` and `\` escaped, `\n`,
+/// `\r`, `\t` as their short escapes, other control characters as
+/// `\u00XX`, everything else (non-ASCII included) as is.
+pub fn write_string(s: &str, out: &mut String) {
     use fmt::Write as _;
     out.push('"');
     for c in s.chars() {
@@ -522,6 +533,51 @@ mod tests {
         // Non-finite floats degrade to null on write.
         assert_eq!(to_string(&Value::Float(f64::NAN)), "null");
         assert_eq!(to_string(&Value::Float(f64::INFINITY)), "null");
+    }
+
+    #[test]
+    fn raw_is_written_verbatim() {
+        let raw = r#"{"z":1,"a":[true,null]}"#;
+        let doc = Value::Arr(vec![Value::Raw(raw.to_owned()), Value::Num(2)]);
+        assert_eq!(to_string(&doc), format!("[{raw},2]"));
+        assert_eq!(to_string(&Value::Raw(String::new())), "");
+    }
+
+    #[test]
+    fn parse_never_yields_raw() {
+        fn has_raw(v: &Value) -> bool {
+            match v {
+                Value::Raw(_) => true,
+                Value::Arr(items) => items.iter().any(has_raw),
+                Value::Obj(map) => map.values().any(has_raw),
+                _ => false,
+            }
+        }
+        let raw = Value::Raw(r#"{"k":[1,"x",{"n":null}]}"#.to_owned());
+        let reparsed = parse(&to_string(&Value::Arr(vec![raw]))).unwrap();
+        assert!(!has_raw(&reparsed));
+        assert_eq!(
+            reparsed.as_arr().unwrap()[0]
+                .get("k")
+                .unwrap()
+                .as_arr()
+                .unwrap()[1],
+            Value::Str("x".to_owned())
+        );
+    }
+
+    #[test]
+    fn write_string_escapes_control_characters() {
+        let mut out = String::new();
+        write_string("a\u{0}b\u{1f}c\u{8}\u{c}\n\r\t\"\\é\u{7f}", &mut out);
+        assert_eq!(
+            out,
+            "\"a\\u0000b\\u001fc\\u0008\\u000c\\n\\r\\t\\\"\\\\é\u{7f}\""
+        );
+        assert_eq!(
+            parse(&out).unwrap().as_str(),
+            Some("a\u{0}b\u{1f}c\u{8}\u{c}\n\r\t\"\\é\u{7f}")
+        );
     }
 
     #[test]

@@ -88,7 +88,8 @@ fn sources_agree_fact_by_fact() {
 /// and its hit count.
 fn comparable(engine: &SearchEngine, request: &SearchRequest) -> (String, usize) {
     let response = engine.execute(request).expect("executes");
-    let Value::Obj(mut fields) = response_json(engine, request, &response, usize::MAX) else {
+    let body = json::to_string(&response_json(engine, request, &response, usize::MAX));
+    let Value::Obj(mut fields) = json::parse(&body).expect("a response is valid JSON") else {
         panic!("a response renders as a JSON object");
     };
     fields.remove("timings_us");

@@ -20,7 +20,9 @@
 //!    fragment performs exactly one — however many raw nodes the
 //!    decision discarded — and the request path built on them reaches
 //!    a steady state;
-//! 6. stage tracing adds nothing to that.
+//! 6. stage tracing adds nothing to that;
+//! 7. rendering a response allocates a small constant number of times
+//!    (at most 48), whether it carries 1 hit or 7 454.
 //!
 //! The whole proof lives in ONE `#[test]` so no concurrently running
 //! test can disturb the counter.
@@ -349,4 +351,51 @@ fn warm_query_hot_path_is_allocation_free() {
         traced_warm1, warm1,
         "tracing must not allocate on the warm path (untraced {warm1}, traced {traced_warm1})"
     );
+
+    // ---- 7. The render streams: nothing is built per hit or node -------
+    // `write_response` writes hits and nodes straight into the caller's
+    // buffer. What allocates is per response — the `stats` and
+    // `timings_us` builders, the query text, one lookup per distinct
+    // label, `response_json`'s one reservation — so a 1-hit and a
+    // 7 454-hit answer over the same corpus stay under the same bound.
+    use xks::core::wire;
+    use xks::datagen::scenario::ScenarioSpec;
+    const RENDER_ALLOCS: u64 = 48;
+    let cell = ScenarioSpec::parse("s100-flat-zipf-single")
+        .expect("known cell")
+        .generate();
+    let engine = SearchEngine::from_owned_source(MemoryCorpus::new(xks::store::shred(&cell.tree)));
+    let mut body = String::new();
+    for (text, hits) in [("w37 w38 w39", 1..=1), ("w0", 5_000..=usize::MAX)] {
+        let request = SearchRequest::parse(text).expect("parses");
+        let response = engine
+            .execute(&request)
+            .expect("memory backend cannot fail");
+        assert!(
+            hits.contains(&response.hits.len()),
+            "{text:?} answers {} hits",
+            response.hits.len()
+        );
+        let render = |body: &mut String| {
+            body.clear();
+            wire::write_response(&engine, &request, &response, usize::MAX, body);
+        };
+        render(&mut body); // grow the buffer
+        let warm = count_allocs(|| render(&mut body));
+        let fresh = count_allocs(|| {
+            std::hint::black_box(wire::response_json(
+                &engine,
+                &request,
+                &response,
+                usize::MAX,
+            ));
+        });
+        assert!(
+            warm <= RENDER_ALLOCS && fresh <= RENDER_ALLOCS,
+            "rendering {} hits ({} bytes) allocated {warm} times into a warm buffer, \
+             {fresh} times through response_json (bound {RENDER_ALLOCS})",
+            response.hits.len(),
+            body.len()
+        );
+    }
 }
