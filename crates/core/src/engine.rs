@@ -2,7 +2,6 @@
 //! [`SearchRequest`]s through a single pipeline and producing the §5.1
 //! comparison in one call.
 
-use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -19,7 +18,7 @@ use crate::prune::Policy;
 use crate::rank::RankedFragment;
 use crate::request::{Hit, SearchError, SearchRequest, SearchResponse, SearchStats, SearchTimeout};
 use crate::rtf::Partitions;
-use crate::shards::{scatter, scatter_resolve, ShardSet};
+use crate::shards::ShardSet;
 use crate::source::{CorpusSource, TreeCorpus};
 
 /// Which end-to-end algorithm to run.
@@ -70,11 +69,8 @@ pub struct Comparison {
 /// once (see [`crate::executor`]). It holds exactly one
 /// [`CorpusSource`] — a parsed tree ([`TreeCorpus`]), shredded tables,
 /// an `xks-persist` on-disk index, a [`ShardSet`], … — and runs every
-/// request through the same pipeline over it. Sharding is that source
-/// plus a fan-out: keyword resolution scatters per shard and fragment
-/// construction per RTF, while the anchor stages stay one global pass
-/// (see [`crate::shards`] for why that split is what keeps sharded
-/// results byte-identical).
+/// request through the same pipeline over it, on the caller's thread
+/// (see [`crate::shards`] for why a shard set is just another source).
 ///
 /// All per-query mutable state lives in a [`QueryContext`]:
 ///
@@ -94,12 +90,9 @@ pub struct SearchEngine {
     /// `source` again, typed, when it is a parsed tree — what
     /// [`SearchEngine::tree`] and [`SearchEngine::index`] hand out.
     parsed: Option<Arc<TreeCorpus>>,
-    /// `source` again, typed, when it is a shard set — the topology the
-    /// scattered keyword resolution and `explain` read.
+    /// `source` again, typed, when it is a shard set — the topology
+    /// `shards_skipped` and `explain` read.
     shards: Option<Arc<ShardSet>>,
-    /// Worker threads each scatter stage fans out to (1 = inline on the
-    /// caller's context; always 1 on unsharded engines).
-    fan_out: usize,
     /// Pool of warm contexts for the `&self` entry points. Capped so a
     /// burst of threads cannot pin unbounded scratch memory.
     contexts: Mutex<Vec<QueryContext>>,
@@ -123,7 +116,6 @@ impl SearchEngine {
             source,
             parsed: None,
             shards: None,
-            fan_out: 1,
             contexts: Mutex::new(Vec::new()),
             metrics: EngineMetrics::from_global(),
         }
@@ -161,59 +153,25 @@ impl SearchEngine {
         Self::over(Arc::new(source))
     }
 
-    /// Builds the engine over a sharded corpus, searched with
-    /// **scatter-gather**: keyword resolution fans out one task per
-    /// (keyword × shard) and fragment construction one task per RTF,
-    /// both over the work-stealing cursor pattern of
-    /// [`crate::executor`] with warm [`QueryContext`]s drawn from the
-    /// engine pool; the anchor stages stay a single global pass, which
-    /// is what keeps results byte-identical to the unsharded engine
-    /// (see [`crate::shards`]).
-    ///
-    /// The fan-out defaults to
-    /// `min(shard count, available parallelism)`; override it with
-    /// [`SearchEngine::with_scatter_threads`] (1 runs every stage
-    /// inline — same results, no spawns).
-    ///
-    /// Cost model: each scattered stage spawns scoped OS threads per
-    /// query (there is no persistent worker pool yet), so the fan-out
-    /// pays a fixed ~tens-of-µs spawn/join cost per query. That is
-    /// noise for disk-bound or large queries — the scatter's target —
-    /// but can dominate sub-100µs warm in-memory queries; set the
-    /// fan-out to 1 for those (or batch them through
-    /// [`crate::executor::run_batch`], which amortizes its spawns over
-    /// the whole batch and leaves per-query scatter off by default
-    /// when you pass `with_scatter_threads(1)` engines).
+    /// Builds the engine over a sharded corpus. It runs like any other
+    /// source; keeping the set typed adds only the per-query
+    /// `shards_skipped` count and the shard lines of `explain`.
     #[must_use]
     pub fn from_shard_set(set: ShardSet) -> Self {
-        let parallelism = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        let fan_out = set.shard_count().min(parallelism).max(1);
         let set = Arc::new(set);
         SearchEngine {
             shards: Some(Arc::clone(&set)),
-            fan_out,
             ..Self::over(set)
         }
     }
 
-    /// Overrides the scatter fan-out of a sharded engine (clamped to
-    /// ≥ 1; no-op for unsharded backends). Note the fan-out is *per
-    /// query*: a batch run through [`crate::executor::run_batch`] with
-    /// `T` worker threads over a sharded engine with `S` scatter
-    /// threads may run up to `T × S` workers at once.
+    /// Does nothing: sharded engines run every stage inline on the
+    /// caller's thread. Kept only for callers written against the old
+    /// per-query fan-out (the `perfbench` harness); ROADMAP item 1(e)
+    /// drops it together with that last call.
     #[must_use]
-    pub fn with_scatter_threads(mut self, threads: usize) -> Self {
-        if self.shard_set().is_some() {
-            self.fan_out = threads.max(1);
-        }
+    pub fn with_scatter_threads(self, _threads: usize) -> Self {
         self
-    }
-
-    /// The scatter fan-out of a sharded engine (`None` for unsharded
-    /// backends).
-    #[must_use]
-    pub fn scatter_threads(&self) -> Option<usize> {
-        self.shard_set().map(|_| self.fan_out)
     }
 
     /// The shard set of a sharded engine (`None` otherwise).
@@ -328,25 +286,14 @@ impl SearchEngine {
         let exec_start = Instant::now();
         self.check_deadline(deadline, exec_start, "resolve", &stats)?;
 
-        // getKeywordNodes — the one stage that touches cold storage
-        // (scattered across shards on sharded engines, Bloom skips
-        // included; the recorded timing is the wall clock of the whole
-        // fan-out). Traced queries resolve keyword by keyword so each
-        // postings decode gets its own span: byte-identical results
-        // (the default `try_resolve` is this same loop, and a sharded
-        // set's serial routed resolution is proven identical to the
-        // scatter by the sharded differential test), at the cost of the
-        // scatter's parallelism for that one query.
+        // getKeywordNodes — the one stage that touches cold storage. A
+        // shard set skips the shards its keyword filters rule out.
         let t0 = Instant::now();
-        let source = self.source();
-        let resolved = if traced {
-            resolve_traced(source, spec.query(), ctx)?
-        } else if let Some(set) = self.shard_set() {
-            let skipped = &mut stats.shards_skipped;
-            scatter_resolve(self, set, self.fan_out, spec.query(), ctx, skipped)?
-        } else {
-            source.try_resolve(spec.query())?
-        };
+        let keywords = spec.query().keywords();
+        if let Some(set) = self.shard_set() {
+            stats.shards_skipped = keywords.iter().map(|kw| set.shard_skips(kw)).sum();
+        }
+        let resolved = resolve(self.source(), spec.query(), ctx)?;
         timings.get_keyword_nodes = t0.elapsed();
         ctx.trace.record_since(Stage::Resolve, t0);
         let Some(sets) = resolved else {
@@ -399,12 +346,10 @@ impl SearchEngine {
             });
         }
 
-        // pruneRTF — lay out, decide, emit, one RTF per task in
-        // document order (inline on this context at fan-out 1, spread
-        // over pooled contexts above it; gather preserves anchor
-        // order). A `max_fragments` cap with no post-filter to feed
-        // keeps exactly the first `cap` fragments, so only those are
-        // built.
+        // pruneRTF — lay out, decide, emit, one RTF at a time in
+        // document order. A `max_fragments` cap with no post-filter to
+        // feed keeps exactly the first `cap` fragments, so only those
+        // are built.
         let t = Instant::now();
         let build_count = match request.max_fragments_cap() {
             Some(cap) if spec.is_plain() => cap.min(rtf_count),
@@ -412,38 +357,26 @@ impl SearchEngine {
         };
         let parts = Partitions::new(&ctx.anchors, &ctx.merged, &ctx.rtf);
         // Traced queries sum the per-fragment layout time here.
-        let layout_ns = AtomicU64::new(0);
-        let mut fragments = scatter(
-            self,
-            build_count,
-            self.fan_out,
-            &mut ctx.skeleton,
-            |worker| &mut worker.skeleton,
-            |i, skel| {
-                if i > 0 && i.is_multiple_of(DEADLINE_STRIDE) {
-                    self.check_deadline(deadline, exec_start, "construct", &stats)?;
-                }
-                self.build(parts, i, kind.policy(), skel, traced.then_some(&layout_ns))
-            },
-        )?;
-        if traced && self.fan_out == 1 {
-            // One construct span of the summed layout time, the rest of
-            // the stage as the prune span, laid end to end from the
-            // stage start (the steps interleave per anchor, so honest
-            // per-iteration spans would explode the span buffer).
-            let (base, construct_ns) = (ctx.trace.offset_ns(t), layout_ns.into_inner());
-            let stage_ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let prune_ns = stage_ns.saturating_sub(construct_ns);
-            ctx.trace
-                .record_manual(Stage::Construct, base, construct_ns);
-            ctx.trace
-                .record_manual(Stage::Prune, base + construct_ns, prune_ns);
-        } else {
-            // A fan-out interleaves the steps per worker, so the trace
-            // gets one combined span.
-            ctx.trace.record_since(Stage::Construct, t);
+        let mut layout_ns = 0;
+        let mut fragments = Vec::with_capacity(build_count);
+        for i in 0..build_count {
+            if i > 0 && i.is_multiple_of(DEADLINE_STRIDE) {
+                self.check_deadline(deadline, exec_start, "construct", &stats)?;
+            }
+            let layout = traced.then_some(&mut layout_ns);
+            fragments.push(self.build(parts, i, kind.policy(), &mut ctx.skeleton, layout)?);
         }
+        // One construct span of the summed layout time, the rest of the
+        // stage as the prune span, laid end to end from the stage start
+        // (the steps interleave per anchor, so honest per-iteration
+        // spans would explode the span buffer).
         timings.prune_rtf = t.elapsed();
+        let stage_ns = u64::try_from(timings.prune_rtf.as_nanos()).unwrap_or(u64::MAX);
+        let base = ctx.trace.offset_ns(t);
+        ctx.trace.record_manual(Stage::Construct, base, layout_ns);
+        let prune_ns = stage_ns.saturating_sub(layout_ns);
+        ctx.trace
+            .record_manual(Stage::Prune, base + layout_ns, prune_ns);
         self.check_deadline(deadline, exec_start, "post_process", &stats)?;
 
         // Everything past the paper's pipeline is timed as the
@@ -571,8 +504,7 @@ impl SearchEngine {
     /// Whether this request qualifies for bound-ordered top-k
     /// construction (skipping fragments that provably miss the top k):
     /// a ranked `top_k ≥ 1` over a plain query with no `max_fragments`
-    /// cap, untraced, on an unsharded engine (the scatter path keeps
-    /// its own fan-out), with non-negative weights summing above zero
+    /// cap, untraced, with non-negative weights summing above zero
     /// (negative weights would invert the score bound). Returns the
     /// limit and the effective weights.
     fn topk_bound_gate(
@@ -581,11 +513,7 @@ impl SearchEngine {
         spec: &QuerySpec,
         traced: bool,
     ) -> Option<(usize, crate::rank::RankWeights)> {
-        if traced
-            || !spec.is_plain()
-            || request.max_fragments_cap().is_some()
-            || self.shard_set().is_some()
-        {
+        if traced || !spec.is_plain() || request.max_fragments_cap().is_some() {
             return None;
         }
         let k = request.top_k_limit().filter(|&k| k >= 1)?;
@@ -699,7 +627,7 @@ impl SearchEngine {
         i: usize,
         policy: Policy,
         skel: &mut SkeletonScratch,
-        layout_ns: Option<&AtomicU64>,
+        layout_ns: Option<&mut u64>,
     ) -> Result<Fragment, SearchError> {
         let (anchor, knodes) = (parts.anchor(i), parts.knodes(i));
         Ok(Fragment::build(
@@ -946,10 +874,10 @@ impl EngineMetrics {
     }
 }
 
-/// Keyword-by-keyword resolution for traced queries: the same loop as
-/// the default `CorpusSource::try_resolve` (empty list ⇒ `None`), with
-/// one [`Stage::PostingsDecode`] span per keyword.
-fn resolve_traced(
+/// `getKeywordNodes`: the same loop as the default
+/// `CorpusSource::try_resolve` (empty list ⇒ `None`), with one
+/// [`Stage::PostingsDecode`] span per keyword when the trace is armed.
+fn resolve(
     source: &dyn CorpusSource,
     query: &Query,
     ctx: &mut QueryContext,

@@ -24,7 +24,6 @@
 //! 3. [`emit`] materializes only the survivors, once, into an exactly
 //!    sized node vector.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -338,13 +337,13 @@ impl Fragment {
         knodes: impl Iterator<Item = (&'k Dewey, KeySet)>,
         policy: Option<Policy>,
         skel: &mut SkeletonScratch,
-        layout_ns: Option<&AtomicU64>,
+        layout_ns: Option<&mut u64>,
     ) -> Result<Self, SourceError> {
         let started = layout_ns.map(|total| (total, Instant::now()));
         lay_out(facts, anchor, knodes, skel)?;
         if let Some((total, started)) = started {
             let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            total.fetch_add(ns, Ordering::Relaxed);
+            *total = total.saturating_add(ns);
         }
         match policy {
             Some(policy) => decide(skel, policy),

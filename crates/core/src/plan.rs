@@ -128,11 +128,11 @@ const FILTER_MAX_BITS: usize = 65536;
 const FILTER_PROBES: u32 = 2;
 
 /// A small double-hashed Bloom filter over a shard's keyword
-/// vocabulary, stored in the `.xksm` manifest so scatter-gather can
-/// skip `(keyword, shard)` probes for shards that provably miss the
-/// keyword. No false negatives: `may_contain` returning `false` is
-/// proof of absence; `true` may be a false positive (~3% at the sized
-/// 8 bits/key).
+/// vocabulary, stored in the `.xksm` manifest so a
+/// [`ShardSet`](crate::shards::ShardSet) can skip `(keyword, shard)`
+/// probes for shards that provably miss the keyword. No false
+/// negatives: `may_contain` returning `false` is proof of absence;
+/// `true` may be a false positive (~3% at the sized 8 bits/key).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeywordFilter {
     words: Vec<u64>,

@@ -1,5 +1,5 @@
-//! Sharded corpora: routing [`CorpusSource`] over N document
-//! partitions, plus the scatter-gather execution the engine drives.
+//! Sharded corpora: one routing [`CorpusSource`] over N document
+//! partitions.
 //!
 //! # Topology
 //!
@@ -13,11 +13,12 @@
 //!
 //! * **keyword → postings** concatenates the per-shard lists in shard
 //!   order — contiguity makes that a document-ordered merge with no
-//!   k-way comparison;
+//!   k-way comparison — and never probes a shard whose keyword filter
+//!   rejects the keyword;
 //! * **Dewey → element** routes to the owning shard with one binary
-//!   search over the range boundaries (`O(log shards)`, no fan-out).
+//!   search over the range boundaries (`O(log shards)`).
 //!
-//! # Why scatter-gather happens *below* the anchor stages
+//! # Why the shard set sits *below* the anchor stages
 //!
 //! Per-shard end-to-end pipelines cannot be merged exactly: an ELCA
 //! anchor may sit **above** the document level (the corpus root is an
@@ -29,33 +30,25 @@
 //! root fragment covering only its slice. Either way the gathered
 //! result would diverge from the unsharded engine.
 //!
-//! The engine therefore scatters only the **storage-bound** stages and
-//! keeps the cheap in-memory pass global:
-//!
-//! 1. `getKeywordNodes` — fan out (shard × keyword) lookups across
-//!    worker threads, gather by concatenation ([`ShardSet`] invariant
-//!    above). Exactly the unsharded keyword-node sets come out.
-//! 2. `getLCA` / `getRTF` — one single-pass scan over the merged
-//!    stream, unchanged (it is allocation-free and memory-bound; a
-//!    parallel version would buy nothing and lose determinism).
-//! 3. `pruneRTF` — fan out per-RTF fragment construction; each lookup
-//!    routes to the owning shard, root-anchored fragments transparently
-//!    read from all of them. Gather preserves RTF order.
-//!
-//! Results are therefore **byte-identical** to the unsharded engine by
-//! construction — not just on friendly workloads — which the workspace
-//! pins against the golden digest in `tests/sharded_differential.rs`.
+//! So sharding stays a storage concern: a [`ShardSet`] answers the two
+//! storage questions of Algorithm 1 for the whole corpus, and the
+//! engine runs `getKeywordNodes → getLCA → getRTF → pruneRTF` over it
+//! exactly as over any other source, in one pass on the caller's
+//! thread. `getKeywordNodes` sees exactly the unsharded keyword-node
+//! sets, and a root-anchored fragment's lookups route to whichever
+//! shards hold its nodes. Results are therefore **byte-identical** to
+//! the unsharded engine by construction — not just on friendly
+//! workloads — which the workspace pins against the golden digest in
+//! `tests/sharded_differential.rs`. Parallelism comes from running
+//! many queries at once ([`crate::executor`], `xks serve`), not from
+//! splitting one.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use xks_index::{KeywordNodeSets, Query};
 use xks_xmltree::Dewey;
 
-use crate::engine::SearchEngine;
 use crate::fragment::Cid;
 use crate::source::{CorpusSource, SourceElement, SourceError};
-use crate::QueryContext;
 
 /// N corpus shards glued into one logical [`CorpusSource`] (see the
 /// module docs for the topology and merge/routing invariants).
@@ -75,7 +68,7 @@ pub struct ShardSet {
     /// `i`'s vocabulary). Empty when the topology carries none; a
     /// `None` entry means that one shard has no filter. Filters have
     /// no false negatives, so a rejecting filter proves the shard's
-    /// postings list is empty and the scatter may skip the lookup.
+    /// postings list is empty and the lookup is skipped.
     filters: Vec<Option<crate::plan::KeywordFilter>>,
 }
 
@@ -120,10 +113,10 @@ impl ShardSet {
 
     /// Builds a set like [`ShardSet::new`] and attaches per-shard
     /// keyword filters (one entry per shard, `None` where a shard has
-    /// none). The scatter stage consults them to skip (keyword × shard)
-    /// lookups a filter proves empty; filters must therefore have **no
-    /// false negatives** over the shard's vocabulary or results will
-    /// silently lose postings.
+    /// none). Every postings and statistics lookup consults them to
+    /// skip the shards a filter proves empty; filters must therefore
+    /// have **no false negatives** over the shard's vocabulary or
+    /// results will silently lose postings.
     pub fn with_filters(
         shards: Vec<Arc<dyn CorpusSource>>,
         first_docs: Vec<u32>,
@@ -200,8 +193,8 @@ impl ShardSet {
     }
 
     /// How many of the set's shards prove (via their keyword filter)
-    /// that they hold no postings for `keyword` — the lookups the
-    /// scatter stage skips for this term.
+    /// that they hold no postings for `keyword` — the lookups
+    /// [`CorpusSource::try_keyword_deweys`] skips for this term.
     #[must_use]
     pub fn shard_skips(&self, keyword: &str) -> u32 {
         (0..self.shards.len())
@@ -240,14 +233,14 @@ impl CorpusSource for ShardSet {
 
     fn try_keyword_deweys(&self, keyword: &str) -> Result<Vec<Dewey>, SourceError> {
         // Contiguous document ranges ⇒ concatenation in shard order IS
-        // document order; disjoint ranges ⇒ nothing to dedup.
-        let mut lists = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            lists.push(shard.try_keyword_deweys(keyword)?);
-        }
-        let mut merged = Vec::with_capacity(lists.iter().map(Vec::len).sum());
-        for list in lists {
-            merged.extend(list);
+        // document order; disjoint ranges ⇒ nothing to dedup. A shard
+        // whose filter rejects the keyword would answer an empty list,
+        // so it is not asked.
+        let mut merged = Vec::new();
+        for (i, shard) in self.shards.iter().enumerate() {
+            if self.shard_may_contain(i, keyword) {
+                merged.extend(shard.try_keyword_deweys(keyword)?);
+            }
         }
         debug_assert!(merged.is_sorted(), "shard ranges out of document order");
         Ok(merged)
@@ -264,119 +257,6 @@ impl CorpusSource for ShardSet {
     fn try_keyword_node(&self, dewey: &Dewey) -> Result<Option<(u32, Cid)>, SourceError> {
         self.route(dewey).try_keyword_node(dewey)
     }
-}
-
-/// Runs the cursor-strided scatter loop shared by both fan-out stages
-/// (keyword resolution here, per-RTF fragment building in the engine's
-/// construct stage): `threads` workers claim task indices from one
-/// atomic cursor — the same work-stealing shape as [`crate::executor`]
-/// — and results land in input order. Each worker hands its tasks one
-/// piece of a warm [`QueryContext`], picked by `lend`: with one thread
-/// the loop runs inline on `own`, the caller's piece; otherwise every
-/// worker draws a context from the engine's pool. The first failing
-/// task (lowest index among those run) stops the claiming and is the
-/// error returned.
-pub(crate) fn scatter<W: ?Sized, T: Send, E: Send>(
-    engine: &SearchEngine,
-    tasks: usize,
-    threads: usize,
-    own: &mut W,
-    lend: impl Fn(&mut QueryContext) -> &mut W + Sync,
-    task: impl Fn(usize, &mut W) -> Result<T, E> + Sync,
-) -> Result<Vec<T>, E> {
-    let threads = threads.clamp(1, tasks.max(1));
-    if threads == 1 {
-        let mut results = Vec::with_capacity(tasks);
-        for i in 0..tasks {
-            results.push(task(i, own)?);
-        }
-        return Ok(results);
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<Result<T, E>>> = (0..tasks).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut ctx = engine.checkout_context();
-                    let mut mine = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= tasks {
-                            break;
-                        }
-                        let result = task(i, lend(&mut ctx));
-                        if result.is_err() {
-                            cursor.store(tasks, Ordering::Relaxed);
-                        }
-                        mine.push((i, result));
-                    }
-                    engine.checkin_context(ctx);
-                    mine
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, result) in handle.join().expect("scatter worker panicked") {
-                slots[i] = Some(result);
-            }
-        }
-    });
-    // Indices are claimed in order, so the unclaimed ones all lie past
-    // the first failure.
-    slots.into_iter().map_while(|slot| slot).collect()
-}
-
-/// `getKeywordNodes`, scattered: every (keyword × shard) lookup is one
-/// task; the gather concatenates per-shard lists in shard order (see
-/// the module docs for why that IS document order). Returns `None` when
-/// a keyword matches nothing in **any** shard — the same empty-result
-/// contract as unsharded resolution, even when individual shards lack
-/// the term. Lookups a shard's keyword filter proves empty are skipped
-/// without touching the shard; `skipped` counts them (exactness is
-/// preserved because filters have no false negatives — a skipped lookup
-/// would have returned an empty list).
-pub(crate) fn scatter_resolve(
-    engine: &SearchEngine,
-    set: &ShardSet,
-    threads: usize,
-    query: &Query,
-    ctx: &mut QueryContext,
-    skipped: &mut u32,
-) -> Result<Option<KeywordNodeSets>, SourceError> {
-    let keywords = query.keywords();
-    let shards = set.shards();
-    *skipped = keywords.iter().map(|kw| set.shard_skips(kw)).sum();
-    let lists = scatter(
-        engine,
-        keywords.len() * shards.len(),
-        threads,
-        &mut ctx.postings,
-        |worker| &mut worker.postings,
-        |i, arena| -> Result<Vec<Dewey>, SourceError> {
-            let shard_idx = i % shards.len();
-            let keyword = &keywords[i / shards.len()];
-            if !set.shard_may_contain(shard_idx, keyword) {
-                return Ok(Vec::new());
-            }
-            // Decode into the worker's warm arena (reused across every
-            // shard it visits), bypassing shard-shared caches.
-            shards[shard_idx].try_keyword_deweys_into(keyword, arena)?;
-            Ok(arena.to_deweys())
-        },
-    )?;
-    let mut lists = lists.into_iter();
-    let mut sets: Vec<Vec<Dewey>> = Vec::with_capacity(keywords.len());
-    for _ in keywords {
-        let per_shard: Vec<Vec<Dewey>> = lists.by_ref().take(shards.len()).collect();
-        let mut merged = Vec::with_capacity(per_shard.iter().map(Vec::len).sum());
-        per_shard.into_iter().for_each(|list| merged.extend(list));
-        if merged.is_empty() {
-            return Ok(None);
-        }
-        sets.push(merged);
-    }
-    Ok(Some(KeywordNodeSets::new(query.clone(), sets)))
 }
 
 #[cfg(test)]
@@ -471,24 +351,20 @@ mod tests {
     }
 
     #[test]
-    fn sharded_engine_matches_unsharded_for_every_thread_count() {
+    fn sharded_engine_matches_unsharded_for_every_shard_count() {
         use crate::request::SearchRequest;
         let tree = publications();
         let whole = crate::engine::SearchEngine::from_owned_source(MemoryCorpus::new(shred(&tree)));
         for parts in [1, 2, 3] {
-            for threads in [1, 2, 4] {
-                let engine = crate::engine::SearchEngine::from_shard_set(shard_tree(&tree, parts))
-                    .with_scatter_threads(threads);
-                assert_eq!(engine.scatter_threads(), Some(threads));
-                assert_eq!(engine.shard_set().unwrap().shard_count(), parts);
-                for text in xks_xmltree::fixtures::PAPER_QUERIES {
-                    let request = SearchRequest::parse(text).unwrap();
-                    assert_eq!(
-                        whole.execute(&request).unwrap().hits,
-                        engine.execute(&request).unwrap().hits,
-                        "{text} ({parts} shards, {threads} threads)"
-                    );
-                }
+            let engine = crate::engine::SearchEngine::from_shard_set(shard_tree(&tree, parts));
+            assert_eq!(engine.shard_set().unwrap().shard_count(), parts);
+            for text in xks_xmltree::fixtures::PAPER_QUERIES {
+                let request = SearchRequest::parse(text).unwrap();
+                assert_eq!(
+                    whole.execute(&request).unwrap().hits,
+                    engine.execute(&request).unwrap().hits,
+                    "{text} ({parts} shards)"
+                );
             }
         }
     }
@@ -499,8 +375,8 @@ mod tests {
         // "alpha" lives only in document 0, "beta" only in document 1:
         // the sole interesting LCA is the corpus root, whose fragment
         // draws keyword nodes from BOTH shards. Per-shard pipelines
-        // would miss it entirely (each shard lacks one keyword); the
-        // scatter-below-anchors design must reproduce it byte for byte.
+        // would miss it entirely (each shard lacks one keyword); a set
+        // below the anchor stages must reproduce it byte for byte.
         let tree = xks_xmltree::parse(
             "<lib><a><t>alpha</t></a><b><t>beta</t></b><c><t>gamma</t></c></lib>",
         )
@@ -511,8 +387,7 @@ mod tests {
         assert_eq!(expect.hits.len(), 1, "root anchor exists unsharded");
         assert_eq!(expect.hits[0].fragment.anchor.to_string(), "0");
         for parts in [2, 3] {
-            let engine = crate::engine::SearchEngine::from_shard_set(shard_tree(&tree, parts))
-                .with_scatter_threads(2);
+            let engine = crate::engine::SearchEngine::from_shard_set(shard_tree(&tree, parts));
             let got = engine.execute(&request).unwrap();
             assert_eq!(expect.hits, got.hits, "{parts} shards");
             // And the ranked/top-k merge shapes identically too.
@@ -561,20 +436,39 @@ mod tests {
             // filter must prove it absent.
             assert!(set.shard_skips("liu") > 0, "{parts} parts");
             assert_eq!(set.shard_skips("unobtainium"), parts as u32);
-            let engine = crate::engine::SearchEngine::from_shard_set(set).with_scatter_threads(2);
+            let engine = crate::engine::SearchEngine::from_shard_set(set);
             for text in xks_xmltree::fixtures::PAPER_QUERIES {
                 let request = SearchRequest::parse(text).unwrap();
+                let got = engine.execute(&request).unwrap();
                 assert_eq!(
                     whole.execute(&request).unwrap().hits,
-                    engine.execute(&request).unwrap().hits,
+                    got.hits,
                     "{text} ({parts} parts)"
                 );
+                // Tracing observes a query; it must not change its stats.
+                let traced = engine.execute(&request.clone().trace(true)).unwrap();
+                assert_eq!(traced.hits, got.hits, "{text} traced ({parts} parts)");
+                assert_eq!(traced.stats, got.stats, "{text} traced ({parts} parts)");
             }
             let r = engine
                 .execute(&SearchRequest::parse("liu keyword").unwrap())
                 .unwrap();
             assert!(r.stats.shards_skipped > 0, "skips surface in the stats");
         }
+    }
+
+    #[test]
+    fn sharded_ranked_top_k_skips_fragments_like_unsharded() {
+        use crate::request::SearchRequest;
+        let tree = publications();
+        let whole = crate::engine::SearchEngine::from_owned_source(MemoryCorpus::new(shred(&tree)));
+        let sharded = crate::engine::SearchEngine::from_shard_set(shard_tree(&tree, 3));
+        let request = SearchRequest::parse("liu keyword").unwrap().top_k(1);
+        let want = whole.execute(&request).unwrap();
+        assert!(want.stats.rtfs_skipped_topk > 0, "the bound path skips");
+        let got = sharded.execute(&request).unwrap();
+        assert_eq!(got.hits, want.hits);
+        assert_eq!(got.stats.rtfs_skipped_topk, want.stats.rtfs_skipped_topk);
     }
 
     #[test]
@@ -631,7 +525,7 @@ mod tests {
     }
 
     #[test]
-    fn scatter_surfaces_backend_errors_typed() {
+    fn dead_shard_surfaces_backend_errors_typed() {
         use crate::request::SearchRequest;
         /// A shard whose postings lookups always fail.
         #[derive(Debug)]
@@ -655,7 +549,7 @@ mod tests {
         let mut shards = healthy.shards().to_vec();
         shards.push(Arc::new(DeadShard));
         let set = ShardSet::new(shards, vec![0, healthy.first_docs()[1], u32::MAX]).unwrap();
-        let engine = crate::engine::SearchEngine::from_shard_set(set).with_scatter_threads(2);
+        let engine = crate::engine::SearchEngine::from_shard_set(set);
         let err = engine
             .execute(&SearchRequest::parse("liu keyword").unwrap())
             .unwrap_err();

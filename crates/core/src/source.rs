@@ -94,7 +94,7 @@ pub struct SourceElement {
 /// `SearchEngine::execute` surfaces as `SearchError::Backend`. Four
 /// methods are required — [`try_keyword_deweys`](Self::try_keyword_deweys),
 /// [`try_element`](Self::try_element), [`label_name`](Self::label_name),
-/// [`node_count`](Self::node_count) — and the other five default to
+/// [`node_count`](Self::node_count) — and the other four default to
 /// them; backends override a default only to answer it cheaper.
 ///
 /// The trait requires `Send + Sync`: a corpus is the shared immutable
@@ -132,25 +132,6 @@ pub trait CorpusSource: std::fmt::Debug + Send + Sync {
     /// would materialize only to drop.
     fn try_keyword_node(&self, dewey: &Dewey) -> Result<Option<(u32, Cid)>, SourceError> {
         Ok(self.try_element(dewey)?.map(|e| (e.label, e.keyword_cid)))
-    }
-
-    /// Decodes `keyword`'s postings into a **caller-owned** arena
-    /// (cleared first), returning the number of codes. The default
-    /// delegates to [`CorpusSource::try_keyword_deweys`] and repacks;
-    /// disk backends override it with their cache-bypassing decode
-    /// (`xks-persist`'s `IndexReader::keyword_postings_into`) so a
-    /// scatter worker sweeping many shards reuses one warm per-thread
-    /// arena instead of churning every shard's shared postings LRU.
-    fn try_keyword_deweys_into(
-        &self,
-        keyword: &str,
-        arena: &mut xks_xmltree::DeweyListBuf,
-    ) -> Result<usize, SourceError> {
-        arena.clear();
-        for dewey in self.try_keyword_deweys(keyword)? {
-            arena.push(dewey.components());
-        }
-        Ok(arena.len())
     }
 
     /// Sealed selectivity statistics for `keyword`, `None` when the

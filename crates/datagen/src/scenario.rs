@@ -28,8 +28,8 @@ use crate::vocab::zipf_text_block;
 pub const MATRIX_SEED: u64 = 0x2009_EDB7;
 
 /// Records in a scale-1 corpus. Scale multiplies this, so scale 100 is
-/// a 6000-record corpus — big enough to exercise shard scatter-gather
-/// and posting-list skew, small enough to generate in-process.
+/// a 6000-record corpus — big enough to exercise sharded search and
+/// posting-list skew, small enough to generate in-process.
 pub const BASE_RECORDS: usize = 60;
 
 /// Background words per text block.

@@ -4,10 +4,10 @@
 //! halves: a shared **immutable** index handle (`CorpusSource` backends
 //! — safe to share across threads behind an `Arc`) and a per-thread
 //! [`QueryContext`] owning every buffer a query mutates — the merged
-//! posting stream, the anchor list, the ELCA mask stack, the `getRTF`
-//! sweep and fragment-skeleton buffers, and a decode arena for backends
-//! that materialize posting runs per query. One
-//! context per thread means the anchor pipeline stays allocation-free
+//! posting stream, the anchor list, the ELCA mask stack, the gallop
+//! scratch, the `getRTF` sweep and fragment-skeleton buffers, and the
+//! stage tracer. One context per query thread — a query never spreads
+//! over more than one — means the anchor pipeline stays allocation-free
 //! when warm (asserted by the workspace's counting-allocator test)
 //! *without* any lock on the hot path.
 //!
@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use xks_xmltree::{Dewey, DeweyListBuf};
+use xks_xmltree::Dewey;
 
 use crate::common::merge_postings_into;
 use crate::elca::{elca_from_merged, ElcaScratch};
@@ -152,21 +152,6 @@ pub struct QueryContext {
     /// The flat raw fragment `pruneRTF` decides over, one fragment at
     /// a time.
     pub skeleton: SkeletonScratch,
-    /// Per-context postings decode arena. Disk backends expose a
-    /// cache-bypassing decode into a caller-owned arena
-    /// (`xks-persist`'s `IndexReader::keyword_postings_into`); callers
-    /// that want per-thread isolation from the shared postings LRU
-    /// (e.g. vocabulary scans that would churn it) decode into this
-    /// buffer instead — a warm arena re-decodes without allocating and
-    /// without taking any cache lock.
-    ///
-    /// Sharded scatter-gather leans on the same arena: a resolve
-    /// worker sweeping its share of (keyword × shard) lookups decodes
-    /// **every shard's** run through this one buffer (cleared between
-    /// tasks, capacity retained), so visiting `S` shards costs the
-    /// same scratch memory as visiting one and leaves each shard's
-    /// shared postings cache untouched.
-    pub postings: DeweyListBuf,
     /// Scratch buffers for the planner's galloping anchor pass
     /// ([`planned_elca_into_context`]); untouched on the legacy merge
     /// path.

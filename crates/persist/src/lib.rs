@@ -27,11 +27,12 @@
 //!   behind an `Arc` can serve many engines and query threads at once.
 //! * [`shard`] scales past one file: [`write_sharded`] partitions the
 //!   corpus into N independent `.xks` shards under a CRC'd manifest,
-//!   and [`ShardedCorpus`] opens them back into one logical corpus —
-//!   searched serially through its own `CorpusSource` impl, or with
-//!   scatter-gather via
-//!   `SearchEngine::from_shard_set(corpus.shard_set())`; either way
-//!   results stay byte-identical to the unsharded index.
+//!   and [`ShardedCorpus`] opens them back into one logical corpus
+//!   whose postings lookups skip the shards a keyword filter rules
+//!   out — searched through its own `CorpusSource` impl or via
+//!   `SearchEngine::from_shard_set(corpus.shard_set())`, which also
+//!   counts the skips; either way results stay byte-identical to the
+//!   unsharded index.
 //!
 //! See `FORMAT.md` (next to this crate's manifest) for the byte-level
 //! layout.

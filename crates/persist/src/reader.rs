@@ -646,8 +646,8 @@ impl IndexReader {
     }
 
     /// Decodes `keyword`'s posting run directly into a **caller-owned**
-    /// arena, bypassing the shared decoded-postings cache entirely —
-    /// the per-context decode path (`xks_lca::QueryContext::postings`):
+    /// arena, bypassing the shared decoded-postings cache entirely
+    /// (what [`IndexReader::keyword_postings`] fills that cache with):
     /// a warm arena re-decodes without allocating and without taking
     /// the cache lock, which suits vocabulary-scan workloads whose
     /// keywords would only churn the shared LRU. Returns the number of
@@ -1284,18 +1284,6 @@ impl CorpusSource for IndexReader {
 
     fn try_keyword_node(&self, dewey: &Dewey) -> Result<Option<(u32, Cid)>, SourceError> {
         self.cached_keyword_node(dewey).map_err(SourceError::new)
-    }
-
-    fn try_keyword_deweys_into(
-        &self,
-        keyword: &str,
-        arena: &mut DeweyListBuf,
-    ) -> Result<usize, SourceError> {
-        // The cache-bypassing decode: sharded scatter workers sweep
-        // many readers with one warm per-thread arena, so their
-        // traffic never churns this reader's shared postings LRU.
-        self.keyword_postings_into(keyword, arena)
-            .map_err(SourceError::new)
     }
 }
 

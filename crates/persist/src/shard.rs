@@ -14,12 +14,13 @@
 //!
 //! `ShardedCorpus` implements [`CorpusSource`] by delegating to a
 //! [`validrtf::shards::ShardSet`] built over the readers: keyword
-//! lookups concatenate per-shard postings in document order, element
+//! lookups concatenate per-shard postings in document order, skipping
+//! the shards whose keyword filter rules the keyword out; element
 //! lookups route to the owning shard. Hand the set to
-//! [`validrtf::engine::SearchEngine::from_shard_set`] for
-//! scatter-gather execution, or the corpus itself to `from_source` for
-//! the serial routed path — both are byte-identical to an unsharded
-//! index over the same corpus (pinned by
+//! [`validrtf::engine::SearchEngine::from_shard_set`] (which also
+//! reports the skips in its stats), or the corpus itself to
+//! `from_source` — both read the same way and are byte-identical to an
+//! unsharded index over the same corpus (pinned by
 //! `tests/sharded_differential.rs` against the golden digest).
 //!
 //! See `FORMAT.md` §"Shard manifest" for the byte-level layout.
@@ -44,7 +45,7 @@ pub const MANIFEST_MAGIC: [u8; 4] = *b"XKSM";
 /// Manifest format version this build writes. Version 2 appends
 /// per-shard planner statistics to each entry: the shard's total
 /// posting count and a keyword Bloom filter
-/// ([`validrtf::plan::KeywordFilter`]) that lets scatter-gather skip
+/// ([`validrtf::plan::KeywordFilter`]) that lets a lookup skip the
 /// `(keyword, shard)` probes for shards a keyword provably misses.
 /// Version 1 manifests (no stats, no filters) remain readable.
 pub const MANIFEST_VERSION: u16 = 2;
@@ -383,7 +384,7 @@ impl ShardedCorpus {
             readers.push(Arc::new(reader));
         }
         // v2 manifests carry per-shard keyword filters: wire them into
-        // the set so scatter-gather can skip (keyword, shard) probes a
+        // the set so every lookup skips the (keyword, shard) probes a
         // filter proves empty. v1 entries decode to `None` (no filter,
         // always probed) — same results, no skipping.
         let set = ShardSet::with_filters(
@@ -427,8 +428,8 @@ impl ShardedCorpus {
     }
 
     /// A [`ShardSet`] over this corpus's readers — what
-    /// [`validrtf::engine::SearchEngine::from_shard_set`] consumes for
-    /// scatter-gather execution. Cheap: a clone of the set validated
+    /// [`validrtf::engine::SearchEngine::from_shard_set`] consumes.
+    /// Cheap: a clone of the set validated
     /// at open (`Arc` handles, not readers), so the returned set and
     /// this corpus share buffer pools and caches.
     #[must_use]

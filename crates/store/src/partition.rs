@@ -11,7 +11,7 @@
 //! 1. **Document contiguity.** Part `i` owns the documents whose
 //!    top-level ordinal lies in `[first_doc(i), first_doc(i+1))`, so
 //!    concatenating per-part posting lists in part order yields a
-//!    globally document-ordered list — the scatter-gather merge is a
+//!    globally document-ordered list — the sharded postings merge is a
 //!    plain concatenation, never a k-way merge.
 //! 2. **Root ownership.** Rows of the corpus root itself (Dewey `0`,
 //!    one component) — its element row and any value rows its own

@@ -72,17 +72,13 @@ pub fn open_engine(args: &Args) -> Result<(SearchEngine, Option<Collector>, &[St
         let engine = SearchEngine::from_source(corpus.source() as _);
         Ok((engine, Some(("corpus.", Arc::new(corpus))), positionals))
     } else if let Some(index_file) = args.str("index") {
-        // A manifest becomes a scatter-gather engine (fan-out from
-        // `--shard-threads`, default `min(shards, cores)`), a monolithic
-        // `.xks` the single-reader engine.
+        // A manifest becomes a sharded engine, a monolithic `.xks` the
+        // single-reader engine.
         let (engine, metrics): (_, IndexMetrics) = match StoredIndex::open(index_file)? {
-            StoredIndex::Sharded(corpus) => {
-                let mut engine = SearchEngine::from_shard_set(corpus.shard_set());
-                if let Some(threads) = args.num("shard-threads")? {
-                    engine = engine.with_scatter_threads(threads);
-                }
-                (engine, Arc::new(corpus))
-            }
+            StoredIndex::Sharded(corpus) => (
+                SearchEngine::from_shard_set(corpus.shard_set()),
+                Arc::new(corpus),
+            ),
             StoredIndex::Single(reader) => {
                 (SearchEngine::from_source(Arc::clone(&reader) as _), reader)
             }

@@ -39,7 +39,6 @@ const N: Option<&str> = Some("N");
 const BACKEND: &[Flag] = &[
     ("index", Some("<file.xks|file.xksm>")),
     ("corpus", Some("<dir>")),
-    ("shard-threads", N),
 ];
 const ALGO: &[Flag] = &[("algo", Some("valid|maxmatch|slca"))];
 const FORMAT: &[Flag] = &[("format", Some("json|text"))];

@@ -114,17 +114,8 @@ fn engines_agree_byte_for_byte_on_the_paper_workload() {
     ] {
         let oracle = SearchEngine::new(tree.clone());
         let memory = SearchEngine::from_owned_source(MemoryCorpus::new(shred(&tree)));
-        let others = [
-            ("memory", &memory),
-            (
-                "shards/1",
-                &SearchEngine::from_shard_set(shard_set(&tree, 3)).with_scatter_threads(1),
-            ),
-            (
-                "shards/2",
-                &SearchEngine::from_shard_set(shard_set(&tree, 3)).with_scatter_threads(2),
-            ),
-        ];
+        let sharded = SearchEngine::from_shard_set(shard_set(&tree, 3));
+        let others = [("memory", &memory), ("shards", &sharded)];
         assert!(oracle.corpus().is_some(), "{name}/tree");
         for (backend, engine) in others {
             assert!(engine.corpus().is_some(), "{name}/{backend}");

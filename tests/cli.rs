@@ -450,6 +450,12 @@ fn bad_usage_fails_cleanly() {
             vec!["compare", file, "grizzlies position", "--rank"],
             "compare: unknown flag --rank",
         ),
+        // Sharded engines run each query on one thread: the per-query
+        // fan-out flag is gone.
+        (
+            vec!["search", file, "grizzlies", "--shard-threads", "2"],
+            "search: unknown flag --shard-threads",
+        ),
         // A repeated flag is refused, not resolved to its first value
         // with the second never validated.
         (
@@ -559,7 +565,7 @@ fn help_lists_what_the_parser_accepts() {
     for (command, listed) in [
         ("serve", "[--port N]"),
         ("search", "[--timeout-ms N]"),
-        ("explain", "[--shard-threads N]"),
+        ("explain", "[--corpus <dir>]"),
         ("verify", "\n  xks verify <file.xks|file.xksm>\n"),
     ] {
         let block = stdout_of(&["help", command]);
@@ -571,17 +577,24 @@ fn help_lists_what_the_parser_accepts() {
 }
 
 /// The shell lines the docs show name real commands and only flags
-/// `xks help <command>` lists, and docs/SERVER.md's flag table (which
-/// carries the defaults) covers exactly the flags `xks serve` takes
-/// beyond its backend.
+/// `xks help <command>` lists; so does every inline `` `--flag` `` of
+/// the prose, bar the named flags of other binaries. docs/SERVER.md's
+/// flag table (which carries the defaults) covers exactly the flags
+/// `xks serve` takes beyond its backend.
 #[test]
 fn documented_command_lines_match_help() {
+    /// Flags the prose spells for binaries other than `xks`.
+    const OTHER_BINARIES: &[&str] = &["--seed"];
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut docs = vec![root.join("README.md")];
+    let mut docs = vec![root.join("README.md"), root.join("PERFORMANCE.md")];
     for entry in std::fs::read_dir(root.join("docs")).unwrap() {
         docs.push(entry.unwrap().path());
     }
     let commands = listed_commands();
+    let mut any_help: Vec<String> = Vec::new();
+    for command in &commands {
+        any_help.extend(flags_in(&stdout_of(&["help", command])));
+    }
     let mut checked = 0;
     for doc in docs
         .iter()
@@ -593,6 +606,16 @@ fn documented_command_lines_match_help() {
             if line.starts_with("```") {
                 fenced = !fenced;
                 continue;
+            }
+            // Odd pieces of a split on backticks are inline code spans.
+            let spans = line.split('`').skip(1).step_by(2);
+            for span in spans.filter(|s| s.starts_with("--") && !fenced) {
+                let flag = &flags_in(span)[0];
+                assert!(
+                    any_help.contains(flag) || OTHER_BINARIES.contains(&flag.as_str()),
+                    "{}: `{span}` is no flag of any xks command",
+                    doc.display()
+                );
             }
             let line = line.strip_prefix("target/release/").unwrap_or(line);
             let Some(line) = line.strip_prefix("xks ").filter(|_| fenced) else {
@@ -669,12 +692,11 @@ fn sharded_index_matches_monolithic_through_the_cli() {
     // search --index sniffs the magic: the manifest and the monolithic
     // index must produce identical results (hits and stats — the
     // timings_us block is wall clock and may differ).
-    let run = |index: &std::path::Path, extra: &[&str]| {
+    let run = |index: &std::path::Path| {
         let out = xks()
             .args(["search", "--index"])
             .arg(index)
             .args(["keyword search", "liu", "--format", "json"])
-            .args(extra)
             .output()
             .unwrap();
         assert!(
@@ -688,9 +710,8 @@ fn sharded_index_matches_monolithic_through_the_cli() {
             .iter()
             .map(|r| {
                 // `shards_skipped` is honestly backend-dependent —
-                // only the scatter-gather path can skip filtered
-                // shards — so it is asserted separately, not in the
-                // byte-equality check.
+                // only a sharded backend has shards to skip — so it is
+                // asserted separately, not in the byte-equality check.
                 let mut stats = r.get("stats").unwrap().clone();
                 let skipped = match &mut stats {
                     xks::store::json::Value::Obj(map) => map.remove("shards_skipped").unwrap(),
@@ -704,19 +725,14 @@ fn sharded_index_matches_monolithic_through_the_cli() {
             })
             .collect::<Vec<_>>()
     };
-    let mono_out = run(&mono, &[]);
+    let mono_out = run(&mono);
     assert_eq!(mono_out.len(), 2, "one result per query");
-    let sharded_out = run(&manifest, &[]);
+    let sharded_out = run(&manifest);
     for ((m_hits, m_stats, m_skipped), (s_hits, s_stats, _)) in mono_out.iter().zip(&sharded_out) {
-        assert_eq!(m_hits, s_hits, "default fan-out hits");
-        assert_eq!(m_stats, s_stats, "default fan-out stats");
+        assert_eq!(m_hits, s_hits, "sharded hits");
+        assert_eq!(m_stats, s_stats, "sharded stats");
         assert_eq!(m_skipped, "0", "monolithic index never skips shards");
     }
-    assert_eq!(
-        sharded_out,
-        run(&manifest, &["--shard-threads", "2"]),
-        "explicit fan-out"
-    );
 }
 
 #[test]

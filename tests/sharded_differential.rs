@@ -2,22 +2,24 @@
 //!
 //! The sharded read path must be **byte-identical** to the unsharded
 //! one — same fragments, same rendering, same stats — whatever the
-//! shard count, backend, or scatter fan-out. This test replays the full
-//! Figure 5/6 workload (DBLP + XMark, 43 queries × 3 algorithms)
-//! through sharded engines at 1, 2, and 4 shards on **both** backends:
+//! shard count or backend. This test replays the full Figure 5/6
+//! workload (DBLP + XMark, 43 queries × 3 algorithms) through sharded
+//! engines at 1, 2, and 4 shards on **both** backends:
 //!
 //! * **memory** — `xks_store::partition` parts wrapped in
 //!   `MemoryCorpus` shards under a `validrtf::ShardSet`;
 //! * **disk** — `xks_persist::write_sharded` corpora reopened through
-//!   `ShardedCorpus`, searched both via scatter-gather
-//!   (`SearchEngine::from_shard_set`) and via the serial routed
-//!   `CorpusSource` path,
+//!   `ShardedCorpus`, searched both via its set
+//!   (`SearchEngine::from_shard_set`) and as a plain `CorpusSource`
+//!   (`SearchEngine::from_source`),
 //!
 //! and asserts every configuration reproduces
 //! `tests/golden/workload_digest.txt` line for line — the digest
 //! captured before the zero-allocation rewrite and pinned ever since.
 //! A corrupted shard manifest must fail open with a typed error, never
-//! panic or serve wrong results.
+//! panic or serve wrong results, and every reader of a sharded corpus
+//! — its set, the corpus itself, a mutable corpus over it — leaves the
+//! shards its keyword filters rule out untouched.
 
 mod common;
 
@@ -27,7 +29,7 @@ use common::{digest_line, ALGORITHMS, GOLDEN};
 use xks::core::{CorpusSource, MemoryCorpus, SearchEngine, SearchRequest, ShardSet};
 use xks::datagen::queries::{dblp_workload, xmark_workload};
 use xks::datagen::{generate_dblp, generate_xmark, DblpConfig, XmarkConfig, XmarkSize};
-use xks::persist::{write_sharded, IndexWriter, PersistError, ShardedCorpus};
+use xks::persist::{write_sharded, IndexWriter, MutableCorpus, PersistError, ShardedCorpus};
 use xks::store::{partition, shred, ShreddedDoc};
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -110,31 +112,26 @@ fn sharded_backends_reproduce_the_golden_digest() {
         for corpus in &corpora {
             let mut variants = Vec::new();
 
-            // Memory shards, scatter-gather (fan-out 2 exercises the
-            // worker path even on a 1-core runner).
-            variants.push(
-                SearchEngine::from_shard_set(memory_shard_set(&corpus.doc, shards))
-                    .with_scatter_threads(2),
-            );
+            // Memory shards as a set.
+            variants.push(SearchEngine::from_shard_set(memory_shard_set(
+                &corpus.doc,
+                shards,
+            )));
 
-            // Disk shards via the manifest, scatter-gather…
+            // Disk shards via the manifest, as a set…
             let manifest = sharded_dir(&format!("{}-{shards}", corpus.name)).join("corpus.xksm");
             write_sharded(&IndexWriter::new(), &corpus.doc, &manifest, shards).unwrap();
             let opened = ShardedCorpus::open(&manifest).unwrap();
             assert_eq!(opened.shard_count(), shards, "{}", corpus.name);
-            variants.push(SearchEngine::from_shard_set(opened.shard_set()).with_scatter_threads(2));
+            variants.push(SearchEngine::from_shard_set(opened.shard_set()));
 
-            // …and the same opened corpus as a serial routed source.
+            // …and the same opened corpus as a plain source.
             variants.push(SearchEngine::from_source(Arc::new(opened)));
 
             engines.push((corpus.name.to_owned(), variants));
         }
 
-        for (variant, label) in [
-            (0, "memory/scatter"),
-            (1, "disk/scatter"),
-            (2, "disk/routed"),
-        ] {
+        for (variant, label) in [(0, "memory/set"), (1, "disk/set"), (2, "disk/source")] {
             let mut lines = Vec::new();
             for ((_, variants), corpus) in engines.iter().zip(&corpora) {
                 lines.extend(digest_corpus(&variants[variant], corpus));
@@ -186,7 +183,7 @@ fn corrupted_manifest_fails_open_with_typed_errors() {
     std::fs::write(&manifest_path, &clean).unwrap();
     let corpus = ShardedCorpus::open(&manifest_path).unwrap();
     let shard_file = dir.join(&corpus.manifest().shards[1].file_name);
-    let engine = SearchEngine::from_shard_set(corpus.shard_set()).with_scatter_threads(2);
+    let engine = SearchEngine::from_shard_set(corpus.shard_set());
     let ok = engine
         .execute(&SearchRequest::parse("data algorithm").unwrap())
         .unwrap();
@@ -200,4 +197,53 @@ fn corrupted_manifest_fails_open_with_typed_errors() {
     drop(file);
     let fresh = ShardedCorpus::open(&manifest_path);
     assert!(fresh.is_err(), "reopen catches the truncated shard");
+}
+
+/// Postings lookups (hits and misses of each shard's postings LRU) per
+/// shard reader.
+fn postings_lookups(corpus: &ShardedCorpus) -> Vec<u64> {
+    corpus
+        .shard_stats()
+        .iter()
+        .map(|s| s.postings_cache_hits + s.postings_cache_misses)
+        .collect()
+}
+
+#[test]
+fn keyword_filters_skip_shards_for_every_reader() {
+    // Four one-document shards; only document 2 holds "solo".
+    let dir = sharded_dir("filter-skips");
+    std::fs::remove_dir_all(&dir).unwrap();
+    let mut corpus = MutableCorpus::create(&dir, "lib").unwrap();
+    for doc in 0..4 {
+        let word = if doc == 2 { "solo" } else { "plain" };
+        corpus
+            .insert_xml(&format!("<doc><t>common {word}</t></doc>"))
+            .unwrap();
+    }
+    corpus.compact(4).unwrap();
+    let base = Arc::clone(corpus.base().expect("compaction seals a base"));
+    assert_eq!(base.shard_count(), 4);
+    let set = base.shard_set();
+    let rejected: Vec<usize> = (0..4)
+        .filter(|&i| !set.shard_may_contain(i, "solo"))
+        .collect();
+    assert!(!rejected.is_empty(), "some filter rules \"solo\" out");
+
+    let request = SearchRequest::parse("solo").unwrap();
+    for (reader, engine) in [
+        ("corpus", SearchEngine::from_source(Arc::clone(&base) as _)),
+        ("mutable", SearchEngine::from_source(corpus.source() as _)),
+    ] {
+        let before = postings_lookups(&base);
+        assert_eq!(engine.execute(&request).unwrap().hits.len(), 1, "{reader}");
+        let after = postings_lookups(&base);
+        for shard in 0..4 {
+            if rejected.contains(&shard) {
+                assert_eq!(after[shard], before[shard], "{reader} probed shard {shard}");
+            } else if shard == 2 {
+                assert!(after[shard] > before[shard], "{reader} skipped the owner");
+            }
+        }
+    }
 }

@@ -172,16 +172,16 @@ fn warm_query_hot_path_is_allocation_free() {
     assert_eq!(n, 0, "warm per-thread contexts allocated {n} times");
     assert_eq!(ctx_b.anchors.len(), warm_anchors, "ELCA results unchanged");
 
-    // Decoding a postings run into a warm context's decode arena is
-    // allocation-free too (the arena that used to live in the reader's
-    // shared cache path now rides in the context).
+    // Decoding a postings run into a caller's warm arena (what
+    // `IndexReader::keyword_postings_into` does) is allocation-free too.
+    let mut local = DeweyListBuf::new();
     let mut pos = 0;
-    get_postings_into(&encoded, &mut pos, &mut ctx_a.postings).expect("warm-up decode");
+    get_postings_into(&encoded, &mut pos, &mut local).expect("warm-up decode");
     let n = count_allocs(|| {
         let mut pos = 0;
-        get_postings_into(&encoded, &mut pos, &mut ctx_a.postings).expect("clean decode");
+        get_postings_into(&encoded, &mut pos, &mut local).expect("clean decode");
     });
-    assert_eq!(n, 0, "warm context decode arena allocated {n} times");
+    assert_eq!(n, 0, "warm local decode arena allocated {n} times");
 
     // The element lookups fragment construction makes against an `.xks`
     // index: a label served by the decoded-element cache, and — cache
