@@ -56,7 +56,9 @@ pub fn decide(skel: &mut SkeletonScratch, policy: Policy) {
         feats,
         order,
         ksets,
+        feature_takers,
         dominance_tests,
+        feature_probes,
     } = skel;
     if let Some(anchor) = nodes.first_mut() {
         anchor.kept = true;
@@ -75,7 +77,7 @@ pub fn decide(skel: &mut SkeletonScratch, policy: Policy) {
         }
         if policy == Policy::Contributor {
             // MaxMatch compares all children as one group and keeps ties.
-            decide_group(nodes, feats, order, ksets, dominance_tests, false);
+            decide_group(nodes, order, ksets, dominance_tests);
             continue;
         }
         // Label runs from one sort; document order within each run.
@@ -88,29 +90,30 @@ pub fn decide(skel: &mut SkeletonScratch, policy: Policy) {
                 .take_while(|&&c| nodes[c as usize].label == label)
                 .count();
             let (group, tail) = rest.split_at_mut(run);
-            decide_group(nodes, feats, group, ksets, dominance_tests, true);
+            if decide_group(nodes, group, ksets, dominance_tests) {
+                dedup_content(nodes, feats, group, feature_takers, feature_probes);
+            }
             rest = tail;
         }
     }
 }
 
-/// Decides one sibling group (document order on entry). A child whose
-/// keyword set is strictly covered by a sibling's is discarded — tested
-/// between the group's *distinct* keyword sets, not between siblings.
-/// With `dedup_content` (Definition 4 rule 2(b)) a child whose keyword
-/// set ties an earlier survivor's stays only when no earlier
-/// non-covered sibling has its content feature.
+/// Decides one sibling group (document order): a child whose keyword
+/// set is strictly covered by a sibling's is discarded — tested between
+/// the group's *distinct* keyword sets, not between siblings — and
+/// every child learns whether it is the first with its keyword set.
+/// Returns whether a non-covered child ties an earlier one's keyword
+/// set, the only case in which rule 2(b) ([`dedup_content`]) can
+/// discard anything.
 fn decide_group(
     nodes: &mut [SkelNode],
-    feats: &[(Arc<str>, Arc<str>)],
-    group: &mut [u32],
+    group: &[u32],
     ksets: &mut Vec<(u64, bool, bool)>,
     dominance_tests: &mut u64,
-    dedup_content: bool,
-) {
+) -> bool {
     if let [only] = group {
         nodes[*only as usize].kept = true; // rule 1
-        return;
+        return false;
     }
     ksets.clear();
     ksets.extend(
@@ -143,37 +146,64 @@ fn decide_group(
         tie |= *seen && !*dominated;
         *seen = true;
     }
-    if !(dedup_content && tie) {
-        return;
-    }
-    // Rule 2(b). The features already taken when a child is reached are
-    // exactly those of the earlier non-covered siblings, so a tying
-    // child stays iff it is the first of them with its feature: sort
-    // the group by feature and keep, per feature, the first non-covered
-    // child plus every child that introduced its keyword set.
+    tie
+}
+
+/// Definition 4 rule 2(b) over one decided same-label group, in one
+/// pass in document order. The features already taken when a child is
+/// reached are exactly those of the earlier non-covered siblings, so
+/// the first non-covered child with a feature takes it, and a later one
+/// with the same feature stays only if it introduced its keyword set.
+/// Takers are found through `takers`, an open-addressing table keyed by
+/// [`feature_hash`] and resolved by string equality; warm, the pass
+/// allocates nothing.
+fn dedup_content(
+    nodes: &mut [SkelNode],
+    feats: &[(Arc<str>, Arc<str>)],
+    group: &[u32],
+    takers: &mut Vec<u32>,
+    probes: &mut u64,
+) {
     let feature = |cid: (u32, u32)| match cid {
         (NONE, _) => ("", ""),
         (min, max) => (&*feats[min as usize].0, &*feats[max as usize].1),
     };
-    group.sort_unstable_by(|&a, &b| {
-        let (fa, fb) = (
-            feature(nodes[a as usize].cid),
-            feature(nodes[b as usize].cid),
-        );
-        fa.cmp(&fb).then(a.cmp(&b))
-    });
-    let mut taken: Option<(&str, &str)> = None;
-    for &c in group.iter() {
-        let node = &mut nodes[c as usize];
-        if !node.kept {
+    let slots = (2 * group.len()).next_power_of_two();
+    takers.clear();
+    takers.resize(slots, NONE);
+    for &c in group {
+        if !nodes[c as usize].kept {
             continue; // covered: neither takes a feature nor survives
         }
-        if taken == Some(feature(node.cid)) {
-            node.kept = node.kset_first;
-        } else {
-            taken = Some(feature(node.cid));
+        let f = feature(nodes[c as usize].cid);
+        let mut at = feature_hash(f) as usize & (slots - 1);
+        loop {
+            *probes += 1;
+            match takers[at] {
+                NONE => {
+                    takers[at] = c;
+                    break;
+                }
+                taker if feature(nodes[taker as usize].cid) == f => {
+                    let node = &mut nodes[c as usize];
+                    node.kept = node.kset_first;
+                    break;
+                }
+                _ => at = (at + 1) & (slots - 1),
+            }
         }
     }
+}
+
+/// FNV-1a over a content feature's two words, joined by a byte no UTF-8
+/// text contains, with the high half folded into the low bits the table
+/// indexes by.
+fn feature_hash((min, max): (&str, &str)) -> u64 {
+    let bytes = min.as_bytes().iter().chain(&[0xff]).chain(max.as_bytes());
+    let h = bytes.fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    h ^ (h >> 32)
 }
 
 #[cfg(test)]
@@ -387,6 +417,13 @@ mod tests {
             skel.dominance_tests <= 28,
             "{} strict-subset tests",
             skel.dominance_tests
+        );
+        // Rule 2(b) is one hashed pass: linear in the group, a probe or
+        // two per child.
+        assert!(
+            (1..=2 * CHILDREN as u64).contains(&skel.feature_probes),
+            "{} feature probes",
+            skel.feature_probes
         );
         // Only {ka,kb,kc} and {kd} are not covered; half of each one's
         // 2 500 children repeat a sibling's content (rule 2(b)).

@@ -94,36 +94,88 @@ pub fn remove_ancestors(mut candidates: Vec<Dewey>) -> Vec<Dewey> {
 
 /// Merges sorted per-keyword posting lists into one document-ordered
 /// stream of `(dewey, keyword-bitmask)` pairs, OR-ing the masks of nodes
-/// that appear in several lists. Reuses `out`'s capacity and performs no
-/// other heap allocation (`sort_unstable` + in-place mask folding), so a
-/// warm caller holding its buffer merges allocation-free.
+/// that appear in several lists. The lists are already in document
+/// order, so this is a k-way merge of their heads — `O(N log k)` code
+/// comparisons, no sort — into `out`'s reused capacity: a warm caller
+/// holding its buffer merges allocation-free.
+///
+/// # Panics
+/// Panics when given more than 64 lists (the width of the mask).
 pub fn merge_postings_into(sets: &[Vec<Dewey>], out: &mut Vec<(Dewey, u64)>) {
+    debug_assert!(sets.iter().all(|l| l.is_sorted()), "unsorted posting list");
     out.clear();
-    for (i, list) in sets.iter().enumerate() {
-        out.extend(list.iter().map(|d| (d.clone(), 1u64 << i)));
+    let mut pos = [0usize; 64];
+    let mut end = [0usize; 64];
+    for (e, list) in end.iter_mut().zip(sets) {
+        *e = list.len();
     }
-    sort_fold_masks(out);
+    merge_runs_into(sets, &mut pos, &end, out);
 }
 
-/// Sorts a `(dewey, keyword-bitmask)` stream into document order and
-/// folds equal codes in place, OR-ing the masks of duplicates into
-/// their first occurrence. The tail of [`merge_postings_into`], shared
-/// with the planner's anchored extraction
-/// ([`crate::gallop::extract_anchored_into`]) so both paths fold masks
+/// Appends the k-way merge of the sorted runs `sets[i][pos[i]..end[i]]`
+/// to `out`, folding a code equal to the last one pushed into it by
+/// OR-ing in its list's bit. The next code comes off a binary min-heap
+/// of list indices keyed by each run's head, so a pop costs `O(log k)`
+/// comparisons however many lists there are. Shared by
+/// [`merge_postings_into`] and the planner's anchored extraction
+/// ([`crate::gallop::extract_anchored_into`]), so both fold masks
 /// identically.
-pub fn sort_fold_masks(out: &mut Vec<(Dewey, u64)>) {
-    out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    // `w` trails over the deduplicated prefix.
-    let mut w = 0usize;
-    for r in 1..out.len() {
-        if out[r].0 == out[w].0 {
-            out[w].1 |= out[r].1;
-        } else {
-            w += 1;
-            out.swap(w, r);
+pub(crate) fn merge_runs_into(
+    sets: &[Vec<Dewey>],
+    pos: &mut [usize; 64],
+    end: &[usize; 64],
+    out: &mut Vec<(Dewey, u64)>,
+) {
+    assert!(sets.len() <= 64, "{} lists overflow the mask", sets.len());
+    let mut heap = [0u8; 64];
+    let mut n = 0;
+    for i in 0..sets.len() {
+        if pos[i] < end[i] {
+            heap[n] = i as u8;
+            n += 1;
         }
     }
-    out.truncate(if out.is_empty() { 0 } else { w + 1 });
+    for root in (0..n / 2).rev() {
+        sift_down(&mut heap[..n], root, |a, b| {
+            sets[a][pos[a]] < sets[b][pos[b]]
+        });
+    }
+    while n > 0 {
+        let i = usize::from(heap[0]);
+        let head = &sets[i][pos[i]];
+        let bit = 1u64 << i;
+        match out.last_mut() {
+            Some((last, mask)) if last == head => *mask |= bit,
+            _ => out.push((head.clone(), bit)),
+        }
+        pos[i] += 1;
+        if pos[i] == end[i] {
+            n -= 1;
+            heap[0] = heap[n];
+        }
+        sift_down(&mut heap[..n], 0, |a, b| sets[a][pos[a]] < sets[b][pos[b]]);
+    }
+}
+
+/// Restores the min-heap order of `heap` below `at` under `less`.
+fn sift_down(heap: &mut [u8], mut at: usize, less: impl Fn(usize, usize) -> bool) {
+    loop {
+        let left = 2 * at + 1;
+        if left >= heap.len() {
+            return;
+        }
+        let right = left + 1;
+        let child = if right < heap.len() && less(heap[right].into(), heap[left].into()) {
+            right
+        } else {
+            left
+        };
+        if !less(heap[child].into(), heap[at].into()) {
+            return;
+        }
+        heap.swap(at, child);
+        at = child;
+    }
 }
 
 /// Allocating convenience wrapper over [`merge_postings_into`].

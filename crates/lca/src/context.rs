@@ -124,9 +124,16 @@ pub struct SkeletonScratch {
     /// Distinct keyword sets of the group under decision, each with
     /// its "dominated" and "seen" flags.
     pub ksets: Vec<(u64, bool, bool)>,
+    /// Open-addressing table of the group under rule 2(b): per slot, the
+    /// node that took a content feature, or [`NONE`]. Its length is a
+    /// power of two at least twice the group's.
+    pub feature_takers: Vec<u32>,
     /// Strict-subset tests performed by the decisions so far (the
     /// quadratic term of Definition 4 rule 2(a); tests pin its growth).
     pub dominance_tests: u64,
+    /// Slots of `feature_takers` probed by the decisions so far (rule
+    /// 2(b); tests pin it linear in the group size).
+    pub feature_probes: u64,
 }
 
 /// Working buffers reused across queries by **one thread** (or one

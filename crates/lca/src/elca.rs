@@ -230,9 +230,11 @@ mod tests {
 
     #[test]
     fn results_sorted_in_document_order() {
+        // Sorted lists (the crate's input contract) whose nodes
+        // interleave: each list's i-th node pairs with the other's.
         let sets = vec![
-            list(&["0.0.0", "0.2.0", "0.1.0"]),
-            list(&["0.0.1", "0.2.1", "0.1.1"]),
+            list(&["0.0.0", "0.1.0", "0.2.0"]),
+            list(&["0.0.1", "0.1.1", "0.2.1"]),
         ];
         let got = elca_stack(&sets);
         let mut sorted = got.clone();

@@ -27,7 +27,7 @@
 //!    postings in between.
 //!
 //! Total cost is `O(|driver| · k · depth · log N)` instead of the
-//! merge's `O(N log N + N · depth)`, a large win when the driver list
+//! merge's `O(N log k + N · depth)`, a large win when the driver list
 //! is small and some other list is huge. [`extract_anchored_into`]
 //! then rebuilds the merged stream `getRTF` consumes, restricted to
 //! the postings inside the anchors' subtrees — everything outside is
@@ -37,7 +37,7 @@
 
 use xks_xmltree::Dewey;
 
-use crate::common::{deepest_combination_len, sort_fold_masks};
+use crate::common::{deepest_combination_len, merge_runs_into};
 use crate::slca::indexed_lookup_eager_into;
 
 /// Reusable buffers for the galloping anchor pass, owned by
@@ -168,31 +168,39 @@ fn is_elca(u: &Dewey, sets: &[Vec<Dewey>], slcas: &[Dewey], children: &mut Vec<D
 /// restricted to postings inside the subtrees of `anchors` (sorted,
 /// deduplicated — as produced by the anchor passes). Per maximal
 /// (outermost) anchor, each list contributes its document-order run
-/// `[anchor, subtree upper bound)` found by two binary searches; the
-/// shared [`sort_fold_masks`] tail then folds masks exactly like
+/// `[anchor, subtree upper bound)` found by two binary searches, and
+/// those k runs go through the same k-way merge as
 /// [`crate::merge_postings_into`], so for every node that survives the
 /// filter the emitted `(dewey, mask)` pair is identical to the full
-/// merge's. Nodes outside every anchor's subtree are exactly the
+/// merge's. The maximal anchors' subtrees are disjoint and visited in
+/// document order, so the appended merges are already one sorted
+/// stream. Nodes outside every anchor's subtree are exactly the
 /// orphans the RTF dispatch drops, hence downstream fragments are
 /// byte-identical.
 ///
 /// When an anchor's subtree upper bound overflows (unreachable
 /// ordinals), its runs extend to the end of each list — a superset
 /// that only adds orphans, preserving correctness.
+///
+/// # Panics
+/// Panics when given more than 64 lists (the width of the mask).
 pub fn extract_anchored_into(sets: &[Vec<Dewey>], anchors: &[Dewey], out: &mut Vec<(Dewey, u64)>) {
+    debug_assert!(sets.iter().all(|l| l.is_sorted()), "unsorted posting list");
     out.clear();
+    let mut pos = [0usize; 64];
+    let mut end = [0usize; 64];
     let mut i = 0;
     while i < anchors.len() {
         let a = &anchors[i];
         let ub = a.subtree_upper_bound();
         for (ki, list) in sets.iter().enumerate() {
-            let lo = list.partition_point(|d| d < a);
-            let hi = match &ub {
+            pos[ki] = list.partition_point(|d| d < a);
+            end[ki] = match &ub {
                 Some(ub) => list.partition_point(|d| d < ub),
                 None => list.len(),
             };
-            out.extend(list[lo..hi].iter().map(|d| (d.clone(), 1u64 << ki)));
         }
+        merge_runs_into(sets, &mut pos, &end, out);
         i += 1;
         match &ub {
             // Skip nested anchors: their subtrees are already covered.
@@ -204,7 +212,6 @@ pub fn extract_anchored_into(sets: &[Vec<Dewey>], anchors: &[Dewey], out: &mut V
             None => break, // runs above already reached the list ends
         }
     }
-    sort_fold_masks(out);
 }
 
 #[cfg(test)]

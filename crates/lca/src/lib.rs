@@ -31,9 +31,7 @@ pub mod gallop;
 pub mod naive;
 pub mod slca;
 
-pub use common::{
-    merge_postings, merge_postings_into, push_frontier, remove_ancestors, sort_fold_masks,
-};
+pub use common::{merge_postings, merge_postings_into, push_frontier, remove_ancestors};
 pub use context::{
     elca_into_context, planned_elca_into_context, planned_slca_into_context, slca_into_context,
     QueryContext, RtfScratch, SkelNode, SkeletonScratch, SweepEntry, NONE,

@@ -1,13 +1,16 @@
 //! Differential property tests: every fast algorithm must agree with the
 //! brute-force oracle on random trees and random keyword-node sets.
 
+mod reference;
+
 use std::collections::HashMap;
 
 use proptest::prelude::*;
+use reference::reference_merge;
 use xks_lca::naive::{naive_elca, naive_slca};
 use xks_lca::{
     elca_stack, extract_anchored_into, gallop_elca, indexed_lookup_eager, merge_postings,
-    GallopScratch,
+    merge_postings_into, GallopScratch,
 };
 use xks_xmltree::Dewey;
 
@@ -47,6 +50,66 @@ fn keyword_sets(nodes: &[Dewey], marks: &[u8], k: usize) -> Vec<Vec<Dewey>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn merges_agree_with_reference_fold(
+        choices in prop::collection::vec(any::<u8>(), 0..80),
+        marks in prop::collection::vec(any::<u64>(), 1..81),
+        k in prop::sample::select(vec![1usize, 2, 3, 8, 64]),
+        shape in 0u8..4,
+        picks in prop::collection::vec(any::<u8>(), 0..6),
+    ) {
+        // Both k-way merges — the full one and the anchored extraction —
+        // against a BTreeMap fold, on sorted lists of every shape the
+        // merge must fold: random overlap, some empty lists, one node
+        // in every list, and k identical lists.
+        let nodes = random_tree(&choices);
+        let mut sets: Vec<Vec<Dewey>> = (0..k)
+            .map(|i| {
+                let mut list: Vec<Dewey> = nodes
+                    .iter()
+                    .zip(marks.iter().cycle())
+                    .filter(|(_, m)| (*m >> i) & 1 == 1)
+                    .map(|(d, _)| d.clone())
+                    .collect();
+                list.sort();
+                list
+            })
+            .collect();
+        match shape {
+            1 => sets.iter_mut().step_by(2).for_each(Vec::clear),
+            2 => {
+                let shared = nodes[(marks[0] as usize) % nodes.len()].clone();
+                for list in &mut sets {
+                    if let Err(at) = list.binary_search(&shared) {
+                        list.insert(at, shared.clone());
+                    }
+                }
+            }
+            3 => {
+                let first = sets[0].clone();
+                sets.iter_mut().for_each(|list| list.clone_from(&first));
+            }
+            _ => {}
+        }
+        let expected = reference_merge(&sets);
+        prop_assert_eq!(&merge_postings(&sets), &expected);
+        let mut reused = vec![(Dewey::root(), u64::MAX)];
+        merge_postings_into(&sets, &mut reused);
+        prop_assert_eq!(&reused, &expected);
+
+        let mut anchors: Vec<Dewey> =
+            picks.iter().map(|&p| nodes[p as usize % nodes.len()].clone()).collect();
+        anchors.sort();
+        anchors.dedup();
+        let mut extracted = vec![(Dewey::root(), u64::MAX)];
+        extract_anchored_into(&sets, &anchors, &mut extracted);
+        let under_anchors: Vec<(Dewey, u64)> = expected
+            .into_iter()
+            .filter(|(d, _)| anchors.iter().any(|a| a.is_ancestor_or_self(d)))
+            .collect();
+        prop_assert_eq!(extracted, under_anchors);
+    }
 
     #[test]
     fn slca_algorithms_agree_with_oracle(

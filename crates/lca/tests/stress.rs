@@ -2,8 +2,11 @@
 //! fan-out, and fully-overlapping lists — shapes that exercise stack
 //! depth and mask merging beyond what random trees typically produce.
 
+mod reference;
+
+use reference::reference_merge;
 use xks_lca::naive::{naive_elca, naive_slca};
-use xks_lca::{elca_stack, indexed_lookup_eager};
+use xks_lca::{elca_stack, indexed_lookup_eager, merge_postings};
 use xks_xmltree::Dewey;
 
 fn chain(depth: usize) -> Dewey {
@@ -95,6 +98,9 @@ fn sixty_four_keywords() {
     // The mask width limit: 64 lists, one node each, all under the root.
     let root = Dewey::root();
     let sets: Vec<Vec<Dewey>> = (0..64).map(|i| vec![root.child(i)]).collect();
+    let merged = merge_postings(&sets);
+    assert_eq!(merged, reference_merge(&sets));
+    assert_eq!(merged[63], (root.child(63), 1u64 << 63), "the top mask bit");
     assert_eq!(elca_stack(&sets), vec![root.clone()]);
     assert_eq!(indexed_lookup_eager(&sets), vec![root]);
 }

@@ -80,6 +80,23 @@ fn valid_contributors<'a>(group: &[&'a FragNode]) -> Vec<&'a Dewey> {
     out
 }
 
+/// Definition 4 rules 1, 2(a), 2(b) under every surviving parent: the
+/// kept children are exactly the rule's survivors of the raw same-label
+/// groups.
+fn assert_valid_contributors(built: &Built) {
+    for n in built.valid.iter() {
+        let mut want: Vec<&Dewey> = built
+            .raw
+            .label_groups(&n.dewey)
+            .iter()
+            .flat_map(|g| valid_contributors(&g.children))
+            .collect();
+        want.sort_unstable();
+        let got: Vec<&Dewey> = built.valid.children(&n.dewey).map(|c| &c.dewey).collect();
+        assert_eq!(got, want, "children of {}", n.dewey);
+    }
+}
+
 fn doc(nodes: usize, labels: usize, words: usize, seed: u64) -> XmlTree {
     random_document(&RandomDocConfig {
         nodes,
@@ -152,22 +169,9 @@ proptest! {
         seed in any::<u64>(),
         k in 1usize..4,
     ) {
-        // Definition 4 rules 1, 2(a), 2(b) under every surviving
-        // parent: the kept children are exactly the rule's survivors of
-        // the raw same-label groups.
         let tree = doc(nodes, labels, words, seed);
         for built in build_all(&tree, k) {
-            for n in built.valid.iter() {
-                let mut want: Vec<&Dewey> = built
-                    .raw
-                    .label_groups(&n.dewey)
-                    .iter()
-                    .flat_map(|g| valid_contributors(&g.children))
-                    .collect();
-                want.sort_unstable();
-                let got: Vec<&Dewey> = built.valid.children(&n.dewey).map(|c| &c.dewey).collect();
-                prop_assert_eq!(got, want, "children of {}", n.dewey);
-            }
+            assert_valid_contributors(&built);
         }
     }
 
@@ -222,5 +226,39 @@ proptest! {
             prop_assume!(all_unique);
             prop_assert_eq!(built.valid.len(), raw.len(), "rule 1 must keep everything");
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn wide_same_label_group_follows_definition_4(
+        children in prop::collection::vec(any::<u16>(), 1_000..1_300),
+    ) {
+        // One parent over ≥ 1 000 `c` children. Each holds one of the six
+        // partial keyword sets of {w0, w1, w2} — so no child covers the
+        // query and the root's one fragment holds them all — and up to
+        // two fillers from a pool of six each, giving many repeated and
+        // many distinct content features: rule 2(a) covers the
+        // singletons, rule 2(b) decides among the pairs.
+        const PARTIAL: [&str; 6] = ["w0", "w1", "w2", "w0 w1", "w0 w2", "w1 w2"];
+        let mut xml = String::from("<r>");
+        for &c in &children {
+            let c = usize::from(c);
+            let filler = |at: usize, prefix: char| match c / at % 7 {
+                6 => String::new(),
+                x => format!(" {prefix}{x}"),
+            };
+            xml.push_str(&format!("<c>{}{}{}</c>", PARTIAL[c % 6], filler(6, 'a'), filler(42, 'z')));
+        }
+        xml.push_str("</r>");
+        let tree = xks::xmltree::parse(&xml).expect("well-formed");
+        let built = build_all(&tree, 3);
+        prop_assert_eq!(built.len(), 1);
+        let raw = &built[0].raw;
+        prop_assert_eq!(raw.label_groups(&raw.anchor)[0].counter(), children.len());
+        prop_assert!(built[0].valid.len() < raw.len(), "the group must prune");
+        assert_valid_contributors(&built[0]);
     }
 }

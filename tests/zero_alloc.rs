@@ -11,12 +11,14 @@
 //!    scratch buffers — performs zero heap allocations;
 //! 3. a **warm** `.xks` postings decode into a reused [`DeweyListBuf`]
 //!    arena performs zero heap allocations;
-//! 4. per-thread [`QueryContext`]s keep that contract, and so does the
-//!    `.xks` element lookup the fragment constructor drives — a cache
-//!    hit, and with the cache off the whole finger search over resident
-//!    pages;
+//! 4. per-thread [`QueryContext`]s keep that contract — the planned
+//!    (galloped) anchor pass and its anchored merge included — and so
+//!    does the `.xks` element lookup the fragment constructor drives — a
+//!    cache hit, and with the cache off the whole finger search over
+//!    resident pages;
 //! 5. with a warm context the `getRTF` sweep, the fragment skeleton and
-//!    the pruning decision perform zero heap allocations and emitting a
+//!    the pruning decision (a rule 2(b) tie included) perform zero heap
+//!    allocations and emitting a
 //!    fragment performs exactly one — however many raw nodes the
 //!    decision discarded — and the request path built on them reaches
 //!    a steady state;
@@ -34,7 +36,7 @@ use xks::datagen::{generate_dblp, DblpConfig};
 use xks::index::{InvertedIndex, Query};
 use xks::lca::{
     elca_from_merged, elca_into_context, indexed_lookup_eager_into, merge_postings_into,
-    slca_into_context, ElcaScratch, QueryContext,
+    planned_elca_into_context, slca_into_context, ElcaScratch, QueryContext,
 };
 use xks::persist::codec::{get_postings_into, put_postings};
 use xks::xmltree::{Dewey, DeweyListBuf};
@@ -172,6 +174,17 @@ fn warm_query_hot_path_is_allocation_free() {
     assert_eq!(n, 0, "warm per-thread contexts allocated {n} times");
     assert_eq!(ctx_b.anchors.len(), warm_anchors, "ELCA results unchanged");
 
+    // A galloped query takes the planned path: the gallop scratch, then
+    // the anchored extraction's k-way merge into `merged`.
+    let driver = (0..sets.len())
+        .min_by_key(|&i| sets.set(i).len())
+        .expect("two keywords");
+    planned_elca_into_context(sets.sets(), driver, &mut ctx_a); // warm
+    let n = count_allocs(|| planned_elca_into_context(sets.sets(), driver, &mut ctx_a));
+    assert_eq!(n, 0, "warm planned ELCA context allocated {n} times");
+    assert_eq!(ctx_a.anchors.len(), warm_anchors, "planned ELCA unchanged");
+    assert!(!ctx_a.merged.is_empty(), "the extraction merged postings");
+
     // Decoding a postings run into a caller's warm arena (what
     // `IndexReader::keyword_postings_into` does) is allocation-free too.
     let mut local = DeweyListBuf::new();
@@ -272,8 +285,13 @@ fn warm_query_hot_path_is_allocation_free() {
     };
     let mut staged_ctx = QueryContext::new();
     staged(&mut staged_ctx); // grow the buffers
+    staged_ctx.skeleton.feature_probes = 0;
     let (sweep, decided, emitted, fragments, raw, kept) = staged(&mut staged_ctx);
     assert!(fragments > 1 && kept < raw, "the workload must prune");
+    assert!(
+        staged_ctx.skeleton.feature_probes > 0,
+        "the workload must reach a rule 2(b) tie, so the feature table is warm, not untouched"
+    );
     assert_eq!(sweep, 0, "warm getRTF sweep allocated {sweep} times");
     assert_eq!(
         decided, 0,
