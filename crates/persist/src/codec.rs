@@ -208,8 +208,8 @@ pub fn put_postings(out: &mut Vec<u8>, deweys: &[Dewey]) {
 
 /// Decodes a prefix-delta posting list into a flat [`DeweyListBuf`]
 /// arena, enforcing the writer's contract that codes are **strictly
-/// ascending in document order** (deduplicated). Postings live in a
-/// lazily-read section that is not checksummed per lookup, so this
+/// ascending in document order** (deduplicated). Postings live in the
+/// one paged section, which is not checksummed per lookup, so this
 /// ordering check is what turns a bit flip that survives varint framing
 /// into a typed error instead of a silently reordered result list.
 ///

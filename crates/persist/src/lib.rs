@@ -13,11 +13,12 @@
 //!   magic/version/CRC-32s, label dictionary, element table (Dewey,
 //!   level, label number sequence, content features), and an inverted
 //!   keyword index stored as prefix-delta varint Dewey postings.
-//! * [`IndexReader`] opens the file, validates it, and serves
-//!   `keyword → postings` and `Dewey → element` lookups through a
-//!   fixed-size page abstraction with an LRU [`pool::BufferPool`] — a
-//!   lookup touches only the pages it needs, observable via
-//!   [`IndexReader::stats`].
+//! * [`IndexReader`] opens the file, validates it, reads the element
+//!   table and keyword dictionary whole and checks their CRCs, then
+//!   serves `Dewey → element` lookups from those bytes in place and
+//!   `keyword → postings` lookups through a fixed-size page abstraction
+//!   with an LRU [`pool::BufferPool`] — a postings lookup touches only
+//!   the pages its run spans, observable via [`IndexReader::stats`].
 //! * [`IndexReader`] implements `validrtf`'s
 //!   [`CorpusSource`](validrtf::source::CorpusSource) and is
 //!   `Send + Sync`, so

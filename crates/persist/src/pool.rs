@@ -1,12 +1,13 @@
 //! Fixed-size page abstraction with a sharded, thread-safe LRU buffer
 //! pool.
 //!
-//! The reader never maps or slurps whole sections; every byte it needs
+//! The reader holds the small sections resident from open; the postings
+//! section — an index's bulk — is never slurped: every posting run
 //! flows through [`BufferPool::read_at`], which assembles the range from
 //! fixed-size pages fetched on demand and cached under an LRU policy
 //! (in the spirit of a database buffer manager — see bustub/willow-db).
 //! Counters expose exactly how many pages were touched, which the
-//! differential tests use to prove lookups are lazy.
+//! differential tests use to prove postings lookups are lazy.
 //!
 //! # Concurrency
 //!
@@ -176,26 +177,13 @@ impl BufferPool {
 
     /// Reads `len` bytes at absolute `offset`, assembling across pages.
     pub fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>, PersistError> {
-        let mut out = Vec::with_capacity(len);
-        self.read_extend(offset, len, &mut out)?;
-        Ok(out)
-    }
-
-    /// Like [`BufferPool::read_at`] but appending into a caller-owned
-    /// buffer — a warm caller reuses its capacity instead of allocating
-    /// per read.
-    pub fn read_extend(
-        &self,
-        offset: u64,
-        len: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), PersistError> {
         let end = offset
             .checked_add(len as u64)
             .filter(|&e| e <= self.file_len)
             .ok_or(PersistError::Truncated {
                 what: "read past end of index file",
             })?;
+        let mut out = Vec::with_capacity(len);
         let mut pos = offset;
         while pos < end {
             let page_no = pos / self.page_size as u64;
@@ -207,34 +195,7 @@ impl BufferPool {
             })?;
             pos += take as u64;
         }
-        Ok(())
-    }
-
-    /// Fills `out` from absolute `offset`, assembling across pages —
-    /// the probe primitive: index binary searches read offset-array
-    /// entries and record heads into stack buffers through this, so a
-    /// probe never heap-allocates.
-    pub fn read_into(&self, offset: u64, out: &mut [u8]) -> Result<(), PersistError> {
-        let end = offset
-            .checked_add(out.len() as u64)
-            .filter(|&e| e <= self.file_len)
-            .ok_or(PersistError::Truncated {
-                what: "read past end of index file",
-            })?;
-        let mut filled = 0usize;
-        let mut pos = offset;
-        while pos < end {
-            let page_no = pos / self.page_size as u64;
-            let page_start = page_no * self.page_size as u64;
-            let in_page = (pos - page_start) as usize;
-            let take = ((end - pos) as usize).min(self.page_size - in_page);
-            self.with_page(page_no, |data| {
-                out[filled..filled + take].copy_from_slice(&data[in_page..in_page + take]);
-            })?;
-            filled += take;
-            pos += take as u64;
-        }
-        Ok(())
+        Ok(out)
     }
 
     /// Runs `f` over the cached page, fetching and possibly evicting
@@ -354,11 +315,9 @@ mod tests {
         let got = pool.read_at(60, 140).unwrap();
         assert_eq!(got, &bytes[60..200]);
         assert_eq!(pool.stats().pages_read, 4);
-        let mut window = [0u8; 20];
-        pool.read_into(120, &mut window).unwrap();
-        assert_eq!(window, bytes[120..140]);
+        assert_eq!(pool.read_at(120, 20).unwrap(), &bytes[120..140]);
         assert!(matches!(
-            pool.read_into(250, &mut window),
+            pool.read_at(250, 20),
             Err(PersistError::Truncated { .. })
         ));
     }

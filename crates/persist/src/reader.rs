@@ -1,28 +1,29 @@
 //! Opening and querying `.xks` index files.
 //!
-//! [`IndexReader::open`] validates the header and loads only the label
-//! dictionary (a handful of strings). Everything else — element rows,
-//! keyword dictionary, postings — stays on disk and is fetched page by
-//! page through the LRU [`BufferPool`] as lookups demand: a keyword
-//! lookup binary-searches the offset array (one 8-byte read per probe),
-//! decodes one dictionary entry per probe, and finally reads exactly
-//! the pages its posting run spans. The pool counters in
-//! [`IndexReader::stats`] make that laziness observable.
+//! [`IndexReader::open`] validates the header, then reads sections 0–4
+//! — labels, element offsets, element rows, keyword offsets, keyword
+//! dictionary — whole, one read each, and checks every one against its
+//! CRC. Sections 1–4 stay resident as immutable buffers: an element
+//! lookup is a finger search over the row offsets that compares Dewey
+//! components in place, and a keyword lookup binary-searches the
+//! dictionary the same way. Only the postings stay on disk, paged
+//! through the LRU [`BufferPool`] as lookups demand — a keyword lookup
+//! reads exactly the pages its posting run spans, and the pool counters
+//! in [`IndexReader::stats`] make that laziness observable.
 
 use std::cmp::Ordering as Cmp;
-use std::collections::HashMap;
 use std::fs::File;
 use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use validrtf::fragment::{shared_cid, Cid};
 use validrtf::plan::KeywordStats;
 use validrtf::source::{CorpusSource, SourceElement, SourceError};
 use xks_xmltree::{Dewey, DeweyListBuf};
 
-use crate::codec::{crc32, get_postings_into, get_varint, Crc32};
+use crate::codec::{crc32, get_cid, get_postings_into, get_varint, Crc32};
 use crate::error::PersistError;
 use crate::format::{Header, Section, HEADER_LEN};
 use crate::pool::{lock_unpoisoned, BufferPool, PoolStats};
@@ -36,11 +37,6 @@ pub struct ReaderOptions {
     /// (default 64; 0 disables caching). A hit skips the pool reads
     /// *and* the varint decode for the keyword's whole posting run.
     pub postings_cache_keywords: usize,
-    /// Capacity of the decoded-element cache in nodes (default 16384;
-    /// 0 disables caching). A hit skips the element-table search; a
-    /// full cache evicts one entry per new one, so a working set
-    /// somewhat larger than the cache keeps most of its hits.
-    pub element_cache_nodes: usize,
 }
 
 impl Default for ReaderOptions {
@@ -48,7 +44,6 @@ impl Default for ReaderOptions {
         ReaderOptions {
             pool_pages: 256,
             postings_cache_keywords: 64,
-            element_cache_nodes: 16_384,
         }
     }
 }
@@ -157,6 +152,10 @@ pub struct ElementRecord {
 }
 
 /// Aggregate facts about an open index, including live pool counters.
+///
+/// The `element_cache_*` fields describe the feature memo: one slot per
+/// element row, filled by the first keyword-node lookup of that row and
+/// never evicted.
 #[derive(Debug, Clone, Copy)]
 pub struct IndexStats {
     /// Total file length.
@@ -173,7 +172,8 @@ pub struct IndexStats {
     pub postings_len: u64,
     /// Pages the postings section spans.
     pub postings_pages: u64,
-    /// Buffer-pool counters.
+    /// Buffer-pool counters (postings reads only: every other section
+    /// is resident from open).
     pub pool: PoolStats,
     /// Keywords currently resident in the decoded-postings cache.
     pub postings_cache_entries: usize,
@@ -181,16 +181,15 @@ pub struct IndexStats {
     pub postings_cache_hits: u64,
     /// Keyword lookups that had to decode from pages.
     pub postings_cache_misses: u64,
-    /// Nodes currently resident in the decoded-element cache.
+    /// Feature-memo slots filled so far.
     pub element_cache_entries: usize,
-    /// Element lookups served from the decoded-element cache.
+    /// Keyword-node lookups whose feature the memo already held.
     pub element_cache_hits: u64,
-    /// Element lookups that went to the paged element table.
+    /// Keyword-node lookups that decoded the feature from the row (the
+    /// first of each row, plus the losers of a race to be first).
     pub element_cache_misses: u64,
-    /// Entries the decoded-element cache replaced to admit new ones.
-    pub element_cache_evictions: u64,
     /// Element rows compared against a lookup's Dewey code, over every
-    /// element-table search (cached or not).
+    /// element-table search.
     pub element_probes: u64,
 }
 
@@ -245,10 +244,6 @@ impl xks_obs::MetricSource for IndexStats {
             format!("{prefix}element_cache.misses"),
             self.element_cache_misses,
         );
-        snap.counter(
-            format!("{prefix}element_cache.evictions"),
-            self.element_cache_evictions,
-        );
         snap.counter(format!("{prefix}element_probes"), self.element_probes);
         // Derived hit-rate ratios, emitted only for caches that saw
         // traffic — an untouched cache has no rate, not a NaN one.
@@ -277,198 +272,58 @@ impl xks_obs::MetricSource for IndexStats {
     }
 }
 
-/// Number of independently locked element-cache shards (power of two).
-const ELEMENT_SHARDS: usize = 8;
-
-/// Of the entries that replace an evicted one, every `KEEP_EVERY`-th
-/// moves the clock hand on; the others stay under it and are the next
-/// victim unless a hit reaches them first. Plain second-chance turns
-/// into FIFO — zero hits — on a sweep that cycles over slightly more
-/// nodes than fit, which is what a query list over a corpus a little
-/// larger than the cache is; holding the hand keeps the resident
-/// entries through such a sweep, and the kept share lets a new working
-/// set take the cache over. Replaying a `zipf100-disk` lookup trace
-/// (17 276 distinct nodes, 16 384 slots): 0.98 hits at 4, 0.96 for
-/// plain second-chance (1); a 110 % cyclic sweep: 0.88 against 0.
-const KEEP_EVERY: u32 = 4;
-
-/// What the fragment constructor reads of one node, plus the row it
-/// was decoded from.
+/// The own-content feature of every element row, indexed by row
+/// number: what the fragment constructor would otherwise re-decode on
+/// each keyword-node lookup. A slot is filled by the first lookup of its
+/// row and never evicted, so a lookup takes no lock and hashes nothing.
+/// Two first lookups of one row may race: both decode, one result is
+/// stored, and the two are equal.
 #[derive(Debug)]
-struct ElementSlot {
-    dewey: Dewey,
-    /// Index of the node's row in the element table; a hit points the
-    /// reader's search finger at it.
-    row: u64,
-    label: u32,
-    /// The node's own-content feature once a keyword-node lookup has
-    /// decoded it; `None` while only the label has been read.
-    keyword_cid: Option<Cid>,
-    /// Second-chance bit: set by a hit, cleared as the hand passes.
-    referenced: bool,
-}
-
-#[derive(Debug, Default)]
-struct ElementShard {
-    by_dewey: HashMap<Dewey, usize>,
-    slots: Vec<ElementSlot>,
-    /// The slot the next eviction examines first.
-    hand: usize,
-    /// Evictions so far, for the [`KEEP_EVERY`] cadence.
-    replaced: u32,
-}
-
-/// A second-chance (CLOCK) cache of decoded element facts.
-///
-/// Thread-safe: the slots are split into [`ELEMENT_SHARDS`] shards,
-/// each behind its own `Mutex` and evicting within its slice of the
-/// capacity, so concurrent element lookups on different nodes rarely
-/// contend. Counters are relaxed atomics.
-#[derive(Debug)]
-struct ElementCache {
-    shard_capacity: usize,
-    shards: [Mutex<ElementShard>; ELEMENT_SHARDS],
+struct FeatureMemo {
+    slots: Box<[OnceLock<Cid>]>,
     hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    decodes: AtomicU64,
+    filled: AtomicU64,
 }
 
-impl ElementCache {
-    fn new(capacity: usize) -> Self {
-        let shard_capacity = if capacity == 0 {
-            0
-        } else {
-            capacity.div_ceil(ELEMENT_SHARDS).max(1)
-        };
-        ElementCache {
-            shard_capacity,
-            shards: std::array::from_fn(|_| Mutex::new(ElementShard::default())),
+impl FeatureMemo {
+    fn new(rows: usize) -> Self {
+        FeatureMemo {
+            slots: std::iter::repeat_with(OnceLock::new).take(rows).collect(),
             hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            decodes: AtomicU64::new(0),
+            filled: AtomicU64::new(0),
         }
-    }
-
-    /// Shard index for a Dewey code: cheap component fold, masked to
-    /// the power-of-two shard count.
-    fn shard(&self, dewey: &Dewey) -> &Mutex<ElementShard> {
-        let h = dewey
-            .components()
-            .iter()
-            .fold(0u32, |h, c| h.wrapping_mul(31).wrapping_add(*c));
-        &self.shards[(h as usize) & (ELEMENT_SHARDS - 1)]
-    }
-
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| lock_unpoisoned(s).slots.len())
-            .sum()
-    }
-
-    /// Answers a lookup from the cache. `read` takes what the caller
-    /// needs from the slot, or `None` when the slot does not hold it
-    /// yet (a keyword-node lookup of a node cached for its label);
-    /// that, like an absent node, counts as a miss. Whenever the node
-    /// is cached its row moves `finger`, so the search a miss goes on
-    /// to starts where this lookup is.
-    fn get<R>(
-        &self,
-        dewey: &Dewey,
-        finger: &AtomicU64,
-        read: impl FnOnce(&ElementSlot) -> Option<R>,
-    ) -> Option<R> {
-        if self.shard_capacity == 0 {
-            return None;
-        }
-        // Same recover-and-count poison policy as every other persist
-        // lock site: a cache shard holds no invariant a panic can
-        // break, so one panicked thread must not wedge element reads.
-        let mut shard = lock_unpoisoned(self.shard(dewey));
-        let found = shard.by_dewey.get(dewey).copied().and_then(|at| {
-            let slot = &mut shard.slots[at];
-            let answer = read(slot);
-            // A served node is behind the caller (the next lookup in
-            // document order lands after its row); one that needs the
-            // table is searched for at its row.
-            finger.store(slot.row + u64::from(answer.is_some()), Ordering::Relaxed);
-            slot.referenced = true;
-            answer
-        });
-        drop(shard);
-        let counter = if found.is_some() {
-            &self.hits
-        } else {
-            &self.misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        found
-    }
-
-    /// Caches what a table lookup decoded. A node already present (a
-    /// label-only entry gaining its feature, or two threads missing
-    /// together) is updated in place; otherwise the entry takes a free
-    /// slot, or the first slot from the hand on that no hit has touched
-    /// since the hand last passed it.
-    fn insert(&self, dewey: &Dewey, row: u64, label: u32, keyword_cid: Option<Cid>) {
-        if self.shard_capacity == 0 {
-            return;
-        }
-        let mut guard = lock_unpoisoned(self.shard(dewey));
-        let shard = &mut *guard;
-        if let Some(&at) = shard.by_dewey.get(dewey) {
-            let slot = &mut shard.slots[at];
-            if keyword_cid.is_some() {
-                slot.keyword_cid = keyword_cid;
-            }
-            return;
-        }
-        let slot = ElementSlot {
-            dewey: dewey.clone(),
-            row,
-            label,
-            keyword_cid,
-            referenced: false,
-        };
-        let at = if shard.slots.len() < self.shard_capacity {
-            shard.slots.push(slot);
-            shard.slots.len() - 1
-        } else {
-            while shard.slots[shard.hand].referenced {
-                shard.slots[shard.hand].referenced = false;
-                shard.hand = (shard.hand + 1) % self.shard_capacity;
-            }
-            let at = shard.hand;
-            shard.by_dewey.remove(&shard.slots[at].dewey);
-            shard.slots[at] = slot;
-            shard.replaced = shard.replaced.wrapping_add(1);
-            if shard.replaced.is_multiple_of(KEEP_EVERY) {
-                shard.hand = (at + 1) % self.shard_capacity;
-            }
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            at
-        };
-        shard.by_dewey.insert(dewey.clone(), at);
     }
 }
 
-/// A read-only handle on an `.xks` index file, with small per-reader
-/// caches of decoded postings and element facts in front of the buffer
-/// pool.
+/// A read-only handle on an `.xks` index file: sections 0–4 resident
+/// and CRC-checked from open, postings paged through a buffer pool with
+/// a small decoded-postings cache in front, and a by-row memo of
+/// keyword-node features.
 ///
 /// `IndexReader` is `Send + Sync`: one opened index can serve many
-/// query threads concurrently behind an `Arc` (the buffer pool is
-/// sharded-locked, the caches are lock-guarded, and every counter is
-/// atomic). See the workspace's `PERFORMANCE.md` "Concurrency model"
-/// section for the lock layout.
+/// query threads concurrently behind an `Arc` (the resident sections
+/// are immutable, the feature memo fills each slot once, the buffer
+/// pool is sharded-locked, the postings cache is lock-guarded, and
+/// every counter is atomic). See the workspace's `PERFORMANCE.md`
+/// "Concurrency model" section for the lock layout.
 #[derive(Debug)]
 pub struct IndexReader {
     path: PathBuf,
     pool: BufferPool,
     header: Header,
     labels: Vec<String>,
+    /// Section 1: one little-endian `u64` row offset per element row.
+    element_offsets: Box<[u8]>,
+    /// Section 2: the element rows.
+    elements: Box<[u8]>,
+    /// Section 3: one little-endian `u64` entry offset per keyword.
+    keyword_offsets: Box<[u8]>,
+    /// Section 4: the keyword dictionary entries.
+    keyword_dict: Box<[u8]>,
     postings_cache: PostingsCache,
-    element_cache: ElementCache,
+    features: FeatureMemo,
     /// The search finger: the element row a lookup probes first.
     /// Fragment construction asks for nodes in document order, so the
     /// row after the last one found is usually the answer or next to
@@ -484,10 +339,12 @@ impl IndexReader {
         Self::open_with(path, ReaderOptions::default())
     }
 
-    /// Opens an index, validating magic, version, header checksum, and
-    /// the label dictionary (checksummed and loaded eagerly — it is the
-    /// only eagerly-read section). Use [`IndexReader::verify`] for a
-    /// full-file integrity pass.
+    /// Opens an index, validating magic, version, header checksum,
+    /// section bounds and the header counts against the offset arrays,
+    /// then reading sections 0–4 whole and checking each one's CRC
+    /// (`ChecksumMismatch` naming the section). Only the postings are
+    /// left for lookups to page in; use [`IndexReader::verify`] to
+    /// check them too.
     pub fn open_with(path: &Path, options: ReaderOptions) -> Result<Self, PersistError> {
         let mut file = File::open(path)?;
         let file_len = file.metadata()?.len();
@@ -530,13 +387,12 @@ impl IndexReader {
             }
         }
 
-        let labels_entry = header.section(Section::Labels);
-        let labels_bytes =
-            read_exact_at(&mut file, labels_entry.offset, labels_entry.len as usize)?;
-        if crc32(&labels_bytes) != labels_entry.crc {
-            return Err(PersistError::ChecksumMismatch { section: "labels" });
-        }
-        let labels = decode_labels(&labels_bytes, header.label_count)?;
+        let mut read = |section| read_section(&mut file, &header, section);
+        let labels = decode_labels(&read(Section::Labels)?, header.label_count)?;
+        let element_offsets = read(Section::ElementOffsets)?;
+        let elements = read(Section::Elements)?;
+        let keyword_offsets = read(Section::KeywordOffsets)?;
+        let keyword_dict = read(Section::KeywordDict)?;
 
         let pool = BufferPool::new(
             file,
@@ -547,12 +403,16 @@ impl IndexReader {
         Ok(IndexReader {
             path: path.to_owned(),
             pool,
-            header,
             labels,
+            element_offsets,
+            elements,
+            keyword_offsets,
+            keyword_dict,
             postings_cache: PostingsCache::new(options.postings_cache_keywords),
-            element_cache: ElementCache::new(options.element_cache_nodes),
+            features: FeatureMemo::new(header.element_count as usize),
             element_finger: AtomicU64::new(0),
             element_probes: AtomicU64::new(0),
+            header,
         })
     }
 
@@ -573,10 +433,9 @@ impl IndexReader {
             postings_cache_entries: self.postings_cache.len(),
             postings_cache_hits: self.postings_cache.hits.load(Ordering::Relaxed),
             postings_cache_misses: self.postings_cache.misses.load(Ordering::Relaxed),
-            element_cache_entries: self.element_cache.len(),
-            element_cache_hits: self.element_cache.hits.load(Ordering::Relaxed),
-            element_cache_misses: self.element_cache.misses.load(Ordering::Relaxed),
-            element_cache_evictions: self.element_cache.evictions.load(Ordering::Relaxed),
+            element_cache_entries: self.features.filled.load(Ordering::Relaxed) as usize,
+            element_cache_hits: self.features.hits.load(Ordering::Relaxed),
+            element_cache_misses: self.features.decodes.load(Ordering::Relaxed),
             element_probes: self.element_probes.load(Ordering::Relaxed),
         }
     }
@@ -667,28 +526,10 @@ impl IndexReader {
         else {
             return Ok(0);
         };
-        let postings = self.header.section(Section::Postings);
-        if run_off
-            .checked_add(run_len)
-            .is_none_or(|end| end > postings.len)
-        {
-            return Err(PersistError::Corrupt {
-                what: format!("postings run for {keyword:?} outside the postings section"),
-            });
-        }
-        let bytes = self
-            .pool
-            .read_at(postings.offset + run_off, run_len as usize)?;
+        let bytes = self.postings_run(keyword, run_off, run_len)?;
         let mut pos = 0;
         get_postings_into(&bytes, &mut pos, buf)?;
-        if buf.len() as u64 != count {
-            return Err(PersistError::Corrupt {
-                what: format!(
-                    "postings run for {keyword:?} decodes {} codes, dictionary says {count}",
-                    buf.len()
-                ),
-            });
-        }
+        check_posting_count(keyword, buf.len(), count)?;
         Ok(buf.len())
     }
 
@@ -729,10 +570,10 @@ impl IndexReader {
     }
 
     /// The element row for a Dewey code, `None` when absent. The row is
-    /// located by a finger search over the paged offset array, starting
-    /// at the row after the last one found; probes compare Dewey
-    /// components in place, and the rest (label path, content-feature
-    /// strings) is decoded once, on the matching row.
+    /// located by a finger search over the resident offset array,
+    /// starting at the row after the last one found; probes compare
+    /// Dewey components in place, and the rest (label path,
+    /// content-feature strings) is decoded once, on the matching row.
     pub fn try_element(&self, dewey: &Dewey) -> Result<Option<ElementRecord>, PersistError> {
         match self.find_row(dewey.components())? {
             Some((_, cursor)) => Ok(Some(decode_row_rest(cursor, dewey.clone())?)),
@@ -770,35 +611,16 @@ impl IndexReader {
                 ),
             });
         }
-        let entry_off = self.offset_entry(Section::KeywordOffsets, idx)?;
-        let mut cursor = self.cursor(Section::KeywordDict, entry_off)?;
+        let mut cursor = self.dict_cursor(idx)?;
         let word = cursor.read_str()?;
         let count = cursor.read_varint()?;
         let run_off = cursor.read_varint()?;
         let run_len = cursor.read_varint()?;
-        let postings = self.header.section(Section::Postings);
-        if run_off
-            .checked_add(run_len)
-            .is_none_or(|end| end > postings.len)
-        {
-            return Err(PersistError::Corrupt {
-                what: format!("postings run for {word:?} outside the postings section"),
-            });
-        }
-        let bytes = self
-            .pool
-            .read_at(postings.offset + run_off, run_len as usize)?;
+        let bytes = self.postings_run(word, run_off, run_len)?;
         let mut pos = 0;
         let deweys = crate::codec::get_postings(&bytes, &mut pos)?;
-        if deweys.len() as u64 != count {
-            return Err(PersistError::Corrupt {
-                what: format!(
-                    "postings run for {word:?} decodes {} codes, dictionary says {count}",
-                    deweys.len()
-                ),
-            });
-        }
-        Ok((word, deweys))
+        check_posting_count(word, deweys.len(), count)?;
+        Ok((word.to_owned(), deweys))
     }
 
     /// Verifies every section checksum by streaming the open index in
@@ -834,37 +656,29 @@ impl IndexReader {
         Ok(())
     }
 
-    /// A node's label id through the decoded-element cache. A miss
-    /// decodes nothing of the row past the label.
-    fn cached_label(&self, dewey: &Dewey) -> Result<Option<u32>, PersistError> {
-        let cached = self
-            .element_cache
-            .get(dewey, &self.element_finger, |slot| Some(slot.label));
-        if cached.is_some() {
-            return Ok(cached);
+    /// A node's label id. Decodes nothing of the row past the label.
+    fn element_label(&self, dewey: &Dewey) -> Result<Option<u32>, PersistError> {
+        match self.find_row(dewey.components())? {
+            Some((_, mut cursor)) => Ok(Some(cursor.read_u32()?)),
+            None => Ok(None),
         }
-        let Some((row, mut cursor)) = self.find_row(dewey.components())? else {
-            return Ok(None);
-        };
-        let label = cursor.read_u32()?;
-        self.element_cache.insert(dewey, row, label, None);
-        Ok(Some(label))
     }
 
-    /// A keyword node's label id and own-content feature through the
-    /// decoded-element cache. A miss skips over the row's level, label
-    /// path and subtree feature without materializing them.
-    fn cached_keyword_node(&self, dewey: &Dewey) -> Result<Option<(u32, Cid)>, PersistError> {
-        let cached = self.element_cache.get(dewey, &self.element_finger, |slot| {
-            Some((slot.label, slot.keyword_cid.clone()?))
-        });
-        if cached.is_some() {
-            return Ok(cached);
-        }
+    /// A keyword node's label id and own-content feature. The feature
+    /// comes from the memo; the first lookup of a row skips over its
+    /// level, label path and subtree feature without materializing
+    /// them and decodes the feature straight into two `Arc<str>`.
+    fn keyword_node(&self, dewey: &Dewey) -> Result<Option<(u32, Cid)>, PersistError> {
         let Some((row, mut cursor)) = self.find_row(dewey.components())? else {
             return Ok(None);
         };
         let label = cursor.read_u32()?;
+        let memo = &self.features;
+        let slot = &memo.slots[row as usize];
+        if let Some(feature) = slot.get() {
+            memo.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(Some((label, feature.clone())));
+        }
         cursor.read_varint()?; // level
         let path_len = cursor.read_varint()?;
         cursor.check_items(path_len)?;
@@ -872,10 +686,12 @@ impl IndexReader {
             cursor.read_varint()?;
         }
         cursor.skip_cid()?; // subtree feature
-        let keyword_cid = shared_cid(cursor.read_cid()?);
-        self.element_cache
-            .insert(dewey, row, label, Some(keyword_cid.clone()));
-        Ok(Some((label, keyword_cid)))
+        let feature = cursor.read_shared_cid()?;
+        memo.decodes.fetch_add(1, Ordering::Relaxed);
+        if slot.set(feature.clone()).is_ok() {
+            memo.filled.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(Some((label, feature)))
     }
 
     // ---------------------------------------------------------- internal
@@ -888,7 +704,8 @@ impl IndexReader {
     /// until a row on the other side brackets the answer, then bisects
     /// the bracket. Next to the finger that is one to three probes;
     /// from a useless finger it is at most twice the plain binary
-    /// search's.
+    /// search's. The probes are counted once per search, not per probe:
+    /// the counter is a cache line every thread shares.
     fn find_row(&self, target: &[u32]) -> Result<Option<(u64, SectionCursor<'_>)>, PersistError> {
         // Rows before `lo` sort below `target`, rows from `hi` on above.
         let (mut lo, mut hi) = (0u64, self.header.element_count);
@@ -896,15 +713,16 @@ impl IndexReader {
         let mut step = 1u64;
         // Whether some probed row sorted below / above the target.
         let (mut below, mut above) = (false, false);
-        while lo < hi {
+        let mut probes = 0u64;
+        let found = loop {
+            if lo >= hi {
+                break None;
+            }
             at = at.clamp(lo, hi - 1);
-            self.element_probes.fetch_add(1, Ordering::Relaxed);
+            probes += 1;
             let mut cursor = self.row_cursor(at)?;
             match cursor.compare_dewey(target)? {
-                Cmp::Equal => {
-                    self.element_finger.store(at + 1, Ordering::Relaxed);
-                    return Ok(Some((at, cursor)));
-                }
+                Cmp::Equal => break Some((at, cursor)),
                 Cmp::Less => {
                     lo = at + 1;
                     below = true;
@@ -922,24 +740,25 @@ impl IndexReader {
                 at.saturating_sub(step)
             };
             step = step.saturating_mul(2);
-        }
-        self.element_finger.store(lo, Ordering::Relaxed);
-        Ok(None)
+        };
+        self.element_probes.fetch_add(probes, Ordering::Relaxed);
+        let next = found.as_ref().map_or(lo, |(row, _)| row + 1);
+        self.element_finger.store(next, Ordering::Relaxed);
+        Ok(found)
     }
 
-    /// A cursor on the first byte of element row `idx`.
+    /// A cursor on the first byte of element row `idx` (`idx` below the
+    /// element count).
     fn row_cursor(&self, idx: u64) -> Result<SectionCursor<'_>, PersistError> {
-        let row_off = self.offset_entry(Section::ElementOffsets, idx)?;
-        self.cursor(Section::Elements, row_off)
+        let row_off = offset_entry(&self.element_offsets, idx);
+        SectionCursor::new(&self.elements, row_off, Section::Elements)
     }
 
-    /// Reads entry `idx` of a `u64` offset array section (stack buffer,
-    /// no heap allocation — this runs once per binary-search probe).
-    fn offset_entry(&self, section: Section, idx: u64) -> Result<u64, PersistError> {
-        let entry = self.header.section(section);
-        let mut bytes = [0u8; 8];
-        self.pool.read_into(entry.offset + idx * 8, &mut bytes)?;
-        Ok(u64::from_le_bytes(bytes))
+    /// A cursor on the first byte of dictionary entry `idx` (`idx` below
+    /// the keyword count).
+    fn dict_cursor(&self, idx: u64) -> Result<SectionCursor<'_>, PersistError> {
+        let entry_off = offset_entry(&self.keyword_offsets, idx);
+        SectionCursor::new(&self.keyword_dict, entry_off, Section::KeywordDict)
     }
 
     /// Binary search in the keyword dictionary; the document frequency
@@ -949,11 +768,9 @@ impl IndexReader {
         let mut hi = self.header.keyword_count;
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            let entry_off = self.offset_entry(Section::KeywordOffsets, mid)?;
-            let mut cursor = self.cursor(Section::KeywordDict, entry_off)?;
-            let word = cursor.read_str()?;
-            match word.as_str().cmp(keyword) {
-                std::cmp::Ordering::Equal => {
+            let mut cursor = self.dict_cursor(mid)?;
+            match cursor.read_str()?.cmp(keyword) {
+                Cmp::Equal => {
                     let count = cursor.read_varint()?;
                     let run_off = cursor.read_varint()?;
                     let run_len = cursor.read_varint()?;
@@ -969,28 +786,33 @@ impl IndexReader {
                         doc_freq,
                     }));
                 }
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
+                Cmp::Less => lo = mid + 1,
+                Cmp::Greater => hi = mid,
             }
         }
         Ok(None)
     }
 
-    fn cursor(&self, section: Section, rel_off: u64) -> Result<SectionCursor<'_>, PersistError> {
-        let entry = self.header.section(section);
-        if rel_off > entry.len {
+    /// Reads one keyword's posting run through the pool, after checking
+    /// that the dictionary's `(run_off, run_len)` stays inside the
+    /// postings section.
+    fn postings_run(
+        &self,
+        keyword: &str,
+        run_off: u64,
+        run_len: u64,
+    ) -> Result<Vec<u8>, PersistError> {
+        let postings = self.header.section(Section::Postings);
+        if run_off
+            .checked_add(run_len)
+            .is_none_or(|end| end > postings.len)
+        {
             return Err(PersistError::Corrupt {
-                what: format!("offset {rel_off} outside section {}", section.name()),
+                what: format!("postings run for {keyword:?} outside the postings section"),
             });
         }
-        Ok(SectionCursor {
-            pool: &self.pool,
-            pos: entry.offset + rel_off,
-            end: entry.offset + entry.len,
-            window: [0; WINDOW],
-            at: 0,
-            filled: 0,
-        })
+        self.pool
+            .read_at(postings.offset + run_off, run_len as usize)
     }
 }
 
@@ -1003,56 +825,56 @@ struct DictEntry {
     doc_freq: Option<u64>,
 }
 
-/// Bytes a [`SectionCursor`] pulls through the pool at a time: an
-/// element row's Dewey code, label and level fit at any inline depth,
-/// so a probe is one offset read plus one window read.
-const WINDOW: usize = 64;
-
-/// Sequential decoder over one section, pulling bytes through the pool
-/// a window at a time and decoding from the window in place.
-struct SectionCursor<'a> {
-    pool: &'a BufferPool,
-    /// Absolute offset of the next unread byte.
-    pos: u64,
-    /// Absolute end of the section; the window never reaches past it.
-    end: u64,
-    window: [u8; WINDOW],
-    /// `window[at..filled]` holds the bytes at `pos..`.
-    at: usize,
-    filled: usize,
+/// Rejects a posting run that decodes to a different number of codes
+/// than its dictionary entry promises.
+fn check_posting_count(keyword: &str, decoded: usize, count: u64) -> Result<(), PersistError> {
+    if decoded as u64 != count {
+        return Err(PersistError::Corrupt {
+            what: format!(
+                "postings run for {keyword:?} decodes {decoded} codes, dictionary says {count}"
+            ),
+        });
+    }
+    Ok(())
 }
 
-impl SectionCursor<'_> {
-    /// Bytes left in the section.
-    fn remaining(&self) -> u64 {
-        self.end - self.pos
+/// Entry `idx` of a resident `u64` offset array. Open checked that the
+/// array holds exactly one entry per counted item, and callers pass an
+/// index below that count, so the slice is always in bounds.
+fn offset_entry(offsets: &[u8], idx: u64) -> u64 {
+    let at = idx as usize * 8;
+    u64::from_le_bytes(offsets[at..at + 8].try_into().expect("8-byte entry"))
+}
+
+/// Sequential decoder over one resident section, decoding in place.
+struct SectionCursor<'a> {
+    /// The whole section: no read may reach past its end.
+    bytes: &'a [u8],
+    /// Offset of the next unread byte.
+    pos: usize,
+}
+
+impl<'a> SectionCursor<'a> {
+    /// A cursor `rel_off` bytes into `section`'s resident `bytes`.
+    fn new(bytes: &'a [u8], rel_off: u64, section: Section) -> Result<Self, PersistError> {
+        if rel_off > bytes.len() as u64 {
+            return Err(PersistError::Corrupt {
+                what: format!("offset {rel_off} outside section {}", section.name()),
+            });
+        }
+        Ok(SectionCursor {
+            bytes,
+            pos: rel_off as usize,
+        })
     }
 
-    /// Tops the window up to `want` unread bytes, or to all the section
-    /// still has.
-    fn fill(&mut self, want: usize) -> Result<(), PersistError> {
-        let have = self.filled - self.at;
-        if have >= want {
-            return Ok(());
-        }
-        let take = (self.remaining() - have as u64).min((WINDOW - have) as u64) as usize;
-        if take > 0 {
-            self.window.copy_within(self.at..self.filled, 0);
-            self.pool
-                .read_into(self.pos + have as u64, &mut self.window[have..have + take])?;
-            self.at = 0;
-            self.filled = have + take;
-        }
-        Ok(())
+    /// Bytes left in the section.
+    fn remaining(&self) -> u64 {
+        (self.bytes.len() - self.pos) as u64
     }
 
     fn read_varint(&mut self) -> Result<u64, PersistError> {
-        self.fill(10)?;
-        let mut at = self.at;
-        let v = get_varint(&self.window[..self.filled], &mut at)?;
-        self.pos += (at - self.at) as u64;
-        self.at = at;
-        Ok(v)
+        get_varint(self.bytes, &mut self.pos)
     }
 
     fn read_u32(&mut self) -> Result<u32, PersistError> {
@@ -1063,9 +885,8 @@ impl SectionCursor<'_> {
     }
 
     /// Rejects a stored count of items (one byte or more each) that the
-    /// rest of the section cannot hold. Counts come from lazily-read,
-    /// non-CRC-checked sections: they must fail typed before they size
-    /// an allocation or bound a loop.
+    /// rest of the section cannot hold, before it sizes an allocation
+    /// or bounds a loop.
     fn check_items(&self, count: u64) -> Result<(), PersistError> {
         if count > self.remaining() {
             return Err(PersistError::Truncated {
@@ -1116,39 +937,18 @@ impl SectionCursor<'_> {
         })
     }
 
-    /// Steps over `len` bytes without reading them.
-    fn skip(&mut self, len: u64) -> Result<(), PersistError> {
+    /// The next `len` bytes, borrowed from the section.
+    fn read_bytes(&mut self, len: u64) -> Result<&'a [u8], PersistError> {
         self.check_items(len)?;
-        let have = (self.filled - self.at) as u64;
-        if len <= have {
-            self.at += len as usize;
-        } else {
-            self.at = self.filled;
-        }
-        self.pos += len;
-        Ok(())
-    }
-
-    fn read_bytes(&mut self, len: u64) -> Result<Vec<u8>, PersistError> {
-        self.check_items(len)?;
-        let len = len as usize;
-        let mut bytes = Vec::with_capacity(len);
-        let have = (self.filled - self.at).min(len);
-        bytes.extend_from_slice(&self.window[self.at..self.at + have]);
-        self.at += have;
-        if len > have {
-            // The window is spent; the rest comes straight from the pool.
-            self.pool
-                .read_extend(self.pos + have as u64, len - have, &mut bytes)?;
-        }
-        self.pos += len as u64;
+        let bytes = &self.bytes[self.pos..self.pos + len as usize];
+        self.pos += len as usize;
         Ok(bytes)
     }
 
-    fn read_str(&mut self) -> Result<String, PersistError> {
+    /// A length-prefixed string, borrowed from the section.
+    fn read_str(&mut self) -> Result<&'a str, PersistError> {
         let len = self.read_varint()?;
-        let bytes = self.read_bytes(len)?;
-        String::from_utf8(bytes).map_err(|_| PersistError::Corrupt {
+        std::str::from_utf8(self.read_bytes(len)?).map_err(|_| PersistError::Corrupt {
             what: "string is not valid UTF-8".to_owned(),
         })
     }
@@ -1156,15 +956,7 @@ impl SectionCursor<'_> {
     /// Reads a content feature's tag byte: whether a `(min, max)` pair
     /// follows.
     fn read_cid_tag(&mut self) -> Result<bool, PersistError> {
-        self.fill(1)?;
-        let Some(&tag) = self.window[..self.filled].get(self.at) else {
-            return Err(PersistError::Truncated {
-                what: "record ran past the end of its section",
-            });
-        };
-        self.at += 1;
-        self.pos += 1;
-        match tag {
+        match self.read_bytes(1)?[0] {
             0 => Ok(false),
             1 => Ok(true),
             other => Err(PersistError::Corrupt {
@@ -1174,19 +966,25 @@ impl SectionCursor<'_> {
     }
 
     fn read_cid(&mut self) -> Result<Option<(String, String)>, PersistError> {
+        get_cid(self.bytes, &mut self.pos)
+    }
+
+    /// A content feature decoded straight into shared strings: one
+    /// allocation per string, none for an absent feature.
+    fn read_shared_cid(&mut self) -> Result<Cid, PersistError> {
         if !self.read_cid_tag()? {
             return Ok(None);
         }
         let min = self.read_str()?;
         let max = self.read_str()?;
-        Ok(Some((min, max)))
+        Ok(Some((min.into(), max.into())))
     }
 
     fn skip_cid(&mut self) -> Result<(), PersistError> {
         if self.read_cid_tag()? {
             for _ in 0..2 {
                 let len = self.read_varint()?;
-                self.skip(len)?;
+                self.read_bytes(len)?;
             }
         }
         Ok(())
@@ -1218,11 +1016,24 @@ fn decode_row_rest(
     })
 }
 
-fn read_exact_at(file: &mut File, offset: u64, len: usize) -> Result<Vec<u8>, PersistError> {
+/// Reads `section` whole with one positioned read and checks its CRC.
+/// Open has already checked that the section lies inside the file, so
+/// its length is bounded by the file's.
+fn read_section(
+    file: &mut File,
+    header: &Header,
+    section: Section,
+) -> Result<Box<[u8]>, PersistError> {
     use std::io::{Seek, SeekFrom};
-    file.seek(SeekFrom::Start(offset))?;
-    let mut bytes = vec![0u8; len];
+    let entry = header.section(section);
+    file.seek(SeekFrom::Start(entry.offset))?;
+    let mut bytes = vec![0u8; entry.len as usize].into_boxed_slice();
     file.read_exact(&mut bytes)?;
+    if crc32(&bytes) != entry.crc {
+        return Err(PersistError::ChecksumMismatch {
+            section: section.name(),
+        });
+    }
     Ok(bytes)
 }
 
@@ -1266,8 +1077,8 @@ impl CorpusSource for IndexReader {
     }
 
     /// The whole row, decoded from the element table each time: the
-    /// cache holds only what fragment construction reads
-    /// (`try_element_label`, `try_keyword_node`).
+    /// feature memo holds only what fragment construction reads
+    /// (`try_keyword_node`).
     fn try_element(&self, dewey: &Dewey) -> Result<Option<SourceElement>, SourceError> {
         let record = IndexReader::try_element(self, dewey).map_err(SourceError::new)?;
         Ok(record.map(|record| SourceElement {
@@ -1279,18 +1090,18 @@ impl CorpusSource for IndexReader {
     }
 
     fn try_element_label(&self, dewey: &Dewey) -> Result<Option<u32>, SourceError> {
-        self.cached_label(dewey).map_err(SourceError::new)
+        self.element_label(dewey).map_err(SourceError::new)
     }
 
     fn try_keyword_node(&self, dewey: &Dewey) -> Result<Option<(u32, Cid)>, SourceError> {
-        self.cached_keyword_node(dewey).map_err(SourceError::new)
+        self.keyword_node(dewey).map_err(SourceError::new)
     }
 }
 
 impl xks_obs::MetricSource for IndexReader {
     /// A live reader contributes its current [`IndexReader::stats`]
-    /// reading (buffer pool, postings LRU, element cache and probes) to a
-    /// snapshot — the collection path behind `xks stats`.
+    /// reading (buffer pool, postings LRU, feature memo and probes) to
+    /// a snapshot — the collection path behind `xks stats`.
     fn collect_into(&self, prefix: &str, snap: &mut xks_obs::Snapshot) {
         self.stats().collect_into(prefix, snap);
     }
@@ -1318,12 +1129,20 @@ mod tests {
     }
 
     #[test]
-    fn open_reads_only_header_and_labels() {
+    fn element_and_dictionary_lookups_page_nothing() {
         let (reader, path) = open_publications("lazy-open.xks");
         let stats = reader.stats();
         assert_eq!(stats.pool.pages_read, 0, "no pool pages at open");
         assert!(stats.label_count > 5);
         assert_eq!(reader.label(0).unwrap(), "Publications");
+        // Sections 1–4 answer from the bytes read at open; only a
+        // posting run goes through the pool.
+        let title = reader.try_element(&"0.2.0.1".parse().unwrap()).unwrap();
+        assert!(title.is_some());
+        assert!(reader.keyword_stats("keyword").unwrap().postings > 0);
+        assert_eq!(reader.stats().pool.pages_read, 0);
+        assert!(!reader.try_keyword_deweys("keyword").unwrap().is_empty());
+        assert!(reader.stats().pool.pages_read > 0);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1382,7 +1201,7 @@ mod tests {
         assert_eq!(v1.format_version(), 1);
         assert_eq!(v2.format_version(), 2);
 
-        // v1 open stays as lazy as v2: header + labels only.
+        // v1 open pages nothing through the pool, like v2.
         assert_eq!(v1.stats().pool.pages_read, 0);
 
         let doc = shred(&publications());
@@ -1482,7 +1301,6 @@ mod tests {
             ReaderOptions {
                 pool_pages: 256,
                 postings_cache_keywords: 2,
-                ..ReaderOptions::default()
             },
         )
         .unwrap();
@@ -1527,6 +1345,9 @@ mod tests {
                             let dewey: Dewey = row.dewey.parse().unwrap();
                             let label = reader.try_element_label(&dewey).unwrap().expect("present");
                             assert_eq!(label, row.label);
+                            let (label, _) =
+                                reader.try_keyword_node(&dewey).unwrap().expect("present");
+                            assert_eq!(label, row.label);
                         }
                     }
                 });
@@ -1559,7 +1380,6 @@ mod tests {
             ReaderOptions {
                 pool_pages: 1,
                 postings_cache_keywords: 0,
-                ..ReaderOptions::default()
             },
         )
         .unwrap();
@@ -1574,21 +1394,14 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// A generated corpus (a few thousand rows) behind a reader with the
-    /// given element-cache capacity, plus its Dewey codes in row order.
-    fn open_generated(name: &str, element_cache_nodes: usize) -> (IndexReader, Vec<Dewey>) {
+    /// A generated corpus (a few thousand rows) behind a fresh reader,
+    /// plus its Dewey codes in row order.
+    fn open_generated(name: &str) -> (IndexReader, Vec<Dewey>) {
         use xks_datagen::{generate_dblp, DblpConfig};
         let doc = shred(&generate_dblp(&DblpConfig::with_records(250, 12)));
         let path = temp_path(name);
         IndexWriter::new().write(&doc, &path).unwrap();
-        let reader = IndexReader::open_with(
-            &path,
-            ReaderOptions {
-                element_cache_nodes,
-                ..ReaderOptions::default()
-            },
-        )
-        .unwrap();
+        let reader = IndexReader::open(&path).unwrap();
         // The open handle outlives the directory entry.
         std::fs::remove_file(&path).unwrap();
         let rows = doc
@@ -1606,7 +1419,7 @@ mod tests {
         ) {
             use std::sync::OnceLock;
             static FIXTURE: OnceLock<(IndexReader, Vec<Dewey>)> = OnceLock::new();
-            let (reader, rows) = FIXTURE.get_or_init(|| open_generated("finger-prop.xks", 0));
+            let (reader, rows) = FIXTURE.get_or_init(|| open_generated("finger-prop.xks"));
             let n = rows.len() as u64;
             for draw in draws {
                 let (kind, pick, finger) = (draw % 6, (draw >> 8) % n, draw >> 24);
@@ -1635,15 +1448,13 @@ mod tests {
 
     #[test]
     fn document_order_sweep_costs_a_few_probes_per_lookup() {
-        let (reader, rows) = open_generated("finger-sweep.xks", 0);
+        let (reader, rows) = open_generated("finger-sweep.xks");
         for dewey in &rows {
             assert!(reader.try_element_label(dewey).unwrap().is_some());
         }
         let stats = reader.stats();
-        assert_eq!(
-            stats.element_cache_hits + stats.element_cache_entries as u64,
-            0
-        );
+        // A label lookup reads the row and leaves the feature memo alone.
+        assert_eq!(stats.element_cache_hits + stats.element_cache_misses, 0);
         assert!(
             stats.element_probes <= 3 * rows.len() as u64,
             "{} probes for {} in-order lookups",
@@ -1651,7 +1462,7 @@ mod tests {
             rows.len()
         );
         // The same lookups in a scattered order pay the full search.
-        let (scattered, _) = open_generated("finger-scatter.xks", 0);
+        let (scattered, _) = open_generated("finger-scatter.xks");
         for i in 0..rows.len() {
             let dewey = &rows[i * 7919 % rows.len()];
             assert!(scattered.try_element_label(dewey).unwrap().is_some());
@@ -1660,39 +1471,24 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_sweep_past_capacity_keeps_most_hits() {
-        const CAPACITY: usize = 1024;
-        let (reader, rows) = open_generated("clock-sweep.xks", CAPACITY);
-        let swept = &rows[..CAPACITY * 11 / 10];
-        let sweep = || {
-            let before = reader.stats();
-            for dewey in swept {
-                assert!(reader.try_element_label(dewey).unwrap().is_some());
+    fn feature_memo_decodes_each_row_once() {
+        let (reader, rows) = open_generated("feature-memo.xks");
+        let n = rows.len() as u64;
+        for pass in 0..2 {
+            for dewey in &rows {
+                let (label, feature) = reader.try_keyword_node(dewey).unwrap().expect("present");
+                let record = reader.try_element(dewey).unwrap().expect("present");
+                assert_eq!(label, record.label, "pass {pass}: {dewey}");
+                assert_eq!(feature, shared_cid(record.own_cid), "pass {pass}: {dewey}");
             }
-            let after = reader.stats();
-            (
-                after.element_cache_hits - before.element_cache_hits,
-                after.element_cache_entries,
-            )
-        };
-        let (_, mut resident) = sweep(); // cold: fills the cache
-        for cycle in 1..6 {
-            let (hits, entries) = sweep();
-            assert!(
-                hits * 100 >= swept.len() as u64 * 80,
-                "cycle {cycle}: {hits} hits in {} lookups",
-                swept.len()
-            );
-            assert!(entries >= resident, "cycle {cycle}: the cache shrank");
-            resident = entries;
         }
-        // Per-entry eviction: every miss the slots could not absorb
-        // replaced exactly one entry.
         let stats = reader.stats();
-        assert_eq!(
-            stats.element_cache_evictions,
-            stats.element_cache_misses - stats.element_cache_entries as u64
-        );
-        assert!(stats.element_cache_evictions > 0);
+        assert_eq!(stats.element_cache_misses, n, "one decode per row");
+        assert_eq!(stats.element_cache_hits, n, "the second pass is all memo");
+        assert_eq!(stats.element_cache_entries as u64, n);
+        assert!(reader
+            .try_keyword_node(&rows[0].child(u32::MAX))
+            .unwrap()
+            .is_none());
     }
 }

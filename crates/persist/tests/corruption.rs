@@ -1,11 +1,12 @@
 //! Corruption handling: damaged `.xks` files must produce *typed*
-//! errors — never panics — whether the damage hits the header, an
-//! eagerly-validated section, or a lazily-read one.
+//! errors — never panics — whether the damage hits the header, one of
+//! the sections checksummed at open, or the lazily-paged postings.
 
 use std::fs;
 use std::path::PathBuf;
 
-use xks_persist::format::{Section, HEADER_LEN};
+use xks_persist::codec::crc32;
+use xks_persist::format::{Header, Section, HEADER_LEN};
 use xks_persist::{IndexReader, IndexWriter, PersistError};
 use xks_xmltree::fixtures::publications;
 
@@ -102,10 +103,9 @@ fn header_bitflip_is_checksum_mismatch() {
 
 #[test]
 fn label_section_bitflip_fails_open() {
-    // The label dictionary is the one eagerly-validated section.
     let path = fresh_index("labels-flip.xks");
     let bytes = fs::read(&path).unwrap();
-    let header = xks_persist::format::Header::decode(&bytes).unwrap();
+    let header = Header::decode(&bytes).unwrap();
     let labels = header.section(Section::Labels);
     let mut corrupted = bytes.clone();
     corrupted[labels.offset as usize + 3] ^= 0x10;
@@ -119,11 +119,11 @@ fn label_section_bitflip_fails_open() {
 
 #[test]
 fn postings_bitflip_passes_open_but_fails_verify() {
-    // Lazily-read sections are not validated at open (that is the
-    // point of paged reads); `verify()` must still catch the damage.
+    // The postings are paged, not read at open, so open cannot check
+    // them; `verify()` must still catch the damage.
     let path = fresh_index("postings-flip.xks");
     let bytes = fs::read(&path).unwrap();
-    let header = xks_persist::format::Header::decode(&bytes).unwrap();
+    let header = Header::decode(&bytes).unwrap();
     let postings = header.section(Section::Postings);
     let mut corrupted = bytes.clone();
     corrupted[postings.offset as usize + 1] ^= 0x20;
@@ -139,17 +139,16 @@ fn postings_bitflip_passes_open_but_fails_verify() {
 }
 
 #[test]
-fn element_section_bitflip_fails_verify() {
+fn element_section_bitflip_fails_open() {
     let path = fresh_index("elements-flip.xks");
     let bytes = fs::read(&path).unwrap();
-    let header = xks_persist::format::Header::decode(&bytes).unwrap();
+    let header = Header::decode(&bytes).unwrap();
     let elements = header.section(Section::Elements);
     let mut corrupted = bytes.clone();
     corrupted[(elements.offset + elements.len / 2) as usize] ^= 0x04;
     fs::write(&path, &corrupted).unwrap();
-    let reader = IndexReader::open(&path).expect("open is lazy");
     assert!(matches!(
-        reader.verify(),
+        IndexReader::open(&path),
         Err(PersistError::ChecksumMismatch {
             section: "elements"
         })
@@ -158,45 +157,74 @@ fn element_section_bitflip_fails_verify() {
 }
 
 #[test]
+fn unsealed_flip_in_each_resident_section_fails_open() {
+    // Sections 1–4 are read whole at open and checked against their
+    // CRCs, so damage anywhere in them is named before any lookup.
+    let path = fresh_index("resident-flip.xks");
+    let bytes = fs::read(&path).unwrap();
+    let header = Header::decode(&bytes).unwrap();
+    for section in [
+        Section::ElementOffsets,
+        Section::Elements,
+        Section::KeywordOffsets,
+        Section::KeywordDict,
+    ] {
+        let entry = header.section(section);
+        for at in [0, entry.len / 2, entry.len - 1] {
+            let mut corrupted = bytes.clone();
+            corrupted[(entry.offset + at) as usize] ^= 0x01;
+            fs::write(&path, &corrupted).unwrap();
+            match IndexReader::open(&path) {
+                Err(PersistError::ChecksumMismatch { section: named }) => {
+                    assert_eq!(named, section.name());
+                }
+                other => panic!("{} byte {at}: {other:?}", section.name()),
+            }
+        }
+    }
+    fs::remove_file(&path).unwrap();
+}
+
+#[test]
 fn hostile_counts_in_lazy_sections_stay_typed_errors() {
     // Corrupt an element row's component-count varint into a huge
-    // value: lazy reads skip CRCs, so the decoder itself must clamp
+    // value and re-seal the CRCs: the decoder itself must clamp
     // allocations and fail with a typed error — not abort.
-    let path = fresh_index("hostile-count.xks");
-    let mut bytes = fs::read(&path).unwrap();
-    let header = xks_persist::format::Header::decode(&bytes).unwrap();
-    let elements = header.section(Section::Elements);
-    // First row starts at the section start; overwrite its leading
-    // varint (component count) with a 10-byte max varint. This tramples
-    // the row, which is fine — we only care that the reader stays typed.
-    let start = elements.offset as usize;
-    for b in &mut bytes[start..start + 9] {
-        *b = 0xFF;
-    }
-    bytes[start + 9] = 0x01;
-    fs::write(&path, &bytes).unwrap();
-    let reader = IndexReader::open(&path).expect("open is lazy");
+    let reader = damaged_index("hostile-count.xks", |bytes, header| {
+        // First row starts at the section start; overwrite its leading
+        // varint (component count) with a 10-byte max varint. This
+        // tramples the row, which is fine — we only care that the
+        // reader stays typed.
+        let start = header.section(Section::Elements).offset as usize;
+        for b in &mut bytes[start..start + 9] {
+            *b = 0xFF;
+        }
+        bytes[start + 9] = 0x01;
+    });
     let root: xks_xmltree::Dewey = "0".parse().unwrap();
     assert!(matches!(
         reader.try_element(&root),
         Err(PersistError::Truncated { .. } | PersistError::Corrupt { .. })
     ));
-    fs::remove_file(&path).unwrap();
 }
 
 /// Writes a fresh index, lets `damage` rewrite its bytes (given the
-/// decoded header), and opens the result — lazily-read sections carry
-/// no CRC check at open, so the damage is met by the lookups.
-fn damaged_index(
-    name: &str,
-    damage: impl FnOnce(&mut [u8], &xks_persist::format::Header),
-) -> IndexReader {
+/// decoded header), re-seals every section CRC and the header CRC, and
+/// opens the result: the checks at open pass, so the damage is met by
+/// the row decoder the lookups run.
+fn damaged_index(name: &str, damage: impl FnOnce(&mut [u8], &Header)) -> IndexReader {
     let path = fresh_index(name);
     let mut bytes = fs::read(&path).unwrap();
-    let header = xks_persist::format::Header::decode(&bytes).unwrap();
+    let mut header = Header::decode(&bytes).unwrap();
     damage(&mut bytes, &header);
+    for section in Section::all() {
+        let entry = header.section(section);
+        let payload = &bytes[entry.offset as usize..(entry.offset + entry.len) as usize];
+        header.sections[section as usize].crc = crc32(payload);
+    }
+    bytes[..HEADER_LEN].copy_from_slice(&header.encode());
     fs::write(&path, &bytes).unwrap();
-    let reader = IndexReader::open(&path).expect("open is lazy");
+    let reader = IndexReader::open(&path).expect("re-sealed damage passes open");
     fs::remove_file(&path).unwrap();
     reader
 }
@@ -205,7 +233,7 @@ fn damaged_index(
 /// the elements section and writes `tail` there. Zero padding follows
 /// the section up to the page boundary, so a decoder that read past
 /// the section end would find clean bytes instead of failing.
-fn retail_last_row(bytes: &mut [u8], header: &xks_persist::format::Header, tail: &[u8]) {
+fn retail_last_row(bytes: &mut [u8], header: &Header, tail: &[u8]) {
     let elements = header.section(Section::Elements);
     let offsets = header.section(Section::ElementOffsets);
     let row_off = elements.len - tail.len() as u64;
@@ -286,7 +314,7 @@ fn mismatched_offset_array_rejected_at_open() {
     let path = fresh_index("bad-count.xks");
     let mut bytes = fs::read(&path).unwrap();
     bytes[12..20].copy_from_slice(&u64::MAX.to_le_bytes()); // element_count
-    let crc = xks_persist::codec::crc32(&bytes[..HEADER_LEN - 4]);
+    let crc = crc32(&bytes[..HEADER_LEN - 4]);
     bytes[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
     fs::write(&path, &bytes).unwrap();
     assert!(matches!(
@@ -302,5 +330,92 @@ fn clean_file_passes_everything() {
     let reader = IndexReader::open(&path).unwrap();
     reader.verify().unwrap();
     assert!(!reader.try_keyword_deweys("keyword").unwrap().is_empty());
+    fs::remove_file(&path).unwrap();
+}
+
+/// Counts of one class of flips in [`single_byte_flip_sweep`].
+#[derive(Debug, Default)]
+struct PostingsFlips {
+    /// Some keyword lookup returned a typed error.
+    typed_at_lookup: usize,
+    /// Every lookup succeeded and some answer differed from the clean
+    /// index's: only `verify()` saw these.
+    silently_altered: usize,
+    /// Every lookup answered exactly as on the clean index.
+    unchanged: usize,
+}
+
+#[test]
+fn single_byte_flip_sweep() {
+    // Every payload byte of a small index — the header's and each
+    // section's, padding excluded — flipped one bit at a time and as a
+    // whole byte, one flip per file. A flip in the header or sections
+    // 0–4 must fail open with a typed error. A flip in the postings
+    // opens; its keyword lookups either fail typed, answer unchanged,
+    // or answer wrongly, and `verify()` must catch every one of them.
+    // A panic anywhere fails the test.
+    const MASKS: [u8; 9] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0xFF];
+    let path = fresh_index("flip-sweep.xks");
+    let clean = fs::read(&path).unwrap();
+    let header = Header::decode(&clean).unwrap();
+    let keywords: Vec<(String, Vec<xks_xmltree::Dewey>)> = {
+        let reader = IndexReader::open(&path).unwrap();
+        (0..reader.keyword_count())
+            .map(|i| reader.keyword_at(i).unwrap())
+            .collect()
+    };
+
+    let mut regions = vec![("header", 0, HEADER_LEN)];
+    for section in Section::all() {
+        let entry = header.section(section);
+        regions.push((section.name(), entry.offset as usize, entry.len as usize));
+    }
+    let (mut rejected_at_open, mut postings) = (0usize, PostingsFlips::default());
+    for (name, start, len) in regions {
+        for at in start..start + len {
+            for mask in MASKS {
+                let mut bytes = clean.clone();
+                bytes[at] ^= mask;
+                fs::write(&path, &bytes).unwrap();
+                let opened = IndexReader::open(&path);
+                if name != "postings" {
+                    assert!(opened.is_err(), "{name} byte {at} ^ {mask:#04x} opened");
+                    rejected_at_open += 1;
+                    continue;
+                }
+                let reader = opened.unwrap_or_else(|e| panic!("postings flip failed open: {e}"));
+                let answers: Vec<_> = keywords
+                    .iter()
+                    .map(|(kw, want)| reader.try_keyword_deweys(kw).map(|got| &got == want))
+                    .collect();
+                if answers.iter().any(Result::is_err) {
+                    postings.typed_at_lookup += 1;
+                } else if answers.iter().any(|same| matches!(same, Ok(false))) {
+                    postings.silently_altered += 1;
+                } else {
+                    postings.unchanged += 1;
+                }
+                assert!(
+                    matches!(
+                        reader.verify(),
+                        Err(PersistError::ChecksumMismatch {
+                            section: "postings"
+                        })
+                    ),
+                    "postings byte {at} ^ {mask:#04x} passed verify"
+                );
+            }
+        }
+    }
+    let postings_len = header.section(Section::Postings).len as usize;
+    eprintln!(
+        "{rejected_at_open} flips rejected at open; {} postings flips: {postings:?}",
+        postings_len * MASKS.len()
+    );
+    assert_eq!(
+        postings.typed_at_lookup + postings.silently_altered + postings.unchanged,
+        postings_len * MASKS.len()
+    );
+    assert!(postings.typed_at_lookup > 0 && postings.silently_altered > 0);
     fs::remove_file(&path).unwrap();
 }

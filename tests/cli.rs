@@ -1037,13 +1037,12 @@ fn stats_index_dumps_registry_snapshot() {
     assert_eq!(value.get("schema").unwrap().as_str(), Some("xks-obs/1"));
 
     // One snapshot unifies every subsystem: buffer pool, postings LRU,
-    // element cache, per-shard counters, executor draws, lock health.
+    // feature memo, per-shard counters, executor draws, lock health.
     let counters = value.get("counters").unwrap();
     for name in [
         "index.shard.0.pool.cache_hits",
         "index.shard.0.postings_cache.misses",
         "index.shard.1.element_cache.hits",
-        "index.shard.1.element_cache.evictions",
         "index.shard.0.element_probes",
         "executor.batches",
         "executor.requests",
@@ -1113,7 +1112,6 @@ fn index_stats_json_carries_metrics_section() {
         "pool.pages_read",
         "postings_cache.hits",
         "element_cache.misses",
-        "element_cache.evictions",
         "element_probes",
     ] {
         assert!(

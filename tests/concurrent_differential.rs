@@ -6,22 +6,24 @@
 //! both the memory and the disk backend — proving the `Send + Sync`
 //! refactor changed concurrency, not results, and that no interleaving
 //! of pool/cache traffic can corrupt a query. A third configuration
-//! shrinks the disk backend's element cache to eight nodes so the
-//! threads contend on the search finger and on eviction.
+//! adds two threads that sweep every element row of the same fresh
+//! disk reader with keyword-node lookups, one from each end, so first
+//! touches of the feature memo race the workload's own.
 //!
 //! Thread count defaults to 4; CI raises it via the
 //! `XKS_CONCURRENT_THREADS` env var to shake the locks harder.
 
 mod common;
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use common::{digest_line, ALGORITHMS, GOLDEN};
 use xks::core::{CorpusSource, MemoryCorpus, QueryContext, SearchEngine, SearchRequest};
 use xks::datagen::queries::{dblp_workload, xmark_workload};
 use xks::datagen::{generate_dblp, generate_xmark, DblpConfig, XmarkConfig, XmarkSize};
-use xks::persist::{IndexReader, IndexWriter, ReaderOptions};
+use xks::persist::{IndexReader, IndexWriter};
 use xks::store::shred;
+use xks::xmltree::Dewey;
 
 fn thread_count() -> usize {
     std::env::var("XKS_CONCURRENT_THREADS")
@@ -55,13 +57,38 @@ fn digest_corpus(
     lines
 }
 
-/// One corpus ready to query: name, shared engine, workload queries.
-type CorpusUnderTest = (&'static str, SearchEngine, Vec<(&'static str, String)>);
+/// One corpus ready to query: name, shared engine, workload queries,
+/// and every element row's Dewey code in document order.
+type CorpusUnderTest = (
+    &'static str,
+    SearchEngine,
+    Vec<(&'static str, String)>,
+    Vec<Dewey>,
+);
+
+/// Looks up every node as a keyword node, in order or reversed, and
+/// checks each answer against the row's full decode.
+fn sweep_keyword_nodes(source: &dyn CorpusSource, nodes: &[Dewey], reversed: bool) {
+    let mut order: Vec<&Dewey> = nodes.iter().collect();
+    if reversed {
+        order.reverse();
+    }
+    for node in order {
+        let (label, feature) = source.try_keyword_node(node).unwrap().expect("row present");
+        let row = source.try_element(node).unwrap().expect("row present");
+        assert_eq!((label, feature), (row.label, row.keyword_cid), "{node}");
+    }
+}
 
 /// Runs the differential over a backend builder: every thread digests
 /// the whole workload against the SAME two engines and must reproduce
-/// the golden file exactly.
-fn run_backend(make_engine: impl Fn(xks::store::ShreddedDoc, &str) -> SearchEngine) {
+/// the golden file exactly, while `sweepers` more threads sweep every
+/// row of those engines' sources with keyword-node lookups. All threads
+/// start together.
+fn run_backend(
+    sweepers: usize,
+    make_engine: impl Fn(xks::store::ShreddedDoc, &str) -> SearchEngine,
+) {
     let golden = std::fs::read_to_string(GOLDEN)
         .expect("golden digest missing; bless it via tests/workload_golden.rs");
     let threads = thread_count();
@@ -84,16 +111,35 @@ fn run_backend(make_engine: impl Fn(xks::store::ShreddedDoc, &str) -> SearchEngi
     ];
     let engines: Vec<CorpusUnderTest> = corpora
         .into_iter()
-        .map(|(name, doc, workload)| (name, make_engine(doc, name), workload))
+        .map(|(name, doc, workload)| {
+            let nodes = doc
+                .elements
+                .iter()
+                .map(|row| row.dewey.parse().unwrap())
+                .collect();
+            (name, make_engine(doc, name), workload, nodes)
+        })
         .collect();
 
+    let start = Barrier::new(threads + sweepers);
     std::thread::scope(|scope| {
+        for sweeper in 0..sweepers {
+            let (engines, start) = (&engines, &start);
+            scope.spawn(move || {
+                start.wait();
+                for (_, engine, _, nodes) in engines {
+                    let source = engine.corpus().expect("source-backed engine");
+                    sweep_keyword_nodes(source, nodes, sweeper % 2 == 1);
+                }
+            });
+        }
         let handles: Vec<_> = (0..threads)
             .map(|_| {
-                let engines = &engines;
+                let (engines, start) = (&engines, &start);
                 scope.spawn(move || {
+                    start.wait();
                     let mut lines = Vec::new();
-                    for (name, engine, workload) in engines {
+                    for (name, engine, workload, _) in engines {
                         lines.extend(digest_corpus(name, engine, workload));
                     }
                     lines.join("\n") + "\n"
@@ -112,14 +158,16 @@ fn run_backend(make_engine: impl Fn(xks::store::ShreddedDoc, &str) -> SearchEngi
 
 #[test]
 fn concurrent_threads_reproduce_golden_digest_memory() {
-    run_backend(|doc, _| SearchEngine::from_owned_source(MemoryCorpus::new(doc)));
+    run_backend(0, |doc, _| {
+        SearchEngine::from_owned_source(MemoryCorpus::new(doc))
+    });
 }
 
 #[test]
 fn concurrent_threads_reproduce_golden_digest_disk() {
     let dir = std::env::temp_dir().join("xks-concurrent-differential");
     std::fs::create_dir_all(&dir).unwrap();
-    run_backend(|doc, name| {
+    run_backend(0, |doc, name| {
         let path = dir.join(format!("{name}.xks"));
         IndexWriter::new().write(&doc, &path).unwrap();
         SearchEngine::from_owned_source(IndexReader::open(&path).unwrap())
@@ -127,20 +175,17 @@ fn concurrent_threads_reproduce_golden_digest_disk() {
 }
 
 #[test]
-fn concurrent_threads_reproduce_golden_digest_disk_tiny_element_cache() {
-    // Eight cached nodes (one per cache shard): nearly every lookup
-    // misses, so the threads race on the shared search finger and evict
-    // each other's entries all the way through.
+fn concurrent_threads_reproduce_golden_digest_disk_racing_first_touches() {
+    // Two more threads sweep every row of the same fresh reader, one
+    // from each end, while the workload runs: the memo slots they and
+    // the digest threads fill first race each other, and whichever
+    // decode wins, every answer must stay the row's.
     let dir = std::env::temp_dir().join("xks-concurrent-differential");
     std::fs::create_dir_all(&dir).unwrap();
-    run_backend(|doc, name| {
-        let path = dir.join(format!("{name}-tiny-cache.xks"));
+    run_backend(2, |doc, name| {
+        let path = dir.join(format!("{name}-first-touch.xks"));
         IndexWriter::new().write(&doc, &path).unwrap();
-        let options = ReaderOptions {
-            element_cache_nodes: 8,
-            ..ReaderOptions::default()
-        };
-        SearchEngine::from_owned_source(IndexReader::open_with(&path, options).unwrap())
+        SearchEngine::from_owned_source(IndexReader::open(&path).unwrap())
     });
 }
 

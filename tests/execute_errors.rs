@@ -32,8 +32,11 @@ fn truncated_index_yields_typed_error_not_panic() {
     file.set_len(64).unwrap();
     drop(file);
 
-    // A query for keywords whose pages are not cached yet must fail
-    // with a typed backend error, not a panic.
+    // The open reader still answers element and dictionary lookups
+    // from the bytes it read and verified at open; only postings are
+    // read from the file after that. A query for keywords whose posting
+    // pages are not cached yet must fail with a typed backend error,
+    // not a panic.
     let fresh = SearchRequest::parse("algorithm query tree").unwrap();
     match engine.execute(&fresh) {
         Err(SearchError::Backend(e)) => {

@@ -3,8 +3,8 @@
 //! `SearchEngine` results over an `xks-persist` `IndexReader` must be
 //! **byte-identical** — same fragments, same order after ranking — to
 //! results over the in-memory `ShreddedDoc` backend. The buffer-pool
-//! counters additionally prove the reader never slurps the postings
-//! section eagerly.
+//! counters additionally prove that only posting runs are paged, and
+//! that the reader never slurps the postings section eagerly.
 
 use std::sync::Arc;
 
@@ -13,7 +13,7 @@ use xks::core::{AlgorithmKind, CorpusSource, MemoryCorpus, SearchEngine, SearchR
 use xks::datagen::queries::{dblp_workload, xmark_workload};
 use xks::datagen::{generate_dblp, generate_xmark, DblpConfig, XmarkConfig, XmarkSize};
 use xks::index::Query;
-use xks::persist::{IndexReader, IndexWriter, ReaderOptions};
+use xks::persist::{IndexReader, IndexWriter};
 use xks::store::shred;
 use xks::xmltree::XmlTree;
 
@@ -44,109 +44,110 @@ fn index_path(name: &str) -> std::path::PathBuf {
     dir.join(format!("{name}.xks"))
 }
 
+/// Every workload query × algorithm, ranked, in the given order.
+fn requests(workload: &[(&'static str, String)]) -> Vec<(String, SearchRequest)> {
+    let weights = RankWeights::default();
+    let mut out = Vec::new();
+    for (abbrev, keywords) in workload {
+        let query = Query::parse(keywords).unwrap();
+        for kind in [
+            AlgorithmKind::ValidRtf,
+            AlgorithmKind::MaxMatchRtf,
+            AlgorithmKind::MaxMatchSlca,
+        ] {
+            let request = SearchRequest::from_query(query.clone())
+                .algorithm(kind)
+                .weights(weights);
+            out.push((format!("{abbrev}/{kind:?}"), request));
+        }
+    }
+    out
+}
+
 #[test]
 fn disk_and_memory_backends_are_byte_identical() {
     let mut queries_checked = 0usize;
     let mut nonempty = 0usize;
-    let default_cache = ReaderOptions::default().element_cache_nodes;
     for corpus in corpora() {
         let doc = shred(&corpus.tree);
         let path = index_path(corpus.name);
         IndexWriter::new().write(&doc, &path).unwrap();
         let memory = SearchEngine::from_owned_source(MemoryCorpus::new(doc));
-        let weights = RankWeights::default();
+        let requests = requests(&corpus.workload);
 
-        // Element cache off, thrashing (1 and 64 nodes: every lookup
-        // path — miss, eviction, label entry gaining its feature, finger
-        // search from wherever the last query left it) and as shipped.
-        for element_cache_nodes in [0, 1, 64, default_cache] {
-            let options = ReaderOptions {
-                element_cache_nodes,
-                ..ReaderOptions::default()
-            };
-            let reader = Arc::new(IndexReader::open_with(&path, options).unwrap());
+        // A fresh reader, whose feature memo the workload itself fills,
+        // and one the workload already ran through in reverse order, so
+        // every keyword node is answered from a slot another query
+        // filled.
+        for warmed in [false, true] {
+            let reader = Arc::new(IndexReader::open(&path).unwrap());
             assert_eq!(
                 reader.stats().pool.pages_read,
                 0,
                 "{}: open must not touch data pages through the pool",
                 corpus.name
             );
-            // One opened index (one buffer pool, one set of caches)
+            // One opened index (one buffer pool, one feature memo)
             // backs the engine while this test keeps reading its stats
             // — the shared index-handle pattern.
             let disk = SearchEngine::from_source(Arc::clone(&reader) as Arc<dyn CorpusSource>);
+            if warmed {
+                for (_, request) in requests.iter().rev() {
+                    disk.execute(request).unwrap();
+                }
+                assert!(reader.stats().element_cache_entries > 0);
+            }
 
-            for (abbrev, keywords) in &corpus.workload {
-                let query = Query::parse(keywords).unwrap();
-                for kind in [
-                    AlgorithmKind::ValidRtf,
-                    AlgorithmKind::MaxMatchRtf,
-                    AlgorithmKind::MaxMatchSlca,
-                ] {
-                    let case = format!(
-                        "{}/{abbrev}/{kind:?}/cache {element_cache_nodes}",
-                        corpus.name
-                    );
-                    // Ranked requests through the one execute path:
-                    // hits, scores, and signals must all agree across
-                    // backends.
-                    let request = SearchRequest::from_query(query.clone())
-                        .algorithm(kind)
-                        .weights(weights);
-                    let m = memory.execute(&request).unwrap();
-                    let d = disk.execute(&request).unwrap();
-                    assert_eq!(m.hits, d.hits, "{case}: hits diverge");
-                    assert_eq!(m.stats, d.stats, "{case}");
-                    // Rendered output must match byte for byte too
-                    // (labels resolve through each backend's own
-                    // dictionary).
-                    let mem_text: Vec<String> = m
-                        .fragments()
-                        .map(|f| f.render_source(memory.corpus().expect("source-backed")))
-                        .collect();
-                    let disk_text: Vec<String> = d
-                        .fragments()
-                        .map(|f| f.render_source(disk.corpus().expect("source-backed")))
-                        .collect();
-                    assert_eq!(mem_text, disk_text, "{case}: rendering diverges");
-                    if !m.hits.is_empty() {
-                        nonempty += 1;
-                    }
+            for (case, request) in &requests {
+                let case = format!("{}/{case}/warmed {warmed}", corpus.name);
+                // Ranked requests through the one execute path: hits,
+                // scores, and signals must all agree across backends.
+                let m = memory.execute(request).unwrap();
+                let d = disk.execute(request).unwrap();
+                assert_eq!(m.hits, d.hits, "{case}: hits diverge");
+                assert_eq!(m.stats, d.stats, "{case}");
+                // Rendered output must match byte for byte too (labels
+                // resolve through each backend's own dictionary).
+                let mem_text: Vec<String> = m
+                    .fragments()
+                    .map(|f| f.render_source(memory.corpus().expect("source-backed")))
+                    .collect();
+                let disk_text: Vec<String> = d
+                    .fragments()
+                    .map(|f| f.render_source(disk.corpus().expect("source-backed")))
+                    .collect();
+                assert_eq!(mem_text, disk_text, "{case}: rendering diverges");
+                if !m.hits.is_empty() {
+                    nonempty += 1;
                 }
                 queries_checked += 1;
             }
 
+            // Element rows and the keyword dictionary are resident from
+            // open: only posting runs go through the pool.
             let stats = reader.stats();
-            let total_pages = stats.file_len / u64::from(stats.page_size);
             assert!(
                 stats.pool.pages_read > 0,
                 "{}: queries must flow through the pool",
                 corpus.name
             );
             assert!(
-                stats.pool.cache_hits > stats.pool.cache_misses,
-                "{}: repeated lookups should mostly hit the cache \
-                 (hits {} vs misses {})",
+                stats.pool.pages_read <= stats.postings_pages,
+                "{}: {} pages fetched, but the postings span only {}",
                 corpus.name,
-                stats.pool.cache_hits,
-                stats.pool.cache_misses
-            );
-            assert!(
-                stats.element_cache_entries <= element_cache_nodes.next_multiple_of(8),
-                "{}: {} nodes cached, capacity {element_cache_nodes}",
-                corpus.name,
-                stats.element_cache_entries
+                stats.pool.pages_read,
+                stats.postings_pages
             );
             eprintln!(
-                "{} (element cache {element_cache_nodes}): {} file pages, {} fetched, \
-                 {} pool hits, {} element hits / {} misses / {} evictions, {} probes",
+                "{} (warmed {warmed}): {} postings pages, {} fetched, {} pool hits, \
+                 feature memo {} hits / {} decodes / {} slots, {} probes",
                 corpus.name,
-                total_pages,
+                stats.postings_pages,
                 stats.pool.pages_read,
                 stats.pool.cache_hits,
                 stats.element_cache_hits,
                 stats.element_cache_misses,
-                stats.element_cache_evictions,
+                stats.element_cache_entries,
                 stats.element_probes,
             );
         }

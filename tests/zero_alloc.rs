@@ -13,9 +13,11 @@
 //!    arena performs zero heap allocations;
 //! 4. per-thread [`QueryContext`]s keep that contract — the planned
 //!    (galloped) anchor pass and its anchored merge included — and so
-//!    does the `.xks` element lookup the fragment constructor drives — a
-//!    cache hit, and with the cache off the whole finger search over
-//!    resident pages;
+//!    do the `.xks` element lookups the fragment constructor drives: a
+//!    label, and a keyword node whose feature the memo holds, each after
+//!    a whole finger search over the resident element table; the first
+//!    lookup of a keyword node allocates its feature's two strings and
+//!    nothing else;
 //! 5. with a warm context the `getRTF` sweep, the fragment skeleton and
 //!    the pruning decision (a rule 2(b) tie included) perform zero heap
 //!    allocations and emitting a
@@ -197,13 +199,13 @@ fn warm_query_hot_path_is_allocation_free() {
     assert_eq!(n, 0, "warm local decode arena allocated {n} times");
 
     // The element lookups fragment construction makes against an `.xks`
-    // index: a label served by the decoded-element cache, and — cache
-    // off — the full search for it: offset reads, row windows and the
-    // in-place Dewey compare all live on the stack. The far node is
-    // looked up right after the root, so the finger is a whole table
-    // away and the search runs its gallop and its bisection.
+    // index answer from the element table read at open: offset entries,
+    // row bytes and the in-place Dewey compare need no heap. The far
+    // node is looked up right after the root, and the root right after
+    // the far node, so the finger is a whole table away and each search
+    // runs its gallop and its bisection.
     use xks::core::CorpusSource as _;
-    use xks::persist::{IndexReader, IndexWriter, ReaderOptions};
+    use xks::persist::{IndexReader, IndexWriter};
     let dir = std::env::temp_dir().join("xks-zero-alloc");
     std::fs::create_dir_all(&dir).unwrap();
     let index_path = dir.join("elements.xks");
@@ -212,36 +214,30 @@ fn warm_query_hot_path_is_allocation_free() {
     let far = sets.set(0).last().expect("keyword has postings").clone();
     assert!(far.is_inline());
 
-    let cached = IndexReader::open(&index_path).unwrap();
-    let label = cached.try_element_label(&far).unwrap(); // miss: fills the cache
-    let n = count_allocs(|| {
-        assert_eq!(cached.try_element_label(&far).unwrap(), label);
-    });
-    assert_eq!(n, 0, "element-cache hit allocated {n} times");
-    assert_eq!(cached.stats().element_cache_hits, 1);
+    let reader = IndexReader::open(&index_path).unwrap();
+    // First touch: the feature decodes straight into two `Arc<str>`.
+    let (n, node) = count_allocs_of(|| reader.try_keyword_node(&far).unwrap());
+    let (label, feature) = node.clone().expect("far node present");
+    assert!(feature.is_some(), "a keyword node has own content");
+    assert!(n <= 2, "first keyword-node lookup allocated {n} times");
+    assert_eq!(reader.stats().element_cache_misses, 1);
 
-    let uncached = IndexReader::open_with(
-        &index_path,
-        ReaderOptions {
-            element_cache_nodes: 0,
-            ..ReaderOptions::default()
-        },
-    )
-    .unwrap();
     let lookups = |reader: &IndexReader| {
         assert!(reader.try_element_label(&root).unwrap().is_some());
-        assert_eq!(reader.try_element_label(&far).unwrap(), label);
+        assert_eq!(reader.try_keyword_node(&far).unwrap(), node);
+        assert!(reader.try_element_label(&root).unwrap().is_some());
+        assert_eq!(reader.try_element_label(&far).unwrap(), Some(label));
     };
-    // Two rounds bring every page the searches touch into the pool:
-    // the first root lookup starts on its row, the later ones gallop
-    // back from the far end.
-    lookups(&uncached);
-    lookups(&uncached);
-    let before = uncached.stats();
-    let n = count_allocs(|| lookups(&uncached));
-    let after = uncached.stats();
-    assert_eq!(n, 0, "uncached element search allocated {n} times");
-    assert_eq!(after.pool.pages_read, before.pool.pages_read);
+    let before = reader.stats();
+    let n = count_allocs(|| lookups(&reader));
+    let after = reader.stats();
+    assert_eq!(n, 0, "resident element search allocated {n} times");
+    assert_eq!(after.element_cache_hits - before.element_cache_hits, 1);
+    assert_eq!(after.element_cache_misses, before.element_cache_misses);
+    assert_eq!(
+        after.pool.pages_read, 0,
+        "no element page goes through the pool"
+    );
     assert!(
         after.element_probes - before.element_probes > 4,
         "the search must have had to gallop and bisect"
