@@ -323,20 +323,23 @@ impl SearchEngine {
         // construct fragments best-bound-first and never build the
         // ones that provably miss the cut. Results are identical to
         // the construct-everything path (see `construct_bounded_topk`);
-        // only the work differs.
-        if let Some((k_limit, weights)) = self.topk_bound_gate(request, spec, traced) {
+        // only the work differs. Traced queries (on either path) sum
+        // the per-fragment layout time here.
+        let mut layout_ns = 0;
+        if let Some(bound) = self.topk_bound_gate(request, spec) {
             let t = Instant::now();
             stats.total_before_top_k = rtf_count;
-            stats.truncated = rtf_count > k_limit;
+            stats.truncated = rtf_count > bound.0;
             let hits = self.construct_bounded_topk(
                 ctx,
                 kind.policy(),
                 spec.query().len(),
-                k_limit,
-                &weights,
+                bound,
                 &mut stats,
+                traced.then_some(&mut layout_ns),
             )?;
             timings.prune_rtf = t.elapsed();
+            record_construct_prune(ctx, t, timings.prune_rtf, layout_ns);
             self.metrics.observe(&timings, &stats, hits.len());
             return Ok(SearchResponse {
                 hits,
@@ -356,8 +359,6 @@ impl SearchEngine {
             _ => rtf_count,
         };
         let parts = Partitions::new(&ctx.anchors, &ctx.merged, &ctx.rtf);
-        // Traced queries sum the per-fragment layout time here.
-        let mut layout_ns = 0;
         let mut fragments = Vec::with_capacity(build_count);
         for i in 0..build_count {
             if i > 0 && i.is_multiple_of(DEADLINE_STRIDE) {
@@ -366,17 +367,8 @@ impl SearchEngine {
             let layout = traced.then_some(&mut layout_ns);
             fragments.push(self.build(parts, i, kind.policy(), &mut ctx.skeleton, layout)?);
         }
-        // One construct span of the summed layout time, the rest of the
-        // stage as the prune span, laid end to end from the stage start
-        // (the steps interleave per anchor, so honest per-iteration
-        // spans would explode the span buffer).
         timings.prune_rtf = t.elapsed();
-        let stage_ns = u64::try_from(timings.prune_rtf.as_nanos()).unwrap_or(u64::MAX);
-        let base = ctx.trace.offset_ns(t);
-        ctx.trace.record_manual(Stage::Construct, base, layout_ns);
-        let prune_ns = stage_ns.saturating_sub(layout_ns);
-        ctx.trace
-            .record_manual(Stage::Prune, base + layout_ns, prune_ns);
+        record_construct_prune(ctx, t, timings.prune_rtf, layout_ns);
         self.check_deadline(deadline, exec_start, "post_process", &stats)?;
 
         // Everything past the paper's pipeline is timed as the
@@ -504,16 +496,16 @@ impl SearchEngine {
     /// Whether this request qualifies for bound-ordered top-k
     /// construction (skipping fragments that provably miss the top k):
     /// a ranked `top_k ≥ 1` over a plain query with no `max_fragments`
-    /// cap, untraced, with non-negative weights summing above zero
-    /// (negative weights would invert the score bound). Returns the
-    /// limit and the effective weights.
+    /// cap, with non-negative weights summing above zero (negative
+    /// weights would invert the score bound). Tracing does not enter
+    /// into it: a traced request takes the same path. Returns the limit
+    /// and the effective weights.
     fn topk_bound_gate(
         &self,
         request: &SearchRequest,
         spec: &QuerySpec,
-        traced: bool,
     ) -> Option<(usize, crate::rank::RankWeights)> {
-        if traced || !spec.is_plain() || request.max_fragments_cap().is_some() {
+        if !spec.is_plain() || request.max_fragments_cap().is_some() {
             return None;
         }
         let k = request.top_k_limit().filter(|&k| k >= 1)?;
@@ -552,9 +544,9 @@ impl SearchEngine {
         ctx: &mut QueryContext,
         policy: Policy,
         k_query: usize,
-        k_limit: usize,
-        weights: &crate::rank::RankWeights,
+        (k_limit, weights): (usize, crate::rank::RankWeights),
         stats: &mut SearchStats,
+        mut layout_ns: Option<&mut u64>,
     ) -> Result<Vec<Hit>, SearchError> {
         let parts = Partitions::new(&ctx.anchors, &ctx.merged, &ctx.rtf);
         let max_depth = ctx
@@ -593,9 +585,10 @@ impl SearchEngine {
                 stats.rtfs_skipped_topk += 1;
                 continue;
             }
-            let fragment = self.build(parts, i, policy, &mut ctx.skeleton, None)?;
+            let layout = layout_ns.as_deref_mut();
+            let fragment = self.build(parts, i, policy, &mut ctx.skeleton, layout)?;
             let (score, signals) =
-                crate::rank::score_fragment(&fragment, k_query, weights, max_depth);
+                crate::rank::score_fragment(&fragment, k_query, &weights, max_depth);
             let pos = top_scores.partition_point(|&s| s >= score);
             if pos < k_limit {
                 top_scores.insert(pos, score);
@@ -893,6 +886,20 @@ fn resolve(
         sets.push(list);
     }
     Ok(Some(KeywordNodeSets::new(query.clone(), sets)))
+}
+
+/// Records a construct-and-prune stage that started at `start` and
+/// took `stage`: one construct span of the summed layout time, the rest
+/// as the prune span, laid end to end from the stage start (the steps
+/// interleave per anchor, so honest per-iteration spans would explode
+/// the span buffer). A no-op on an untraced context.
+fn record_construct_prune(ctx: &mut QueryContext, start: Instant, stage: Duration, layout_ns: u64) {
+    let stage_ns = u64::try_from(stage.as_nanos()).unwrap_or(u64::MAX);
+    let base = ctx.trace.offset_ns(start);
+    ctx.trace.record_manual(Stage::Construct, base, layout_ns);
+    let prune_ns = stage_ns.saturating_sub(layout_ns);
+    ctx.trace
+        .record_manual(Stage::Prune, base + layout_ns, prune_ns);
 }
 
 /// Clones the context's trace into the response (traced requests only)
@@ -1450,10 +1457,15 @@ mod tests {
         assert!(topk.stats.truncated);
         assert_eq!(topk.stats.total_before_top_k, 22);
         assert_eq!(full.stats.rtfs_skipped_topk, 0, "no top_k, no skipping");
-        // The traced run takes the legacy path and must agree.
+        // The traced run takes the same path: same hits, same skips,
+        // and the stage still shows as construct and prune spans.
         let traced = engine.execute(&req("common").top_k(2).trace(true)).unwrap();
         assert_eq!(traced.hits, topk.hits);
-        assert_eq!(traced.stats.rtfs_skipped_topk, 0);
+        assert_eq!(traced.stats.rtfs_skipped_topk, topk.stats.rtfs_skipped_topk);
+        let trace = traced.trace.expect("traced");
+        for stage in [Stage::Construct, Stage::Prune] {
+            assert!(trace.spans().iter().any(|s| s.stage == stage), "{stage:?}");
+        }
     }
 
     #[test]

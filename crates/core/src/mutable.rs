@@ -9,9 +9,12 @@
 //! * an optional **base** — any immutable backend (sealed `.xks`
 //!   shards, a `MemoryCorpus`, …) holding documents `0..next` at the
 //!   time it was sealed;
-//! * a **delta** — rows of documents inserted since, shredded by
-//!   [`xks_store::shred_document`] into the base's label dictionary
-//!   and addressed as `0.<ordinal>` subtrees;
+//! * a **delta** — the documents inserted since, shredded by
+//!   [`xks_store::shred_document`] into the base's label dictionary,
+//!   addressed as `0.<ordinal>` subtrees and appended to a
+//!   [`MemoryCorpus`] whose labels are that shared dictionary (so the
+//!   delta derives its query facts exactly as the in-memory backend
+//!   does);
 //! * a **tombstone set** of deleted document ordinals, consulted at
 //!   the anchor pass: [`MutableSource::try_keyword_deweys`] (the feed
 //!   of `getKeywordNodes`) drops every posting inside a tombstoned
@@ -32,15 +35,15 @@
 //! bound that still counts tombstoned base documents (node counts feed
 //! stats, never result sets).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, RwLock};
 
-use xks_store::{shred, shred_document, ElementRow, ValueRow};
+use xks_store::{shred, shred_document, ElementRow, ShreddedDoc, ValueRow};
 use xks_xmltree::{Dewey, ParseError, XmlTree};
 
-use crate::fragment::{shared_cid, Cid};
-use crate::source::{CorpusSource, SourceElement, SourceError};
+use crate::fragment::Cid;
+use crate::source::{CorpusSource, MemoryCorpus, SourceElement, SourceError};
 
 /// Everything that can go wrong mutating a corpus.
 #[derive(Debug)]
@@ -121,12 +124,11 @@ pub struct DeltaDoc {
 #[derive(Debug)]
 struct State {
     base: Option<Arc<dyn CorpusSource>>,
-    /// Shared label dictionary: the base's labels as a prefix, extended
-    /// by names first seen in delta documents.
-    labels: Vec<String>,
+    /// Documents inserted since the base was sealed. Its labels are the
+    /// shared dictionary: the base's labels as a prefix, extended by
+    /// names first seen in delta documents.
+    delta: MemoryCorpus,
     root_label: u32,
-    delta_postings: HashMap<String, Vec<Dewey>>,
-    delta_elements: HashMap<Dewey, SourceElement>,
     delta_docs: Vec<DeltaDoc>,
     /// Root rows of a corpus created empty (no base holds them yet);
     /// exported to compaction so the sealed shards gain a root.
@@ -144,55 +146,11 @@ impl State {
         let comps = dewey.components();
         comps.len() >= 2 && self.tombstones.contains(&comps[1])
     }
+}
 
-    /// Folds one document's rows into the delta lookup structures
-    /// (mirrors what `MemoryCorpus::new` derives for a whole corpus).
-    fn fold_rows(&mut self, elements: &[ElementRow], values: &[ValueRow]) {
-        let mut own: HashMap<&str, (String, String)> = HashMap::new();
-        for row in values {
-            match own.get_mut(row.dewey.as_str()) {
-                None => {
-                    own.insert(&row.dewey, (row.keyword.clone(), row.keyword.clone()));
-                }
-                Some((min, max)) => {
-                    if row.keyword < *min {
-                        min.clone_from(&row.keyword);
-                    }
-                    if row.keyword > *max {
-                        max.clone_from(&row.keyword);
-                    }
-                }
-            }
-        }
-        for row in elements {
-            let dewey: Dewey = row.dewey.parse().expect("shredded dewey is valid");
-            self.delta_elements.insert(
-                dewey,
-                SourceElement {
-                    label: row.label,
-                    level: row.level,
-                    keyword_cid: shared_cid(own.get(row.dewey.as_str()).cloned()),
-                    subtree_cid: shared_cid(row.content_feature.clone()),
-                },
-            );
-        }
-        // Per-keyword sorted+deduped deweys of this document; appending
-        // them keeps the whole list sorted because every dewey of a
-        // later document sorts after every dewey of an earlier one.
-        let mut per_keyword: HashMap<&str, BTreeSet<Dewey>> = HashMap::new();
-        for row in values {
-            per_keyword
-                .entry(&row.keyword)
-                .or_default()
-                .insert(row.dewey.parse().expect("shredded dewey is valid"));
-        }
-        for (keyword, deweys) in per_keyword {
-            self.delta_postings
-                .entry(keyword.to_owned())
-                .or_default()
-                .extend(deweys);
-        }
-    }
+/// An empty delta over the label dictionary `labels`.
+fn empty_delta(labels: Vec<String>) -> MemoryCorpus {
+    MemoryCorpus::new(ShreddedDoc::with_labels(labels))
 }
 
 /// A corpus that accepts inserts and deletes while staying a valid
@@ -213,20 +171,16 @@ impl MutableSource {
     pub fn create(root_label: &str) -> Result<Self, MutationError> {
         let tree = xks_xmltree::parse(&format!("<{root_label}/>"))?;
         let doc = shred(&tree);
-        let mut state = State {
-            base: None,
-            labels: doc.labels.clone(),
-            root_label: doc.elements[0].label,
-            delta_postings: HashMap::new(),
-            delta_elements: HashMap::new(),
-            delta_docs: Vec::new(),
-            root_rows: Some((doc.elements.clone(), doc.values.clone())),
-            tombstones: BTreeSet::new(),
-            next_doc: 0,
-        };
-        state.fold_rows(&doc.elements, &doc.values);
         Ok(MutableSource {
-            state: RwLock::new(state),
+            state: RwLock::new(State {
+                base: None,
+                root_label: doc.elements[0].label,
+                root_rows: Some((doc.elements.clone(), doc.values.clone())),
+                delta: MemoryCorpus::new(doc),
+                delta_docs: Vec::new(),
+                tombstones: BTreeSet::new(),
+                next_doc: 0,
+            }),
         })
     }
 
@@ -243,10 +197,8 @@ impl MutableSource {
         Ok(MutableSource {
             state: RwLock::new(State {
                 base: Some(base),
-                labels,
+                delta: empty_delta(labels),
                 root_label,
-                delta_postings: HashMap::new(),
-                delta_elements: HashMap::new(),
                 delta_docs: Vec::new(),
                 root_rows: None,
                 tombstones: BTreeSet::new(),
@@ -284,7 +236,7 @@ impl MutableSource {
             return Ok(false);
         }
         let dewey = Dewey::from_components(vec![0, ordinal]);
-        if state.delta_elements.contains_key(&dewey) {
+        if state.delta.elements.contains_key(&dewey) {
             return Ok(true);
         }
         // Compaction never renumbers, so a base may have ordinal holes
@@ -332,12 +284,14 @@ impl MutableSource {
             });
         }
         let root_label = state.root_label;
-        let (elements, values) = shred_document(tree, ordinal, root_label, &mut state.labels);
-        state.fold_rows(&elements, &values);
+        let (elements, values) = shred_document(tree, ordinal, root_label, &mut state.delta.labels);
+        let mut doc = ShreddedDoc::from_tables(Vec::new(), elements, values);
+        doc.rebuild_indexes();
+        state.delta.append(&doc);
         state.delta_docs.push(DeltaDoc {
             ordinal,
-            elements,
-            values,
+            elements: doc.elements,
+            values: doc.values,
         });
         state.next_doc = ordinal + 1;
         Ok(())
@@ -375,7 +329,7 @@ impl MutableSource {
     /// Snapshot of the shared label dictionary.
     #[must_use]
     pub fn labels_snapshot(&self) -> Vec<String> {
-        self.read().labels.clone()
+        self.read().delta.labels.clone()
     }
 
     /// Exports every **live** row the base does not hold, in document
@@ -415,9 +369,7 @@ impl MutableSource {
         let mut state = self.write();
         state.root_label = root_label;
         state.base = Some(base);
-        state.labels = labels;
-        state.delta_postings.clear();
-        state.delta_elements.clear();
+        state.delta = empty_delta(labels);
         state.delta_docs.clear();
         state.root_rows = None;
         state.tombstones.clear();
@@ -434,14 +386,14 @@ impl CorpusSource for MutableSource {
         // so the planner falls back to the full merge — the mutable
         // differential test pins that fallback's equivalence.
         let state = self.read();
-        if !state.tombstones.is_empty() || state.delta_postings.contains_key(keyword) {
+        if !state.tombstones.is_empty() || state.delta.postings.contains_key(keyword) {
             return None;
         }
         state.base.as_ref()?.keyword_stats(keyword)
     }
 
     fn label_name(&self, label: u32) -> Option<String> {
-        self.read().labels.get(label as usize).cloned()
+        self.read().delta.label_name(label)
     }
 
     /// Upper bound: live delta elements plus the whole base, including
@@ -452,7 +404,8 @@ impl CorpusSource for MutableSource {
         let state = self.read();
         let base = state.base.as_ref().map_or(0, |b| b.node_count());
         let delta = state
-            .delta_elements
+            .delta
+            .elements
             .keys()
             .filter(|d| !state.tombstoned(d))
             .count();
@@ -468,7 +421,7 @@ impl CorpusSource for MutableSource {
         if !state.tombstones.is_empty() {
             out.retain(|d| !state.tombstoned(d));
         }
-        if let Some(delta) = state.delta_postings.get(keyword) {
+        if let Some((delta, _)) = state.delta.postings.get(keyword) {
             out.extend(delta.iter().filter(|d| !state.tombstoned(d)).cloned());
         }
         Ok(out)
@@ -505,7 +458,7 @@ impl MutableSource {
         if state.tombstoned(dewey) {
             return Ok(None);
         }
-        if let Some(found) = state.delta_elements.get(dewey) {
+        if let Some(found) = state.delta.elements.get(dewey) {
             return Ok(Some(delta(found)));
         }
         state.base.as_deref().map_or(Ok(None), base)

@@ -410,7 +410,7 @@ mod tests {
             .iter()
             .map(|p| {
                 Some(crate::plan::KeywordFilter::from_keywords(
-                    p.doc.keyword_stats().map(|(kw, _)| kw),
+                    p.doc.postings().keys().map(String::as_str),
                 ))
             })
             .collect();

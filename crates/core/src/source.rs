@@ -10,10 +10,14 @@
 //!    seeds keyword nodes with).
 //!
 //! [`CorpusSource`] captures exactly that, so ValidRTF/MaxMatch run
-//! identically over a parsed document ([`TreeCorpus`]), the in-memory
-//! [`ShreddedDoc`] tables ([`MemoryCorpus`]) or an `xks-persist`
-//! on-disk index opened with a buffer pool — every
-//! [`crate::engine::SearchEngine`] holds exactly one.
+//! identically over a parsed document ([`TreeCorpus`]), the facts read
+//! out of [`ShreddedDoc`] tables ([`MemoryCorpus`], which the mutable
+//! delta is too) or an `xks-persist` on-disk index opened with a buffer
+//! pool — every [`crate::engine::SearchEngine`] holds exactly one.
+//!
+//! The shredder decides how rows become those facts: each element row
+//! carries its own-content feature and the tables hold typed postings,
+//! so `MemoryCorpus` and the `.xks` writer only read them.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -158,21 +162,14 @@ pub trait CorpusSource: std::fmt::Debug + Send + Sync {
     }
 }
 
-/// Per-keyword sealed statistics of fully resident postings — the table
-/// the in-memory backends build once at construction, so the planner
+/// The sealed statistics of one fully resident posting list — what the
+/// in-memory backends store per keyword at construction, so the planner
 /// never scans a list per query.
-fn sealed_stats<'a>(
-    postings: impl Iterator<Item = (&'a str, &'a [Dewey])>,
-) -> HashMap<String, KeywordStats> {
-    postings
-        .map(|(kw, deweys)| {
-            let stats = KeywordStats {
-                postings: deweys.len() as u64,
-                docs: doc_frequency(deweys),
-            };
-            (kw.to_owned(), stats)
-        })
-        .collect()
+fn sealed_stats(deweys: &[Dewey]) -> KeywordStats {
+    KeywordStats {
+        postings: deweys.len() as u64,
+        docs: doc_frequency(deweys),
+    }
 }
 
 /// The parsed-document backend: an [`XmlTree`] with the
@@ -192,7 +189,10 @@ impl TreeCorpus {
     #[must_use]
     pub fn new(tree: XmlTree) -> Self {
         let index = InvertedIndex::build(&tree);
-        let stats = sealed_stats(index.frequencies().map(|(kw, _)| (kw, index.postings(kw))));
+        let stats = index
+            .frequencies()
+            .map(|(kw, _)| (kw.to_owned(), sealed_stats(index.postings(kw))))
+            .collect();
         TreeCorpus { tree, index, stats }
     }
 
@@ -251,98 +251,79 @@ impl CorpusSource for TreeCorpus {
     }
 }
 
-/// The in-memory backend: shredded tables plus the derived own-content
-/// features (the shredder stores subtree features only; the keyword-node
-/// seed needs the node's own `Cv` feature, so we compute it once from
-/// the `value` table here).
+/// The in-memory backend: the query facts of shredded tables, and
+/// nothing else — the label dictionary, the typed postings with their
+/// sealed statistics, and one [`SourceElement`] per element row keyed
+/// by parsed [`Dewey`]. The tables themselves are dropped once read.
 ///
-/// Posting lists are parsed out of the tables' dotted-string form
-/// **once**, at construction — the shredded tables store Dewey codes as
-/// strings, and re-parsing them per query dominated the warm hot path.
+/// The mutable delta is a `MemoryCorpus` too: each inserted document
+/// is appended to it, over the corpus's shared label dictionary.
 #[derive(Debug)]
 pub struct MemoryCorpus {
-    doc: ShreddedDoc,
-    postings: HashMap<String, Vec<Dewey>>,
-    elements: HashMap<Dewey, SourceElement>,
-    stats: HashMap<String, KeywordStats>,
+    /// Label dictionary: index = label id.
+    pub(crate) labels: Vec<String>,
+    /// Keyword → postings in document order, with their statistics.
+    pub(crate) postings: HashMap<String, (Vec<Dewey>, KeywordStats)>,
+    /// Node facts by Dewey code.
+    pub(crate) elements: HashMap<Dewey, SourceElement>,
 }
 
 impl MemoryCorpus {
-    /// Wraps a shredded document (derived lookups must already be
-    /// rebuilt, which [`xks_store::shred()`] and the snapshot loader do).
-    ///
-    /// Element facts are keyed by parsed [`Dewey`] here — the tables
-    /// key rows by dotted strings, and formatting a code per lookup
-    /// (`dewey.to_string()`) used to dominate warm fragment
-    /// construction.
+    /// Reads the query facts out of a shredded document (its postings
+    /// must already be rebuilt, which [`xks_store::shred()`] does).
     #[must_use]
-    pub fn new(doc: ShreddedDoc) -> Self {
-        let own_features = own_content_features(&doc);
-        let postings: HashMap<String, Vec<Dewey>> = doc
-            .keyword_stats()
-            .map(|(kw, _)| (kw.to_owned(), doc.keyword_deweys(kw)))
-            .collect();
-        let elements = doc
-            .elements
-            .iter()
-            .map(|row| {
-                let dewey: Dewey = row.dewey.parse().expect("stored dewey is valid");
-                let element = SourceElement {
-                    label: row.label,
-                    level: row.level,
-                    keyword_cid: shared_cid(own_features.get(&row.dewey).cloned()),
-                    subtree_cid: shared_cid(row.content_feature.clone()),
-                };
-                (dewey, element)
-            })
-            .collect();
-        let stats = sealed_stats(postings.iter().map(|(kw, d)| (kw.as_str(), d.as_slice())));
-        MemoryCorpus {
-            doc,
-            postings,
-            elements,
-            stats,
+    pub fn new(mut doc: ShreddedDoc) -> Self {
+        let mut corpus = MemoryCorpus {
+            labels: std::mem::take(&mut doc.labels),
+            postings: HashMap::with_capacity(doc.postings().len()),
+            elements: HashMap::with_capacity(doc.elements.len()),
+        };
+        corpus.append(&doc);
+        corpus
+    }
+
+    /// Folds `doc`'s rows into the corpus: one Dewey parse per element
+    /// row, and each keyword's run appended to its postings. Every row
+    /// of `doc` must sort after every row already held (a later
+    /// document), which keeps the postings in document order and the
+    /// statistics exact: the run's length and document frequency add.
+    pub(crate) fn append(&mut self, doc: &ShreddedDoc) {
+        for row in &doc.elements {
+            let dewey: Dewey = row.dewey.parse().expect("stored dewey is valid");
+            let element = SourceElement {
+                label: row.label,
+                level: row.level,
+                keyword_cid: shared_cid(row.own_feature.clone()),
+                subtree_cid: shared_cid(row.content_feature.clone()),
+            };
+            self.elements.insert(dewey, element);
         }
-    }
-
-    /// The wrapped tables.
-    #[must_use]
-    pub fn doc(&self) -> &ShreddedDoc {
-        &self.doc
-    }
-}
-
-/// Computes each node's own-content `(min, max)` feature from the
-/// `value` table (the node's value rows *are* its content set `Cv`).
-#[must_use]
-pub fn own_content_features(doc: &ShreddedDoc) -> HashMap<String, (String, String)> {
-    let mut features: HashMap<String, (String, String)> = HashMap::new();
-    for row in &doc.values {
-        match features.get_mut(&row.dewey) {
-            None => {
-                features.insert(
-                    row.dewey.clone(),
-                    (row.keyword.clone(), row.keyword.clone()),
-                );
-            }
-            Some((min, max)) => {
-                if row.keyword < *min {
-                    min.clone_from(&row.keyword);
+        for (keyword, run) in doc.postings() {
+            let run_stats = sealed_stats(run);
+            match self.postings.get_mut(keyword.as_str()) {
+                Some((list, stats)) => {
+                    list.extend_from_slice(run);
+                    stats.postings += run_stats.postings;
+                    stats.docs += run_stats.docs;
                 }
-                if row.keyword > *max {
-                    max.clone_from(&row.keyword);
+                None => {
+                    self.postings
+                        .insert(keyword.clone(), (run.clone(), run_stats));
                 }
             }
         }
     }
-    features
 }
 
 impl CorpusSource for MemoryCorpus {
     fn try_keyword_deweys(&self, keyword: &str) -> Result<Vec<Dewey>, SourceError> {
         // One memcpy-style clone of the pre-parsed list; the codes
         // themselves are inline for ordinary document depths.
-        Ok(self.postings.get(keyword).cloned().unwrap_or_default())
+        Ok(self
+            .postings
+            .get(keyword)
+            .map(|(list, _)| list.clone())
+            .unwrap_or_default())
     }
 
     fn try_element(&self, dewey: &Dewey) -> Result<Option<SourceElement>, SourceError> {
@@ -361,17 +342,22 @@ impl CorpusSource for MemoryCorpus {
     }
 
     fn label_name(&self, label: u32) -> Option<String> {
-        self.doc.labels.get(label as usize).cloned()
+        self.labels.get(label as usize).cloned()
     }
 
     fn node_count(&self) -> usize {
-        self.doc.element_count()
+        self.elements.len()
     }
 
     fn keyword_stats(&self, keyword: &str) -> Option<KeywordStats> {
         // In-memory postings are sealed by construction; absent
         // keywords are known absent (zero stats), not unknown.
-        Some(self.stats.get(keyword).copied().unwrap_or_default())
+        Some(
+            self.postings
+                .get(keyword)
+                .map(|(_, s)| *s)
+                .unwrap_or_default(),
+        )
     }
 }
 

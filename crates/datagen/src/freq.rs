@@ -63,6 +63,8 @@ pub struct TextCorpus {
     planted: Vec<Vec<bool>>,
     /// Flat count of word positions across all blocks.
     positions: usize,
+    /// Positions not yet holding a planted keyword.
+    free: usize,
 }
 
 impl TextCorpus {
@@ -75,6 +77,7 @@ impl TextCorpus {
             blocks,
             planted,
             positions,
+            free: positions,
         }
     }
 
@@ -101,8 +104,7 @@ impl TextCorpus {
     /// skipped (re-sampled), so successive plants do not evict each
     /// other; `count` is capped at the number of free positions.
     pub fn plant(&mut self, rng: &mut StdRng, keyword: &str, count: u64) {
-        let free: usize = self.planted.iter().flatten().filter(|p| !**p).count();
-        let target = (count as usize).min(free);
+        let target = (count as usize).min(self.free);
         let mut placed = 0;
         while placed < target {
             let b = rng.gen_range(0..self.blocks.len());
@@ -115,6 +117,7 @@ impl TextCorpus {
             }
             self.blocks[b][w] = keyword.to_owned();
             self.planted[b][w] = true;
+            self.free -= 1;
             placed += 1;
         }
     }
@@ -134,8 +137,7 @@ impl TextCorpus {
         hubs: &[usize],
         hub_p: f64,
     ) {
-        let free: usize = self.planted.iter().flatten().filter(|p| !**p).count();
-        let target = (count as usize).min(free);
+        let target = (count as usize).min(self.free);
         let mut placed = 0;
         while placed < target {
             let in_hub = !hubs.is_empty() && rng.gen_bool(hub_p);
@@ -159,6 +161,7 @@ impl TextCorpus {
             }
             self.blocks[b][w] = keyword.to_owned();
             self.planted[b][w] = true;
+            self.free -= 1;
             placed += 1;
         }
     }
@@ -263,6 +266,20 @@ mod tests {
             .filter(|t| *t == "xml")
             .count();
         assert_eq!(total, 6);
+    }
+
+    #[test]
+    fn free_count_tracks_saturated_hubs() {
+        let mut c = corpus(10, 4);
+        let mut rng = StdRng::seed_from_u64(3);
+        // Two 4-word hubs take 30 placements at p = 1: they saturate,
+        // and the rest falls back to uniform placement.
+        c.plant_clustered(&mut rng, "xml", 30, &[2, 7], 1.0);
+        c.plant(&mut rng, "keyword", 5);
+        let recount = c.planted.iter().flatten().filter(|p| !**p).count();
+        assert_eq!(c.free, recount);
+        assert_eq!(c.free, 40 - 35);
+        assert!(c.planted[2].iter().chain(&c.planted[7]).all(|p| *p));
     }
 
     #[test]

@@ -468,9 +468,9 @@ impl MutableCorpus {
                     element_count: summary.element_count,
                     keyword_count: summary.keyword_count,
                     file_len: summary.file_len,
-                    postings_total: part.doc.keyword_stats().map(|(_, n)| n as u64).sum(),
+                    postings_total: part.doc.postings().values().map(|d| d.len() as u64).sum(),
                     keyword_filter: Some(validrtf::plan::KeywordFilter::from_keywords(
-                        part.doc.keyword_stats().map(|(kw, _)| kw),
+                        part.doc.postings().keys().map(String::as_str),
                     )),
                 });
             }
@@ -479,7 +479,7 @@ impl MutableCorpus {
         let manifest_bytes = match phase1() {
             Ok(()) => ShardManifest {
                 total_elements: doc.element_count() as u64,
-                total_keywords: doc.vocabulary_size() as u64,
+                total_keywords: doc.postings().len() as u64,
                 label_count: doc.labels.len() as u64,
                 shards: entries,
             }
@@ -585,8 +585,8 @@ impl MutableCorpus {
         if let Some(base) = &self.base {
             export_base_rows(base, &tombstones, &mut elements, &mut values)?;
         }
-        let (delta_elements, delta_values) = self.source.export_delta_rows();
-        elements.extend(delta_elements);
+        let (delta_rows, delta_values) = self.source.export_delta_rows();
+        elements.extend(delta_rows);
         values.extend(delta_values);
         let mut doc = ShreddedDoc::from_tables(labels, elements, values);
         doc.rebuild_indexes();
@@ -623,9 +623,9 @@ impl xks_obs::MetricSource for MutableCorpus {
 /// Value rows are synthesized from the inverted index — one `(keyword,
 /// dewey)` row per posting, [`WordSource::Text`] as the provenance (the
 /// index does not store word provenance; nothing downstream reads it).
-/// This reproduces posting lists and own-content features exactly:
-/// postings are the deduplicated value rows, and a node's own feature
-/// is the `(min, max)` of its distinct keywords either way.
+/// That reproduces the posting lists exactly (postings are the
+/// deduplicated value rows); own-content features are copied from the
+/// stored rows, not re-derived.
 fn export_base_rows(
     base: &ShardedCorpus,
     tombstones: &BTreeSet<u32>,
@@ -648,6 +648,7 @@ fn export_base_rows(
                 level: rec.level,
                 label_path: rec.label_path,
                 content_feature: rec.subtree_cid,
+                own_feature: rec.own_cid,
             });
         }
         for idx in 0..reader.keyword_count() {

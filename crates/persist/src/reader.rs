@@ -1157,11 +1157,7 @@ mod tests {
                 .iter()
                 .map(ToString::to_string)
                 .collect();
-            let want: Vec<String> = doc
-                .keyword_deweys(kw)
-                .iter()
-                .map(ToString::to_string)
-                .collect();
+            let want: Vec<String> = doc.postings()[kw].iter().map(ToString::to_string).collect();
             assert_eq!(got, want, "{kw}");
         }
         assert!(reader.try_keyword_deweys("unobtainium").unwrap().is_empty());
@@ -1180,6 +1176,7 @@ mod tests {
             assert_eq!(record.level, row.level);
             assert_eq!(record.label_path, row.label_path);
             assert_eq!(record.subtree_cid, row.content_feature);
+            assert_eq!(record.own_cid, row.own_feature);
         }
         assert!(reader
             .try_element(&"0.9.9".parse().unwrap())
@@ -1205,7 +1202,7 @@ mod tests {
         assert_eq!(v1.stats().pool.pages_read, 0);
 
         let doc = shred(&publications());
-        let mut keywords: Vec<&str> = doc.keyword_stats().map(|(kw, _)| kw).collect();
+        let mut keywords: Vec<&str> = doc.postings().keys().map(String::as_str).collect();
         keywords.push("unobtainium");
         for kw in keywords {
             assert_eq!(
@@ -1337,7 +1334,7 @@ mod tests {
                         for kw in ["liu", "keyword", "xml", "title", "skyline"] {
                             assert_eq!(
                                 reader.try_keyword_deweys(kw).unwrap(),
-                                doc.keyword_deweys(kw),
+                                doc.postings()[kw],
                                 "{kw}"
                             );
                         }
@@ -1386,7 +1383,7 @@ mod tests {
         let doc = shred(&publications());
         for kw in ["liu", "keyword", "xml", "liu"] {
             let got = reader.try_keyword_deweys(kw).unwrap();
-            assert_eq!(got, doc.keyword_deweys(kw), "{kw}");
+            assert_eq!(got, doc.postings()[kw], "{kw}");
         }
         // Capacity is clamped to 8 pages; with 512-byte pages the three
         // distinct lookups still force traffic through the tiny pool.

@@ -306,9 +306,10 @@ pub fn write_sharded(
     for (i, part) in parts.iter().enumerate() {
         let file_name = shard_file_name(manifest_path, i);
         let summary = writer.write(&part.doc, &dir.join(&file_name))?;
-        let postings_total = part.doc.keyword_stats().map(|(_, n)| n as u64).sum();
+        let postings = part.doc.postings();
+        let postings_total = postings.values().map(|d| d.len() as u64).sum();
         let keyword_filter = Some(validrtf::plan::KeywordFilter::from_keywords(
-            part.doc.keyword_stats().map(|(kw, _)| kw),
+            postings.keys().map(String::as_str),
         ));
         entries.push(ShardEntry {
             file_name,
@@ -324,7 +325,7 @@ pub fn write_sharded(
     }
     let manifest = ShardManifest {
         total_elements: doc.element_count() as u64,
-        total_keywords: doc.vocabulary_size() as u64,
+        total_keywords: doc.postings().len() as u64,
         label_count: doc.labels.len() as u64,
         shards: entries,
     };

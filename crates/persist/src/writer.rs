@@ -1,10 +1,10 @@
 //! Building `.xks` index files from shredded corpora.
 
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 
-use validrtf::source::own_content_features;
 use xks_store::{shred, ShreddedDoc};
 use xks_xmltree::{Dewey, XmlTree};
 
@@ -69,17 +69,16 @@ impl IndexWriter {
 
     /// Writes a shredded corpus to `path`.
     ///
-    /// Element rows are stored in the document (pre-)order the shredder
-    /// produced; postings come out of the store's derived keyword index
-    /// sorted and deduplicated, exactly as the in-memory backend serves
-    /// them — which is what makes query results byte-identical across
-    /// backends.
+    /// Element rows, own-content features included, are stored in the
+    /// document (pre-)order the shredder produced; postings are the
+    /// store's typed postings, sorted and deduplicated, exactly as the
+    /// in-memory backend serves them — which is what makes query
+    /// results byte-identical across backends.
     pub fn write(&self, doc: &ShreddedDoc, path: &Path) -> Result<WriteSummary, PersistError> {
         // --- section payloads, in memory ---------------------------
         let labels = encode_labels(doc);
         let (element_offsets, elements) = encode_elements(doc)?;
-        let postings_input = doc.to_postings();
-        let (keyword_offsets, keyword_dict, postings) = encode_keywords(&postings_input);
+        let (keyword_offsets, keyword_dict, postings) = encode_keywords(doc.postings());
 
         let payloads: [&[u8]; SECTION_COUNT] = [
             &labels,
@@ -106,7 +105,7 @@ impl IndexWriter {
             version: VERSION,
             page_size: self.page_size,
             element_count: doc.element_count() as u64,
-            keyword_count: postings_input.len() as u64,
+            keyword_count: doc.postings().len() as u64,
             label_count: doc.labels.len() as u64,
             sections,
         };
@@ -160,7 +159,6 @@ fn encode_labels(doc: &ShreddedDoc) -> Vec<u8> {
 /// Element rows plus the offset array enabling O(log n) paged binary
 /// search by Dewey code (rows are in document order).
 fn encode_elements(doc: &ShreddedDoc) -> Result<(Vec<u8>, Vec<u8>), PersistError> {
-    let own_features = own_content_features(doc);
     let mut offsets = Vec::with_capacity(doc.elements.len() * 8);
     let mut rows = Vec::new();
     for row in &doc.elements {
@@ -179,7 +177,7 @@ fn encode_elements(doc: &ShreddedDoc) -> Result<(Vec<u8>, Vec<u8>), PersistError
             put_varint(&mut rows, u64::from(l));
         }
         put_cid(&mut rows, &row.content_feature);
-        put_cid(&mut rows, &own_features.get(&row.dewey).cloned());
+        put_cid(&mut rows, &row.own_feature);
     }
     Ok((offsets, rows))
 }
@@ -188,7 +186,7 @@ fn encode_elements(doc: &ShreddedDoc) -> Result<(Vec<u8>, Vec<u8>), PersistError
 /// and the postings blob the dictionary points into. Each entry ends
 /// with the keyword's document frequency (absent from version-1 files,
 /// which the reader still accepts).
-fn encode_keywords(postings_input: &[(String, Vec<Dewey>)]) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+fn encode_keywords(postings_input: &BTreeMap<String, Vec<Dewey>>) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
     let mut offsets = Vec::with_capacity(postings_input.len() * 8);
     let mut dict = Vec::new();
     let mut postings = Vec::new();

@@ -10,12 +10,13 @@
 //!   interesting word occurrence.
 //!
 //! This crate reproduces those three tables in memory (columnar structs
-//! of rows) plus the lookups the algorithms need: *keyword → Dewey
-//! codes* against the `value` table, and *Dewey → label-number-sequence /
-//! content feature* against the `element` table. The stored form of a
-//! shredded document is the paged `.xks` file written by `xks-persist`;
-//! [`json`] is the JSON value model the CLI, `wire` and the HTTP server
-//! share.
+//! of rows) and is the one place rows become the facts the algorithms
+//! read: the shredder fills each element row's subtree *and* own-content
+//! features, and [`ShreddedDoc::postings`] holds *keyword → Dewey codes*
+//! derived once from the `value` table. The in-memory backend, the
+//! mutable delta and the `.xks` writer (`xks-persist`, the stored form)
+//! borrow those; [`json`] is the JSON value model the CLI, `wire` and
+//! the HTTP server share.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

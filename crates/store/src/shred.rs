@@ -1,73 +1,28 @@
 //! The shredder: `XmlTree` → [`ShreddedDoc`].
 //!
-//! Walks the tree once in pre-order to emit the `element` rows (including
-//! the paper's *label number sequence* — the label ids along the root
-//! path, §5.2 footnote 11), once in post-order to compute the per-subtree
-//! `content feature` (cID), and emits one `value` row per interesting
-//! word occurrence at each node (label, text, and attribute words, stop
-//! words removed).
+//! One row emitter serves both entry points. It walks the tree once in
+//! pre-order, emitting each node's `value` rows (label, text and
+//! attribute words, stop words removed) and its `element` row: the
+//! paper's *label number sequence* (the label ids along the root path,
+//! §5.2 footnote 11) and the `(min, max)` feature of the node's own
+//! content, folded from the words just emitted. A reverse pass then
+//! widens each subtree's content feature (cID) into its parent's.
+//! [`shred`] emits a tree as its own corpus; [`shred_document`] emits
+//! one document spliced under an existing corpus root.
 
-use std::collections::BTreeSet;
-
-use xks_xmltree::content::{content_feature, node_content};
 use xks_xmltree::tokenizer::tokenize_filtered;
 use xks_xmltree::tree::{NodeId, XmlTree};
+use xks_xmltree::Dewey;
 
 use crate::tables::{ElementRow, ShreddedDoc, ValueRow, WordSource};
 
 /// Shreds a document into the three tables.
 #[must_use]
 pub fn shred(tree: &XmlTree) -> ShreddedDoc {
-    let mut doc =
-        ShreddedDoc::with_labels(tree.labels().iter().map(|(_, n)| n.to_owned()).collect());
-
-    // Subtree content features, computed bottom-up in one pass over the
-    // arena (children always have larger NodeId than their parent in our
-    // arena? Not guaranteed — use explicit post-order accumulation).
-    let features = subtree_features(tree);
-
-    for id in tree.preorder() {
-        let node = tree.node(id);
-        let dewey = node.dewey.to_string();
-        let label_path = label_path(tree, id);
-        doc.elements.push(ElementRow {
-            label: node.label.as_u32(),
-            dewey: dewey.clone(),
-            level: node.dewey.level() as u32,
-            label_path,
-            content_feature: features[id.index()].clone(),
-        });
-
-        for word in tokenize_filtered(tree.label_name(id)) {
-            doc.values.push(ValueRow {
-                label: node.label.as_u32(),
-                dewey: dewey.clone(),
-                source: WordSource::Label,
-                keyword: word,
-            });
-        }
-        if let Some(text) = &node.text {
-            for word in tokenize_filtered(text) {
-                doc.values.push(ValueRow {
-                    label: node.label.as_u32(),
-                    dewey: dewey.clone(),
-                    source: WordSource::Text,
-                    keyword: word,
-                });
-            }
-        }
-        for attr in &node.attributes {
-            for word in tokenize_filtered(&attr.name).chain(tokenize_filtered(&attr.value)) {
-                doc.values.push(ValueRow {
-                    label: node.label.as_u32(),
-                    dewey: dewey.clone(),
-                    source: WordSource::Attribute(attr.name.clone()),
-                    keyword: word,
-                });
-            }
-        }
-    }
-
+    let labels: Vec<String> = tree.labels().iter().map(|(_, n)| n.to_owned()).collect();
+    let identity: Vec<u32> = (0..labels.len() as u32).collect();
+    let (elements, values) = emit_rows(tree, &identity, None);
+    let mut doc = ShreddedDoc::from_tables(labels, elements, values);
     doc.rebuild_indexes();
     doc
 }
@@ -81,9 +36,9 @@ pub fn shred(tree: &XmlTree) -> ShreddedDoc {
 ///
 /// This is the mutable-corpus insert path: appending these rows to the
 /// corpus tables yields exactly what re-shredding the whole corpus with
-/// the document spliced in would, because [`shred`] itself derives
-/// every row locally from the node and its root path (a sibling
-/// subtree never influences another's rows).
+/// the document spliced in would, because the emitter derives every
+/// row locally from the node and its root path (a sibling subtree never
+/// influences another's rows).
 #[must_use]
 pub fn shred_document(
     tree: &XmlTree,
@@ -103,36 +58,52 @@ pub fn shred_document(
             }
         })
         .collect();
-    let map = |local: u32| label_map[local as usize];
-    let redewey = |d: &xks_xmltree::Dewey| {
-        let comps = d.components();
-        let mut out = Vec::with_capacity(comps.len() + 1);
-        out.push(0);
-        out.push(ordinal);
-        out.extend_from_slice(&comps[1..]);
-        xks_xmltree::Dewey::from_components(out).to_string()
+    let splice = Splice {
+        ordinal,
+        root_label: corpus_root_label,
     };
+    emit_rows(tree, &label_map, Some(splice))
+}
 
-    let features = subtree_features(tree);
-    let mut elements = Vec::with_capacity(tree.len());
+/// Where [`shred_document`] puts a document: under the corpus root, as
+/// its `ordinal`-th child.
+struct Splice {
+    ordinal: u32,
+    root_label: u32,
+}
+
+/// Emits the `element` and `value` rows of every node of `tree`, in
+/// pre-order, with label ids translated through `label_map` and, under
+/// a [`Splice`], Deweys, levels and label paths re-rooted.
+fn emit_rows(
+    tree: &XmlTree,
+    label_map: &[u32],
+    splice: Option<Splice>,
+) -> (Vec<ElementRow>, Vec<ValueRow>) {
+    let order: Vec<NodeId> = tree.preorder().collect();
+    let mut row_of = vec![0usize; tree.len()];
+    let mut elements: Vec<ElementRow> = Vec::with_capacity(order.len());
     let mut values = Vec::new();
-    for id in tree.preorder() {
+    for (row, &id) in order.iter().enumerate() {
+        row_of[id.index()] = row;
         let node = tree.node(id);
-        let dewey = redewey(&node.dewey);
-        let mut path = Vec::with_capacity(node.dewey.level() + 2);
-        path.push(corpus_root_label);
-        path.extend(label_path(tree, id).into_iter().map(map));
-        elements.push(ElementRow {
-            label: map(node.label.as_u32()),
-            dewey: dewey.clone(),
-            level: node.dewey.level() as u32 + 1,
-            label_path: path,
-            content_feature: features[id.index()].clone(),
-        });
+        let label = label_map[node.label.as_u32() as usize];
+        let dewey = match &splice {
+            None => node.dewey.to_string(),
+            Some(splice) => {
+                let comps = node.dewey.components();
+                let mut out = Vec::with_capacity(comps.len() + 1);
+                out.extend([0, splice.ordinal]);
+                out.extend_from_slice(&comps[1..]);
+                Dewey::from_components(out).to_string()
+            }
+        };
 
+        let mut own_feature = None;
         let mut push_value = |source: WordSource, keyword: String| {
+            widen(&mut own_feature, &keyword, &keyword);
             values.push(ValueRow {
-                label: map(node.label.as_u32()),
+                label,
                 dewey: dewey.clone(),
                 source,
                 keyword,
@@ -151,53 +122,51 @@ pub fn shred_document(
                 push_value(WordSource::Attribute(attr.name.clone()), word);
             }
         }
+
+        let mut label_path = match node.parent() {
+            Some(parent) => elements[row_of[parent.index()]].label_path.clone(),
+            None => splice.iter().map(|s| s.root_label).collect(),
+        };
+        label_path.push(label);
+        elements.push(ElementRow {
+            label,
+            dewey,
+            level: (label_path.len() - 1) as u32,
+            label_path,
+            content_feature: own_feature.clone(),
+            own_feature,
+        });
+    }
+
+    // Children follow their parent in pre-order, so walking the rows
+    // backwards finishes every subtree feature before it is widened
+    // into the parent's.
+    for (row, &id) in order.iter().enumerate().rev() {
+        let Some(parent) = tree.node(id).parent() else {
+            continue;
+        };
+        let (head, tail) = elements.split_at_mut(row);
+        if let Some((min, max)) = &tail[0].content_feature {
+            widen(&mut head[row_of[parent.index()]].content_feature, min, max);
+        }
     }
     (elements, values)
 }
 
-/// Label ids on the path root → node, the paper's "label number sequence".
-fn label_path(tree: &XmlTree, id: NodeId) -> Vec<u32> {
-    let mut path: Vec<u32> = tree
-        .ancestors(id)
-        .map(|a| tree.node(a).label.as_u32())
-        .collect();
-    path.reverse();
-    path.push(tree.node(id).label.as_u32());
-    path
-}
-
-/// Computes the `(min, max)` content feature of every subtree with one
-/// post-order pass (no repeated subtree scans).
-fn subtree_features(tree: &XmlTree) -> Vec<Option<(String, String)>> {
-    let mut features: Vec<Option<(String, String)>> = vec![None; tree.len()];
-    // Post-order: process children before parents. Pre-order reversed is
-    // not post-order in general, but a DFS finish-time ordering is easily
-    // obtained by walking pre-order and then iterating in reverse *when
-    // children always follow parents in the visit sequence*, which holds
-    // for pre-order.
-    let order: Vec<NodeId> = tree.preorder().collect();
-    for &id in order.iter().rev() {
-        let own: BTreeSet<String> = node_content(tree, id);
-        let mut min_max = content_feature(&own);
-        for &child in tree.node(id).children() {
-            if let Some((cmin, cmax)) = &features[child.index()] {
-                min_max = Some(match min_max {
-                    None => (cmin.clone(), cmax.clone()),
-                    Some((mut mn, mut mx)) => {
-                        if *cmin < mn {
-                            mn = cmin.clone();
-                        }
-                        if *cmax > mx {
-                            mx = cmax.clone();
-                        }
-                        (mn, mx)
-                    }
-                });
+/// Widens a `(min, max)` content feature to cover `min..=max` — the one
+/// fold behind both the own-content and the subtree features.
+fn widen(feature: &mut Option<(String, String)>, min: &str, max: &str) {
+    match feature {
+        None => *feature = Some((min.to_owned(), max.to_owned())),
+        Some((lo, hi)) => {
+            if min < lo.as_str() {
+                min.clone_into(lo);
+            }
+            if max > hi.as_str() {
+                max.clone_into(hi);
             }
         }
-        features[id.index()] = min_max;
     }
-    features
 }
 
 #[cfg(test)]
@@ -269,8 +238,7 @@ mod tests {
     #[test]
     fn keyword_lookup_matches_fixture_expectations() {
         let doc = shred(&publications());
-        let liu: Vec<String> = doc
-            .keyword_deweys("liu")
+        let liu: Vec<String> = doc.postings()["liu"]
             .iter()
             .map(ToString::to_string)
             .collect();
@@ -280,17 +248,33 @@ mod tests {
     #[test]
     fn content_features_aggregate_subtrees() {
         let doc = shred(&publications());
-        // Leaf: title of the skyline paper.
-        let title = doc.element(&"0.2.0.1".parse().unwrap()).unwrap();
-        assert_eq!(
-            title.content_feature,
-            Some(("keyword".into(), "xml".into()))
-        );
-        // Interior: the whole document spans "2008" .. "z".
-        let root = doc.element(&"0".parse().unwrap()).unwrap();
+        let row = |dewey: &str| doc.elements.iter().find(|r| r.dewey == dewey).unwrap();
+        // Leaf: title of the skyline paper; own content = subtree content.
+        let title = row("0.2.0.1");
+        let words = Some(("keyword".into(), "xml".into()));
+        assert_eq!(title.content_feature, words);
+        assert_eq!(title.own_feature, words);
+        // Interior: the whole document spans "2008" .. "z", while the
+        // root's own content is its label alone.
+        let root = row("0");
         let (min, max) = root.content_feature.clone().unwrap();
         assert!(min.as_str() <= "abstract");
         assert!(max.as_str() >= "xml");
+        assert_eq!(
+            root.own_feature,
+            Some(("publications".into(), "publications".into()))
+        );
+    }
+
+    #[test]
+    fn own_features_fold_the_value_rows() {
+        let doc = shred(&publications());
+        for row in &doc.elements {
+            let words = doc.values.iter().filter(|v| v.dewey == row.dewey);
+            let min = words.clone().map(|v| v.keyword.clone()).min();
+            let max = words.map(|v| v.keyword.clone()).max();
+            assert_eq!(row.own_feature, min.zip(max), "{}", row.dewey);
+        }
     }
 
     #[test]

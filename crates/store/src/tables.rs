@@ -1,6 +1,12 @@
-//! The three shredded tables and their lookup API.
+//! The three shredded tables and the postings derived from them.
+//!
+//! The shredder fills every column a query reads, including each
+//! element row's own-content feature, so [`ShreddedDoc::rebuild_indexes`]
+//! is the one place that turns the `value` table into typed, sorted,
+//! deduplicated [`Dewey`] postings. The in-memory backend, the mutable
+//! delta and the `.xks` writer all borrow those postings from here.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use xks_xmltree::Dewey;
 
@@ -34,6 +40,10 @@ pub struct ElementRow {
     /// The paper's "content feature" — the `cID = (min, max)` word pair
     /// of the subtree content, `None` for content-free subtrees.
     pub content_feature: Option<(String, String)>,
+    /// The `(min, max)` word pair of the node's **own** content `Cv`
+    /// (its `value` rows), `None` when it has none — what the
+    /// constructing step seeds a keyword node with.
+    pub own_feature: Option<(String, String)>,
 }
 
 /// One row of the `value` table: one interesting word occurring at one
@@ -50,7 +60,8 @@ pub struct ValueRow {
     pub keyword: String,
 }
 
-/// A shredded document: the paper's three tables plus derived indexes.
+/// A shredded document: the paper's three tables plus the postings
+/// derived from the `value` table.
 #[derive(Debug, Clone, Default)]
 pub struct ShreddedDoc {
     /// `label` table: index = id, value = label string.
@@ -59,11 +70,9 @@ pub struct ShreddedDoc {
     pub elements: Vec<ElementRow>,
     /// `value` table rows.
     pub values: Vec<ValueRow>,
-    /// Derived: keyword → sorted, deduplicated Dewey strings, built from
+    /// Derived: keyword → sorted, deduplicated Dewey codes, built from
     /// the `value` table by [`ShreddedDoc::rebuild_indexes`].
-    keyword_index: BTreeMap<String, Vec<String>>,
-    /// Derived: dewey string → row offset in `elements`.
-    element_offsets: HashMap<String, usize>,
+    postings: BTreeMap<String, Vec<Dewey>>,
 }
 
 impl ShreddedDoc {
@@ -76,7 +85,7 @@ impl ShreddedDoc {
         }
     }
 
-    /// Assembles a document from raw table rows (derived lookups are
+    /// Assembles a document from raw table rows (the postings are
     /// empty until [`ShreddedDoc::rebuild_indexes`] runs). Used by the
     /// partitioner and the mutable corpus's compaction.
     #[must_use]
@@ -93,29 +102,38 @@ impl ShreddedDoc {
         }
     }
 
-    /// Rebuilds the derived lookup structures (called by the shredder and
-    /// after [`ShreddedDoc::from_tables`]).
+    /// Derives the postings from the `value` table (called by the
+    /// shredder and after [`ShreddedDoc::from_tables`]). Each value
+    /// row's Dewey is parsed at most once: consecutive rows of one node
+    /// share the parse.
+    ///
+    /// # Panics
+    ///
+    /// On a value row whose Dewey is not a dotted code.
     pub fn rebuild_indexes(&mut self) {
-        self.element_offsets = self
-            .elements
-            .iter()
-            .enumerate()
-            .map(|(i, row)| (row.dewey.clone(), i))
-            .collect();
-        if self.keyword_index.is_empty() {
-            let mut index: BTreeMap<String, Vec<String>> = BTreeMap::new();
-            for row in &self.values {
-                index
-                    .entry(row.keyword.clone())
-                    .or_default()
-                    .push(row.dewey.clone());
+        let mut postings: BTreeMap<String, Vec<Dewey>> = BTreeMap::new();
+        let mut last: Option<(&str, Dewey)> = None;
+        for row in &self.values {
+            let dewey = match &last {
+                Some((text, dewey)) if *text == row.dewey => dewey.clone(),
+                _ => {
+                    let dewey: Dewey = row.dewey.parse().expect("stored dewey is valid");
+                    last = Some((&row.dewey, dewey.clone()));
+                    dewey
+                }
+            };
+            match postings.get_mut(row.keyword.as_str()) {
+                Some(list) => list.push(dewey),
+                None => {
+                    postings.insert(row.keyword.clone(), vec![dewey]);
+                }
             }
-            for deweys in index.values_mut() {
-                deweys.sort_by_key(|d| d.parse::<Dewey>().expect("stored dewey is valid"));
-                deweys.dedup();
-            }
-            self.keyword_index = index;
         }
+        for list in postings.values_mut() {
+            list.sort_unstable();
+            list.dedup();
+        }
+        self.postings = postings;
     }
 
     /// The label string for a label id.
@@ -124,32 +142,13 @@ impl ShreddedDoc {
         &self.labels[id as usize]
     }
 
-    /// SQL-equivalent of the paper's stage-1 lookup: all Dewey codes of
-    /// nodes whose content contains `keyword`, in document order.
+    /// SQL-equivalent of the paper's stage-1 lookup for every keyword
+    /// at once: keyword (in byte order) → the Dewey codes of the nodes
+    /// whose content contains it, in document order. What the in-memory
+    /// backend serves and the `.xks` writer encodes.
     #[must_use]
-    pub fn keyword_deweys(&self, keyword: &str) -> Vec<Dewey> {
-        self.keyword_index
-            .get(keyword)
-            .map(|v| {
-                v.iter()
-                    .map(|d| d.parse().expect("stored dewey is valid"))
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// The `element` row for a Dewey code.
-    #[must_use]
-    pub fn element(&self, dewey: &Dewey) -> Option<&ElementRow> {
-        self.element_offsets
-            .get(&dewey.to_string())
-            .map(|&i| &self.elements[i])
-    }
-
-    /// Number of distinct words in the value table.
-    #[must_use]
-    pub fn vocabulary_size(&self) -> usize {
-        self.keyword_index.len()
+    pub fn postings(&self) -> &BTreeMap<String, Vec<Dewey>> {
+        &self.postings
     }
 
     /// Total occurrences of `keyword` in the value table (the frequency
@@ -159,51 +158,10 @@ impl ShreddedDoc {
         self.values.iter().filter(|r| r.keyword == keyword).count()
     }
 
-    /// Iterates all `(keyword, node-count)` pairs in lexical order.
-    pub fn keyword_stats(&self) -> impl Iterator<Item = (&str, usize)> {
-        self.keyword_index
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.len()))
-    }
-
-    /// Exports the derived keyword index as raw postings — what the
-    /// `.xks` writer encodes into the keyword dictionary and postings
-    /// sections.
-    #[must_use]
-    pub fn to_postings(&self) -> Vec<(String, Vec<Dewey>)> {
-        self.keyword_index
-            .iter()
-            .map(|(word, deweys)| {
-                (
-                    word.clone(),
-                    deweys
-                        .iter()
-                        .map(|d| d.parse().expect("stored dewey is valid"))
-                        .collect(),
-                )
-            })
-            .collect()
-    }
-
     /// Number of element rows.
     #[must_use]
     pub fn element_count(&self) -> usize {
         self.elements.len()
-    }
-
-    /// The ancestor label names of a node, root first — decoding the
-    /// paper's *label number sequence* (§5.2, footnote 11: the
-    /// root-path labels are what lets Algorithm 1 fill node information
-    /// without touching the original document).
-    #[must_use]
-    pub fn ancestor_labels(&self, dewey: &Dewey) -> Option<Vec<&str>> {
-        let row = self.element(dewey)?;
-        Some(
-            row.label_path
-                .iter()
-                .map(|&id| self.label_name(id))
-                .collect(),
-        )
     }
 }
 
@@ -221,13 +179,15 @@ mod tests {
                     level: 0,
                     label_path: vec![0],
                     content_feature: Some(("alpha".into(), "zeta".into())),
+                    own_feature: Some(("alpha".into(), "alpha".into())),
                 },
                 ElementRow {
                     label: 1,
                     dewey: "0.0".into(),
                     level: 1,
                     label_path: vec![0, 1],
-                    content_feature: None,
+                    content_feature: Some(("alpha".into(), "alpha".into())),
+                    own_feature: Some(("alpha".into(), "alpha".into())),
                 },
             ],
             values: vec![
@@ -259,40 +219,24 @@ mod tests {
     #[test]
     fn keyword_deweys_sorted_and_deduped() {
         let d = doc();
-        let deweys: Vec<String> = d
-            .keyword_deweys("alpha")
+        let deweys: Vec<String> = d.postings()["alpha"]
             .iter()
             .map(ToString::to_string)
             .collect();
         assert_eq!(deweys, ["0", "0.0"]);
-        assert!(d.keyword_deweys("missing").is_empty());
-    }
-
-    #[test]
-    fn element_lookup() {
-        let d = doc();
-        let row = d.element(&"0.0".parse().unwrap()).unwrap();
-        assert_eq!(row.level, 1);
-        assert_eq!(row.label_path, vec![0, 1]);
-        assert!(d.element(&"0.7".parse().unwrap()).is_none());
-    }
-
-    #[test]
-    fn ancestor_labels_decode_label_path() {
-        let d = doc();
-        assert_eq!(
-            d.ancestor_labels(&"0.0".parse().unwrap()),
-            Some(vec!["a", "b"])
-        );
-        assert_eq!(d.ancestor_labels(&"0.9".parse().unwrap()), None);
+        assert!(!d.postings().contains_key("missing"));
     }
 
     #[test]
     fn frequencies() {
         let d = doc();
         assert_eq!(d.keyword_frequency("alpha"), 3);
-        assert_eq!(d.vocabulary_size(), 1);
-        let stats: Vec<(&str, usize)> = d.keyword_stats().collect();
+        assert_eq!(d.postings().len(), 1);
+        let stats: Vec<(&str, usize)> = d
+            .postings()
+            .iter()
+            .map(|(kw, deweys)| (kw.as_str(), deweys.len()))
+            .collect();
         assert_eq!(stats, vec![("alpha", 2)]);
     }
 }

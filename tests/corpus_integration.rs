@@ -127,11 +127,7 @@ fn store_shreds_generated_corpus_consistently() {
     let doc = xks::store::shred(&tree);
     let index = xks::index::InvertedIndex::build(&tree);
     for kw in ["data", "xml", "keyword", "algorithm"] {
-        let from_store: Vec<String> = doc
-            .keyword_deweys(kw)
-            .iter()
-            .map(ToString::to_string)
-            .collect();
+        let from_store: Vec<String> = doc.postings()[kw].iter().map(ToString::to_string).collect();
         let from_index: Vec<String> = index.postings(kw).iter().map(ToString::to_string).collect();
         assert_eq!(from_store, from_index, "postings differ for {kw}");
     }

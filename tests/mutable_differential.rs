@@ -10,11 +10,20 @@
 //! monotonic assignment), then drop the deleted ordinals at the table
 //! level — holes and all — and query the result through the standard
 //! [`MemoryCorpus`] backend.
+//!
+//! The delta itself is a `MemoryCorpus`, so that oracle shares the
+//! shredder and the row derivation with what it checks. Insert-only
+//! histories are therefore also checked fact by fact against
+//! [`TreeCorpus`], which reads the parsed XML directly: every keyword's
+//! postings and statistics, every node's label, level and own-content
+//! feature.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use xks::core::{AlgorithmKind, CorpusSource, MemoryCorpus, SearchEngine, SearchRequest};
+use xks::core::{
+    AlgorithmKind, CorpusSource, MemoryCorpus, SearchEngine, SearchRequest, TreeCorpus,
+};
 use xks::datagen::queries::dblp_workload;
 use xks::datagen::{generate_dblp, DblpConfig};
 use xks::persist::{MutableCorpus, ShardedCorpus};
@@ -112,18 +121,121 @@ fn scratch_dir(name: &str) -> PathBuf {
     dir
 }
 
-#[test]
-fn random_interleavings_match_rebuild_from_scratch() {
-    // A pool of realistic documents: the top-level records of a
-    // generated DBLP corpus, re-serialized one by one.
+/// A pool of realistic documents: the top-level records of a
+/// generated DBLP corpus, re-serialized one by one, and the root label.
+fn document_pool() -> (String, Vec<String>) {
     let tree = generate_dblp(&DblpConfig::with_records(90, 42));
     let root_label = tree.label_name(tree.root()).to_owned();
-    let pool: Vec<String> = tree
+    let pool = tree
         .node(tree.root())
         .children()
         .iter()
         .map(|&child| to_xml_subtree(&tree, child))
         .collect();
+    (root_label, pool)
+}
+
+/// Checks every fact a query reads of `source` against the parsed full
+/// XML of an insert-only history. `delta_from` is the first ordinal the
+/// sealed base does not hold (`None`: there is no base yet), so a
+/// keyword has sealed statistics exactly when none of its postings lies
+/// in the delta — and then they are the whole corpus's.
+fn assert_facts_match_tree(
+    label: &str,
+    source: &dyn CorpusSource,
+    root_label: &str,
+    inserted: &[String],
+    delta_from: Option<u32>,
+) {
+    let xml = format!("<{root_label}>{}</{root_label}>", inserted.concat());
+    let oracle = TreeCorpus::new(xks::xmltree::parse(&xml).unwrap());
+    let index = oracle.index();
+    for (keyword, _) in index.frequencies() {
+        let postings = index.postings(keyword);
+        assert_eq!(
+            source.try_keyword_deweys(keyword).unwrap(),
+            postings,
+            "{label}: postings of {keyword:?}"
+        );
+        let sealed = delta_from.is_some_and(|from| {
+            postings
+                .iter()
+                .all(|d| d.components().get(1).is_none_or(|&o| o < from))
+        });
+        let want = sealed.then(|| oracle.keyword_stats(keyword).unwrap());
+        assert_eq!(
+            source.keyword_stats(keyword),
+            want,
+            "{label}: stats of {keyword:?}"
+        );
+    }
+    let tree = oracle.tree();
+    assert_eq!(source.node_count(), tree.len(), "{label}: node count");
+    for id in tree.preorder() {
+        let dewey = &tree.node(id).dewey;
+        let want = oracle.try_element(dewey).unwrap().unwrap();
+        let got = source.try_element(dewey).unwrap().expect("node present");
+        assert_eq!(
+            source.label_name(got.label),
+            oracle.label_name(want.label),
+            "{label}: label of {dewey}"
+        );
+        assert_eq!(got.level, want.level, "{label}: level of {dewey}");
+        assert_eq!(
+            got.keyword_cid, want.keyword_cid,
+            "{label}: own feature of {dewey}"
+        );
+        assert_eq!(
+            source.try_keyword_node(dewey).unwrap(),
+            Some((got.label, got.keyword_cid)),
+            "{label}: keyword node {dewey}"
+        );
+    }
+}
+
+#[test]
+fn insert_only_histories_match_the_parsed_xml() {
+    let (root_label, pool) = document_pool();
+    for seed in [3u64, 11] {
+        let dir = scratch_dir(&format!("insert-only-seed{seed}"));
+        let mut gen = Gen(seed);
+        let mut corpus = MutableCorpus::create(&dir, &root_label).unwrap();
+        let mut inserted: Vec<String> = Vec::new();
+        let mut delta_from: Option<u32> = None;
+        for step in 0..48 {
+            match gen.below(100) {
+                0..=74 => {
+                    let xml = pool[inserted.len()].clone();
+                    corpus.insert_xml(&xml).unwrap();
+                    inserted.push(xml);
+                }
+                75..=89 => {
+                    corpus.compact(1 + gen.below(3) as usize).unwrap();
+                    delta_from = Some(inserted.len() as u32);
+                }
+                _ => {
+                    drop(corpus);
+                    corpus = MutableCorpus::open(&dir).unwrap();
+                }
+            }
+            if step % 8 == 7 {
+                assert_facts_match_tree(
+                    &format!("seed {seed}, step {step}"),
+                    corpus.source().as_ref(),
+                    &root_label,
+                    &inserted,
+                    delta_from,
+                );
+            }
+        }
+        drop(corpus);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+#[test]
+fn random_interleavings_match_rebuild_from_scratch() {
+    let (root_label, pool) = document_pool();
 
     for seed in [1u64, 7, 42] {
         let dir = scratch_dir(&format!("seed{seed}"));
