@@ -44,17 +44,17 @@ pub enum AnchorSemantics {
 /// Per-stage wall-clock timings of one run (for the Figure 5 harness).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimings {
-    /// `getKeywordNodes` (index resolution).
+    /// `getKeywordNodes` (index resolution, the excluded words included).
     pub get_keyword_nodes: Duration,
     /// `getLCA`.
     pub get_lca: Duration,
     /// `getRTF`.
     pub get_rtf: Duration,
-    /// `pruneRTF` (construction + pruning).
+    /// `pruneRTF` (construction + pruning, the operator checks
+    /// included).
     pub prune_rtf: Duration,
-    /// Everything after the paper's pipeline: the operator post-filter
-    /// stage (including its exclusion-posting lookups), ranking, and
-    /// hit materialization.
+    /// Everything after the paper's pipeline: ranking and hit
+    /// materialization.
     pub post_process: Duration,
 }
 

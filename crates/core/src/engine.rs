@@ -6,12 +6,12 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use xks_index::{InvertedIndex, KeywordNodeSets, Query, QuerySpec};
-use xks_lca::{QueryContext, SkeletonScratch};
+use xks_lca::{FilterScratch, QueryContext, SkeletonScratch};
 use xks_obs::{Counter, Histogram, Stage};
 use xks_xmltree::{Dewey, XmlTree};
 
 use crate::algorithms::{AnchorExec, AnchorSemantics, StageTimings};
-use crate::fragment::Fragment;
+use crate::fragment::{Fragment, Gate};
 use crate::metrics::{effectiveness, Effectiveness};
 use crate::plan::{choose_driver, choose_strategy, PlanReport, PlanStrategy};
 use crate::prune::Policy;
@@ -242,8 +242,9 @@ impl SearchEngine {
     /// [`crate::executor`] drives. Threads sharing one engine each
     /// bring their own context. One straight-line pipeline for every
     /// backend: `getKeywordNodes → plan → getLCA → getRTF → pruneRTF →
-    /// post-filter → rank`, the anchor stages allocation-free on a warm
-    /// context (asserted by the workspace's counting-allocator test).
+    /// rank`, the operator checks inside `pruneRTF`'s build loop, the
+    /// anchor stages allocation-free on a warm context (asserted by the
+    /// workspace's counting-allocator test).
     ///
     /// Every failure comes back typed: grammar errors as
     /// [`SearchError::Parse`] (from [`SearchRequest::parse`]), backend
@@ -286,14 +287,15 @@ impl SearchEngine {
         let exec_start = Instant::now();
         self.check_deadline(deadline, exec_start, "resolve", &stats)?;
 
-        // getKeywordNodes — the one stage that touches cold storage. A
-        // shard set skips the shards its keyword filters rule out.
+        // getKeywordNodes — the one stage that touches cold storage,
+        // excluded words included. A shard set skips the shards its
+        // keyword filters rule out.
         let t0 = Instant::now();
         let keywords = spec.query().keywords();
         if let Some(set) = self.shard_set() {
             stats.shards_skipped = keywords.iter().map(|kw| set.shard_skips(kw)).sum();
         }
-        let resolved = resolve(self.source(), spec.query(), ctx)?;
+        let resolved = resolve(self.source(), spec, ctx)?;
         timings.get_keyword_nodes = t0.elapsed();
         ctx.trace.record_since(Stage::Resolve, t0);
         let Some(sets) = resolved else {
@@ -339,7 +341,7 @@ impl SearchEngine {
                 traced.then_some(&mut layout_ns),
             )?;
             timings.prune_rtf = t.elapsed();
-            record_construct_prune(ctx, t, timings.prune_rtf, layout_ns);
+            record_construct_prune(ctx, t, timings.prune_rtf, layout_ns, None);
             self.metrics.observe(&timings, &stats, hits.len());
             return Ok(SearchResponse {
                 hits,
@@ -350,42 +352,41 @@ impl SearchEngine {
         }
 
         // pruneRTF — lay out, decide, emit, one RTF at a time in
-        // document order. A `max_fragments` cap with no post-filter to
-        // feed keeps exactly the first `cap` fragments, so only those
-        // are built.
+        // document order, each stopped at the first step where one of
+        // the query's operator constraints fails (see `Operators`;
+        // plain keyword queries check nothing). A `max_fragments` cap
+        // on a plain query keeps exactly the first `cap` fragments, so
+        // only those are built.
         let t = Instant::now();
         let build_count = match request.max_fragments_cap() {
             Some(cap) if spec.is_plain() => cap.min(rtf_count),
             _ => rtf_count,
         };
         let parts = Partitions::new(&ctx.anchors, &ctx.merged, &ctx.rtf);
+        let mut operators = (!spec.is_plain())
+            .then(|| Operators::new(spec, self.source(), &mut ctx.filters, traced));
         let mut fragments = Vec::with_capacity(build_count);
         for i in 0..build_count {
             if i > 0 && i.is_multiple_of(DEADLINE_STRIDE) {
                 self.check_deadline(deadline, exec_start, "construct", &stats)?;
             }
             let layout = traced.then_some(&mut layout_ns);
-            fragments.push(self.build(parts, i, kind.policy(), &mut ctx.skeleton, layout)?);
+            let skel = &mut ctx.skeleton;
+            match self.build(parts, i, kind.policy(), skel, layout, operators.as_mut())? {
+                Some(fragment) => fragments.push(fragment),
+                None => stats.filtered_out += 1,
+            }
         }
+        let filter_ns = operators.and_then(|ops| ops.spent_ns);
+        // A pooled context holds no query's excluded postings.
+        ctx.filters.exclusions.clear();
         timings.prune_rtf = t.elapsed();
-        record_construct_prune(ctx, t, timings.prune_rtf, layout_ns);
+        record_construct_prune(ctx, t, timings.prune_rtf, layout_ns, filter_ns);
         self.check_deadline(deadline, exec_start, "post_process", &stats)?;
 
         // Everything past the paper's pipeline is timed as the
-        // post-process stage: the operator filters (whose exclusion
-        // lookups are real backend reads), ranking, and hit assembly.
+        // post-process stage: ranking and hit assembly.
         let t = Instant::now();
-
-        // Operator post-filter stage: phrases, label filters,
-        // exclusions (no-op for plain keyword queries, which therefore
-        // reproduce the legacy path byte for byte).
-        if !spec.is_plain() && !fragments.is_empty() {
-            let before = fragments.len();
-            self.apply_post_filters(spec, &sets, &mut fragments)?;
-            stats.filtered_out = before - fragments.len();
-            ctx.trace.record_since(Stage::PostFilter, t);
-        }
-        let t_rank = Instant::now();
 
         // Shape the response: cap, rank, truncate, materialize hits.
         // RTFs the cap kept from being built still count.
@@ -417,7 +418,7 @@ impl SearchEngine {
                 .collect(),
         };
         timings.post_process = t.elapsed();
-        ctx.trace.record_since(Stage::Rank, t_rank);
+        ctx.trace.record_since(Stage::Rank, t);
         self.metrics.observe(&timings, &stats, hits.len());
         Ok(SearchResponse {
             hits,
@@ -586,7 +587,10 @@ impl SearchEngine {
                 continue;
             }
             let layout = layout_ns.as_deref_mut();
-            let fragment = self.build(parts, i, policy, &mut ctx.skeleton, layout)?;
+            let Some(fragment) = self.build(parts, i, policy, &mut ctx.skeleton, layout, None)?
+            else {
+                continue;
+            };
             let (score, signals) =
                 crate::rank::score_fragment(&fragment, k_query, &weights, max_depth);
             let pos = top_scores.partition_point(|&s| s >= score);
@@ -612,8 +616,9 @@ impl SearchEngine {
             .collect())
     }
 
-    /// [`Fragment::build`] over the source's node facts: partition
-    /// `i`, pruned under `policy`.
+    /// [`Fragment::build_gated`] over the source's node facts:
+    /// partition `i`, pruned under `policy` — or `None` when one of the
+    /// query's `operators` rejects it, at the earliest step that can.
     fn build(
         &self,
         parts: Partitions<'_>,
@@ -621,15 +626,27 @@ impl SearchEngine {
         policy: Policy,
         skel: &mut SkeletonScratch,
         layout_ns: Option<&mut u64>,
-    ) -> Result<Fragment, SearchError> {
+        mut operators: Option<&mut Operators<'_>>,
+    ) -> Result<Option<Fragment>, SearchError> {
+        if operators
+            .as_deref_mut()
+            .is_some_and(|ops| !ops.admits(parts, i))
+        {
+            return Ok(None);
+        }
         let (anchor, knodes) = (parts.anchor(i), parts.knodes(i));
-        Ok(Fragment::build(
+        Ok(Fragment::build_gated(
             self.source(),
             anchor,
             knodes,
             Some(policy),
             skel,
             layout_ns,
+            |gate, skel| {
+                operators
+                    .as_deref_mut()
+                    .is_none_or(|ops| ops.witnessed(gate, skel))
+            },
         )?)
     }
 
@@ -646,90 +663,6 @@ impl SearchEngine {
             set.map_or(0, |set| set.shard_count() as u32),
             |kw| set.map_or(0, |set| set.shard_skips(kw)),
         )?)
-    }
-
-    /// Drops every fragment violating an operator constraint. Phrases
-    /// demand one keyword node whose own content matches the whole
-    /// group; label filters demand the constrained keyword be matched
-    /// by a node with that label; exclusions reject any fragment whose
-    /// anchor subtree contains the excluded word.
-    fn apply_post_filters(
-        &self,
-        spec: &QuerySpec,
-        sets: &KeywordNodeSets,
-        fragments: &mut Vec<Fragment>,
-    ) -> Result<(), SearchError> {
-        use std::collections::HashMap;
-
-        let phrase_masks: Vec<u64> = spec
-            .phrases()
-            .iter()
-            .map(|group| group.iter().fold(0u64, |m, &p| m | (1 << p)))
-            .collect();
-        // Excluded keywords resolve like any other keyword; an absent
-        // word simply excludes nothing.
-        let exclusion_postings = spec
-            .exclusions()
-            .iter()
-            .map(|word| self.source.try_keyword_deweys(word))
-            .collect::<Result<Vec<Vec<Dewey>>, _>>()?;
-        // Label-name lookups cross the backend and lowercase a string;
-        // memoize per (filter, label id) so the walk below does integer
-        // compares after the first sighting of each label.
-        let mut label_memos: Vec<HashMap<u32, bool>> =
-            vec![HashMap::new(); spec.label_filters().len()];
-        // Per-fragment satisfaction flags, hoisted so retain reuses the
-        // buffers.
-        let mut phrase_ok: Vec<bool> = Vec::new();
-        let mut filter_ok: Vec<bool> = Vec::new();
-        fragments.retain(|fragment| {
-            phrase_ok.clear();
-            phrase_ok.resize(phrase_masks.len(), false);
-            filter_ok.clear();
-            filter_ok.resize(spec.label_filters().len(), false);
-            // One keyword-mask computation per node (it costs k binary
-            // searches over the posting lists), checked against every
-            // constraint in the same walk.
-            for n in fragment.iter() {
-                if !n.is_keyword {
-                    continue;
-                }
-                let mask = sets.keyword_mask(&n.dewey);
-                for (ok, &group) in phrase_ok.iter_mut().zip(&phrase_masks) {
-                    if !*ok && mask & group == group {
-                        *ok = true;
-                    }
-                }
-                for ((ok, filter), memo) in filter_ok
-                    .iter_mut()
-                    .zip(spec.label_filters())
-                    .zip(label_memos.iter_mut())
-                {
-                    if !*ok
-                        && mask & (1 << filter.position) != 0
-                        && *memo
-                            .entry(n.label.as_u32())
-                            .or_insert_with(|| self.label_name_matches(n.label, &filter.label))
-                    {
-                        *ok = true;
-                    }
-                }
-            }
-            phrase_ok.iter().all(|&ok| ok)
-                && filter_ok.iter().all(|&ok| ok)
-                && !exclusion_postings
-                    .iter()
-                    .any(|list| subtree_contains(&fragment.anchor, list))
-        });
-        Ok(())
-    }
-
-    /// Case-insensitive label comparison through the source's label
-    /// table (`want` is already lowercased by the grammar).
-    fn label_name_matches(&self, label: xks_xmltree::LabelId, want: &str) -> bool {
-        self.source
-            .label_name(label.as_u32())
-            .is_some_and(|name| name.to_lowercase() == want)
     }
 
     /// Takes a warm context from the pool (or makes a fresh one). The
@@ -870,36 +803,192 @@ impl EngineMetrics {
 /// `getKeywordNodes`: the same loop as the default
 /// `CorpusSource::try_resolve` (empty list ⇒ `None`), with one
 /// [`Stage::PostingsDecode`] span per keyword when the trace is armed.
+/// Once every positive keyword has matched, the excluded words'
+/// postings are read the same way into `ctx.filters` (an absent word
+/// excludes nothing).
 fn resolve(
     source: &dyn CorpusSource,
-    query: &Query,
+    spec: &QuerySpec,
     ctx: &mut QueryContext,
 ) -> Result<Option<KeywordNodeSets>, SearchError> {
+    let mut read = |word: &str| -> Result<Vec<Dewey>, SearchError> {
+        let t = Instant::now();
+        let list = source.try_keyword_deweys(word)?;
+        ctx.trace.record_since(Stage::PostingsDecode, t);
+        Ok(list)
+    };
+    let query = spec.query();
     let mut sets = Vec::with_capacity(query.len());
     for kw in query.keywords() {
-        let t = Instant::now();
-        let list = source.try_keyword_deweys(kw)?;
-        ctx.trace.record_since(Stage::PostingsDecode, t);
+        let list = read(kw)?;
         if list.is_empty() {
             return Ok(None);
         }
         sets.push(list);
     }
+    ctx.filters.exclusions.clear();
+    for word in spec.exclusions() {
+        let list = read(word)?;
+        ctx.filters.exclusions.push(list);
+    }
     Ok(Some(KeywordNodeSets::new(query.clone(), sets)))
 }
 
+/// A query's operator constraints (docs/API.md, "Operator semantics
+/// over fragments"), checked per RTF inside the build loop at the
+/// earliest step where each is exact:
+///
+/// * an exclusion depends only on the anchor: decided before the
+///   layout, with no storage lookup;
+/// * a phrase needs one keyword node whose own mask covers the group,
+///   and a pruned fragment's keyword nodes are a subset of its RTF's:
+///   when no keyword node of the partition covers a group, the RTF is
+///   rejected before the layout;
+/// * a label filter needs the label of a keyword node, which the
+///   layout fetches: decided on the raw skeleton, before the decision;
+/// * phrases and labels are checked once more on the decided skeleton
+///   before anything is emitted, since pruning can remove a witness.
+struct Operators<'a> {
+    spec: &'a QuerySpec,
+    source: &'a dyn CorpusSource,
+    scratch: &'a mut FilterScratch,
+    /// Nanoseconds spent in the checks — traced queries only.
+    spent_ns: Option<u64>,
+}
+
+impl<'a> Operators<'a> {
+    /// The checks of `spec`. Its exclusion postings are already in
+    /// `scratch` (read by [`resolve`]).
+    fn new(
+        spec: &'a QuerySpec,
+        source: &'a dyn CorpusSource,
+        scratch: &'a mut FilterScratch,
+        traced: bool,
+    ) -> Self {
+        scratch.phrases.clear();
+        scratch.phrases.extend(
+            spec.phrases()
+                .iter()
+                .map(|group| group.iter().fold(0u64, |m, &p| m | (1 << p))),
+        );
+        scratch.labels.clear();
+        Operators {
+            spec,
+            source,
+            scratch,
+            spent_ns: traced.then_some(0),
+        }
+    }
+
+    /// Runs `check`, adding its duration to `spent_ns` when traced.
+    fn timed(&mut self, check: impl FnOnce(&mut Self) -> bool) -> bool {
+        if self.spent_ns.is_none() {
+            return check(self);
+        }
+        let t = Instant::now();
+        let pass = check(self);
+        let ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.spent_ns = self.spent_ns.map(|spent| spent.saturating_add(ns));
+        pass
+    }
+
+    /// Whether RTF `i` passes the checks decided before its layout: no
+    /// excluded word under the anchor, and every phrase group covered
+    /// by one keyword node of the partition.
+    fn admits(&mut self, parts: Partitions<'_>, i: usize) -> bool {
+        if self.scratch.exclusions.is_empty() && self.scratch.phrases.is_empty() {
+            return true;
+        }
+        self.timed(|ops| {
+            let anchor = parts.anchor(i);
+            !ops.scratch
+                .exclusions
+                .iter()
+                .any(|list| subtree_contains(anchor, list))
+                && ops
+                    .scratch
+                    .phrases
+                    .iter()
+                    .all(|&group| parts.knodes(i).any(|(_, mask)| mask.0 & group == group))
+        })
+    }
+
+    /// Whether the keyword nodes of `skel` witness every label filter
+    /// and, once decided, every phrase: after the layout each keyword
+    /// node is a candidate witness, after the decision only the kept
+    /// ones. Label names are compared once per (filter, label) and
+    /// query.
+    fn witnessed(&mut self, gate: Gate, skel: &SkeletonScratch) -> bool {
+        let phrases = gate == Gate::Decided && !self.scratch.phrases.is_empty();
+        if !phrases && self.spec.label_filters().is_empty() {
+            return true;
+        }
+        self.timed(|ops| {
+            let Operators {
+                spec,
+                source,
+                scratch,
+                ..
+            } = ops;
+            let witnesses = || {
+                skel.nodes
+                    .iter()
+                    .filter(|n| n.is_keyword && (gate == Gate::LaidOut || n.kept))
+            };
+            let phrases_met = !phrases
+                || scratch
+                    .phrases
+                    .iter()
+                    .all(|&group| witnesses().any(|n| n.own & group == group));
+            phrases_met
+                && spec.label_filters().iter().enumerate().all(|(f, filter)| {
+                    let bit = 1u64 << filter.position;
+                    witnesses().any(|n| {
+                        n.own & bit != 0
+                            && *scratch
+                                .labels
+                                .entry((f as u64) << 32 | u64::from(n.label))
+                                .or_insert_with(|| {
+                                    label_name_matches(*source, n.label, &filter.label)
+                                })
+                    })
+                })
+        })
+    }
+}
+
+/// Case-insensitive label comparison through the source's label table
+/// (`want` is already lowercased by the grammar).
+fn label_name_matches(source: &dyn CorpusSource, label: u32, want: &str) -> bool {
+    source
+        .label_name(label)
+        .is_some_and(|name| name.to_lowercase() == want)
+}
+
 /// Records a construct-and-prune stage that started at `start` and
-/// took `stage`: one construct span of the summed layout time, the rest
-/// as the prune span, laid end to end from the stage start (the steps
-/// interleave per anchor, so honest per-iteration spans would explode
-/// the span buffer). A no-op on an untraced context.
-fn record_construct_prune(ctx: &mut QueryContext, start: Instant, stage: Duration, layout_ns: u64) {
+/// took `stage`: one construct span of the summed layout time, one
+/// post-filter span of the summed operator checks (`filter_ns`, only
+/// for a query with operators), the rest as the prune span, laid end to
+/// end from the stage start (the steps interleave per anchor, so honest
+/// per-iteration spans would explode the span buffer). A no-op on an
+/// untraced context.
+fn record_construct_prune(
+    ctx: &mut QueryContext,
+    start: Instant,
+    stage: Duration,
+    layout_ns: u64,
+    filter_ns: Option<u64>,
+) {
     let stage_ns = u64::try_from(stage.as_nanos()).unwrap_or(u64::MAX);
-    let base = ctx.trace.offset_ns(start);
-    ctx.trace.record_manual(Stage::Construct, base, layout_ns);
-    let prune_ns = stage_ns.saturating_sub(layout_ns);
-    ctx.trace
-        .record_manual(Stage::Prune, base + layout_ns, prune_ns);
+    let mut at = ctx.trace.offset_ns(start);
+    ctx.trace.record_manual(Stage::Construct, at, layout_ns);
+    at += layout_ns;
+    if let Some(filter_ns) = filter_ns {
+        ctx.trace.record_manual(Stage::PostFilter, at, filter_ns);
+        at += filter_ns;
+    }
+    let prune_ns = stage_ns.saturating_sub(layout_ns + filter_ns.unwrap_or(0));
+    ctx.trace.record_manual(Stage::Prune, at, prune_ns);
 }
 
 /// Clones the context's trace into the response (traced requests only)
@@ -1046,12 +1135,13 @@ mod tests {
         assert!(!r.stats.truncated);
     }
 
-    /// A corpus that counts the construct stage's keyword-node lookups
-    /// and can make each one slow.
+    /// A corpus that counts the construct stage's lookups and can make
+    /// each keyword-node lookup slow.
     #[derive(Debug)]
     struct ProbedCorpus {
         inner: MemoryCorpus,
         keyword_nodes: Arc<std::sync::atomic::AtomicUsize>,
+        labels: Arc<std::sync::atomic::AtomicUsize>,
         nap: Duration,
     }
 
@@ -1063,6 +1153,8 @@ mod tests {
             self.inner.try_element(dewey)
         }
         fn try_element_label(&self, dewey: &Dewey) -> Result<Option<u32>, SourceError> {
+            self.labels
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             self.inner.try_element_label(dewey)
         }
         fn label_name(&self, label: u32) -> Option<String> {
@@ -1082,14 +1174,26 @@ mod tests {
         }
     }
 
-    fn probed_engine(tree: &XmlTree, nap: Duration) -> (SearchEngine, impl Fn() -> usize) {
+    /// The lookups a [`ProbedCorpus`] served since they were last read.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+    struct Lookups {
+        keyword_nodes: usize,
+        labels: usize,
+    }
+
+    fn probed_engine(tree: &XmlTree, nap: Duration) -> (SearchEngine, impl Fn() -> Lookups) {
         let keyword_nodes = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let labels = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let engine = SearchEngine::from_owned_source(ProbedCorpus {
             inner: MemoryCorpus::new(xks_store::shred(tree)),
             keyword_nodes: Arc::clone(&keyword_nodes),
+            labels: Arc::clone(&labels),
             nap,
         });
-        let lookups = move || keyword_nodes.swap(0, std::sync::atomic::Ordering::Relaxed);
+        let lookups = move || Lookups {
+            keyword_nodes: keyword_nodes.swap(0, std::sync::atomic::Ordering::Relaxed),
+            labels: labels.swap(0, std::sync::atomic::Ordering::Relaxed),
+        };
         (engine, lookups)
     }
 
@@ -1098,7 +1202,7 @@ mod tests {
         let (engine, lookups) = probed_engine(&publications(), Duration::ZERO);
         let all = engine.execute(&req("liu keyword")).unwrap();
         assert_eq!(all.hits.len(), 2);
-        let all_lookups = lookups();
+        let all_lookups = lookups().keyword_nodes;
         let r = engine
             .execute(&req("liu keyword").max_fragments(1))
             .unwrap();
@@ -1115,17 +1219,17 @@ mod tests {
         // Only the fragment under the cap was built: storage saw its
         // keyword nodes (nothing is pruned from it) and no others.
         let first = r.hits[0].fragment.iter().filter(|n| n.is_keyword).count();
-        assert_eq!(lookups(), first);
+        assert_eq!(lookups().keyword_nodes, first);
         assert!(first < all_lookups);
-        // A post-filter must see every fragment before the cap applies:
-        // the first fragment holds no <ref> matching "liu", the second
-        // does, and capping early would have lost it.
+        // A label filter must see every RTF before the cap applies: the
+        // first holds no <ref> matching "liu", the second does, and
+        // capping early would have lost it.
         let filtered = engine
             .execute(&req("ref:liu keyword").max_fragments(1))
             .unwrap();
         assert_eq!(filtered.hits.len(), 1);
         assert_eq!(filtered.hits[0].fragment.anchor.to_string(), "0.2.0.3.0");
-        assert_eq!(lookups(), all_lookups);
+        assert_eq!(lookups().keyword_nodes, all_lookups);
     }
 
     #[test]
@@ -1152,7 +1256,7 @@ mod tests {
         );
         // It fired mid-stage, and the overshoot is what is built between
         // two checks — not the 800 fragments that were left.
-        let built = lookups();
+        let built = lookups().keyword_nodes;
         assert!(built >= DEADLINE_STRIDE, "built {built}");
         assert!(
             built <= budget.as_millis() as usize + DEADLINE_STRIDE,
@@ -1230,6 +1334,39 @@ mod tests {
     }
 
     #[test]
+    fn pruning_can_remove_the_only_witness() {
+        // The first <sec> holds the phrase and the <title>, but its
+        // keyword set {rust, async} is a strict subset of its sibling's
+        // {rust, async, tokio}: both policies prune it, so the raw RTF
+        // passes every check and its pruned fragment none.
+        let engine = SearchEngine::new(
+            xks_xmltree::parse(
+                "<lib><rec>\
+                 <sec><title>rust async</title></sec>\
+                 <sec><p>rust</p><p>async</p><p>tokio</p></sec>\
+                 <x>mio</x>\
+                 </rec></lib>",
+            )
+            .unwrap(),
+        );
+        for kind in [AlgorithmKind::ValidRtf, AlgorithmKind::MaxMatchRtf] {
+            let plain = engine
+                .execute(&req("rust async tokio mio").algorithm(kind))
+                .unwrap();
+            assert_eq!(plain.hits.len(), 1);
+            assert!(!plain.hits[0].fragment.contains(&"0.0.0".parse().unwrap()));
+            for text in ["\"rust async\" tokio mio", "title:rust async tokio mio"] {
+                let r = engine.execute(&req(text).algorithm(kind)).unwrap();
+                assert_eq!((r.hits.len(), r.stats.filtered_out), (0, 1), "{text}");
+            }
+            let r = engine
+                .execute(&req("p:rust async tokio mio").algorithm(kind))
+                .unwrap();
+            assert_eq!(r.hits, plain.hits, "a surviving witness keeps it");
+        }
+    }
+
+    #[test]
     fn exclusion_rejects_fragments_containing_the_word() {
         let engine = SearchEngine::new(library());
         // "chen" occurs only in book 2's subtree — and in a node that
@@ -1241,6 +1378,50 @@ mod tests {
         // Excluding an absent word excludes nothing.
         let r = engine.execute(&req("rust async -cobol")).unwrap();
         assert_eq!(r.hits.len(), 2);
+    }
+
+    #[test]
+    fn rejected_rtfs_cost_no_lookups() {
+        let (engine, lookups) = probed_engine(&library(), Duration::ZERO);
+        // An exclusion and a phrase decide before the layout: the only
+        // RTF of each query costs storage nothing.
+        for text in ["rust liu -async", "\"rust liu\""] {
+            let r = engine.execute(&req(text)).unwrap();
+            assert_eq!((r.hits.len(), r.stats.filtered_out), (0, 1), "{text}");
+            assert_eq!(lookups(), Lookups::default(), "{text}");
+        }
+        // Where some RTFs survive, the query costs what building the
+        // listed ones alone does: the survivors, plus the label-rejected
+        // RTF, which is laid out but never emitted.
+        let mut ctx = QueryContext::new();
+        for (text, built, survivor) in [
+            ("rust async -chen", &["0.0.0"][..], "0.0.0"),
+            ("\"rust async\"", &["0.0.0"][..], "0.0.0"),
+            ("rust title:async", &["0.0.0", "0.1"][..], "0.0.0"),
+        ] {
+            let r = engine.execute_with(&req(text), &mut ctx).unwrap();
+            let spent = lookups();
+            let anchors: Vec<String> = r
+                .hits
+                .iter()
+                .map(|h| h.fragment.anchor.to_string())
+                .collect();
+            assert_eq!(anchors, [survivor], "{text}");
+            assert_eq!(r.stats.filtered_out, 1, "{text}");
+            assert_eq!(r.stats.total_before_top_k, 1, "{text}");
+            let parts = Partitions::new(&ctx.anchors, &ctx.merged, &ctx.rtf);
+            assert_eq!(parts.len(), 2, "{text}");
+            let mut skel = SkeletonScratch::default();
+            for i in 0..parts.len() {
+                if built.contains(&parts.anchor(i).to_string().as_str()) {
+                    let (anchor, knodes) = (parts.anchor(i), parts.knodes(i));
+                    Fragment::build(engine.source(), anchor, knodes, None, &mut skel, None)
+                        .unwrap();
+                }
+            }
+            assert_eq!(spent, lookups(), "{text}");
+            assert!(spent.keyword_nodes > 0, "{text}");
+        }
     }
 
     #[test]
@@ -1344,8 +1525,8 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, SearchError::Backend(_)), "{err}");
         assert!(err.to_string().contains("element"));
-        // Exclusion resolution failure (post-filter stage): positive
-        // keywords resolve fine, only the excluded word's lookup dies.
+        // Exclusion resolution failure: positive keywords resolve
+        // fine, only the excluded word's lookup dies.
         let engine = failing_engine(Failures {
             keyword: Some("chen"),
             ..Failures::default()

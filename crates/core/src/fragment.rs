@@ -23,6 +23,10 @@
 //! 2. [`crate::prune::decide`] marks the survivors over the skeleton.
 //! 3. [`emit`] materializes only the survivors, once, into an exactly
 //!    sized node vector.
+//!
+//! A caller may stop a fragment after either of the first two steps
+//! ([`Fragment::build_gated`]): the engine's operator checks reject an
+//! RTF there, before anything is emitted.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -194,8 +198,10 @@ pub fn lay_out<'k>(
             open(facts, skel, dewey, open_len == comps.len())?;
         }
         let node = top(skel);
-        debug_assert!(skel.nodes[node].is_keyword && &skel.nodes[node].dewey == kd);
-        skel.nodes[node].kset |= mask.0;
+        let node = &mut skel.nodes[node];
+        debug_assert!(node.is_keyword && &node.dewey == kd);
+        node.kset |= mask.0;
+        node.own = mask.0;
     }
     while !skel.order.is_empty() {
         close(skel);
@@ -323,6 +329,15 @@ pub fn emit(skel: &mut SkeletonScratch, anchor: &Dewey) -> Fragment {
     }
 }
 
+/// Where [`Fragment::build_gated`] asks its caller whether to go on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Gate {
+    /// The raw fragment is laid out; nothing is decided yet.
+    LaidOut,
+    /// The survivors are marked `kept`; nothing is emitted yet.
+    Decided,
+}
+
 impl Fragment {
     /// **The** builder every fragment comes out of: lays out the raw
     /// fragment of `anchor` and `knodes`, prunes it under `policy`
@@ -339,17 +354,39 @@ impl Fragment {
         skel: &mut SkeletonScratch,
         layout_ns: Option<&mut u64>,
     ) -> Result<Self, SourceError> {
+        let built = Self::build_gated(facts, anchor, knodes, policy, skel, layout_ns, |_, _| true)?;
+        Ok(built.expect("an open gate stops no fragment"))
+    }
+
+    /// [`Fragment::build`] with a `gate` asked after the layout and
+    /// after the decision: a `false` answer stops the fragment there
+    /// (`Ok(None)`), before the emit step allocates anything.
+    pub fn build_gated<'k>(
+        facts: &(impl NodeFacts + ?Sized),
+        anchor: &Dewey,
+        knodes: impl Iterator<Item = (&'k Dewey, KeySet)>,
+        policy: Option<Policy>,
+        skel: &mut SkeletonScratch,
+        layout_ns: Option<&mut u64>,
+        mut gate: impl FnMut(Gate, &SkeletonScratch) -> bool,
+    ) -> Result<Option<Self>, SourceError> {
         let started = layout_ns.map(|total| (total, Instant::now()));
         lay_out(facts, anchor, knodes, skel)?;
         if let Some((total, started)) = started {
             let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             *total = total.saturating_add(ns);
         }
+        if !gate(Gate::LaidOut, skel) {
+            return Ok(None);
+        }
         match policy {
             Some(policy) => decide(skel, policy),
             None => skel.nodes.iter_mut().for_each(|n| n.kept = true),
         }
-        Ok(emit(skel, anchor))
+        if !gate(Gate::Decided, skel) {
+            return Ok(None);
+        }
+        Ok(Some(emit(skel, anchor)))
     }
 
     /// Builds the raw fragment for one RTF — the constructing step —

@@ -355,11 +355,11 @@ pub struct Hit {
 pub struct SearchStats {
     /// True when `top_k` / `max_fragments` cut hits away.
     pub truncated: bool,
-    /// Meaningful fragments that survived the post-filter stage,
-    /// before any truncation.
+    /// Meaningful fragments that passed the operator checks, before
+    /// any truncation.
     pub total_before_top_k: usize,
-    /// Fragments removed by the operator post-filters (phrase,
-    /// exclusion, label).
+    /// RTFs rejected by the operator checks (phrase, exclusion,
+    /// label).
     pub filtered_out: usize,
     /// Query terms the parser dropped as duplicates (raw, as typed).
     pub dropped_terms: Vec<String>,

@@ -12,13 +12,13 @@
 //! | `label:word`  | the word must be matched by a node labeled `label`  |
 //!
 //! Parsing **lowers** every positive term (plain, phrase, labeled) into
-//! the keyword list of an ordinary [`Query`] — stage 1–4 of the
-//! pipeline run unchanged — and records the operators as *post-filter*
-//! constraints ([`QuerySpec::phrases`], [`QuerySpec::exclusions`],
-//! [`QuerySpec::label_filters`]) that the execution layer applies to
-//! the finished fragments. A plain keyword query therefore lowers to
-//! exactly the same [`Query`] the legacy path parsed, byte-identical
-//! results included.
+//! the keyword list of an ordinary [`Query`] — stage 1–3 of the
+//! pipeline run unchanged — and records the operators as constraints
+//! ([`QuerySpec::phrases`], [`QuerySpec::exclusions`],
+//! [`QuerySpec::label_filters`]) that the execution layer checks per
+//! RTF while it builds the fragments. A plain keyword query therefore
+//! lowers to exactly the same [`Query`] the legacy path parsed,
+//! byte-identical results included.
 //!
 //! Errors are typed ([`ParseError`]); terms the parser drops or
 //! rewrites (duplicates, case folding) are reported in the
@@ -166,7 +166,7 @@ impl From<QueryError> for ParseError {
 }
 
 /// A parsed operator-grammar query: the lowered flat [`Query`] plus the
-/// post-filter constraints and the parse report.
+/// operator constraints and the parse report.
 ///
 /// Equality ignores the [`ParseReport`] (a spec re-parsed from its own
 /// [`fmt::Display`] output has nothing left to normalize but denotes
@@ -255,8 +255,8 @@ impl QuerySpec {
         &self.report
     }
 
-    /// True when the spec carries no operators — the pipeline needs no
-    /// post-filter stage and behaves exactly like the legacy flat path.
+    /// True when the spec carries no operators — the pipeline checks
+    /// nothing and behaves exactly like the legacy flat path.
     #[must_use]
     pub fn is_plain(&self) -> bool {
         self.phrases.is_empty() && self.label_filters.is_empty() && self.exclusions.is_empty()

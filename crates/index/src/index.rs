@@ -223,19 +223,6 @@ impl KeywordNodeSets {
         all.dedup();
         all
     }
-
-    /// The bitmask of keywords contained by node `dewey` (bit `i` set iff
-    /// `dewey ∈ D_i`). This is the per-node `kList` seed of §4.1.
-    #[must_use]
-    pub fn keyword_mask(&self, dewey: &Dewey) -> u64 {
-        let mut mask = 0u64;
-        for (i, set) in self.sets.iter().enumerate() {
-            if set.binary_search(dewey).is_ok() {
-                mask |= 1 << i;
-            }
-        }
-        mask
-    }
 }
 
 #[cfg(test)]
@@ -300,18 +287,6 @@ mod tests {
             .collect();
         // Union of {name, ref} and {title, abstract, ref}, dedup'd.
         assert_eq!(all, ["0.2.0.0.0.0", "0.2.0.1", "0.2.0.2", "0.2.0.3.0"]);
-    }
-
-    #[test]
-    fn keyword_mask_sets_bits() {
-        let i = idx();
-        let sets = i.resolve(&q("liu keyword")).unwrap();
-        let r: Dewey = "0.2.0.3.0".parse().unwrap();
-        assert_eq!(sets.keyword_mask(&r), 0b11); // ref contains both
-        let n: Dewey = "0.2.0.0.0.0".parse().unwrap();
-        assert_eq!(sets.keyword_mask(&n), 0b01); // name contains liu only
-        let other: Dewey = "0.1".parse().unwrap();
-        assert_eq!(sets.keyword_mask(&other), 0);
     }
 
     #[test]

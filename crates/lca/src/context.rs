@@ -16,6 +16,7 @@
 //! [`slca_into_context`] can accept it directly and higher layers
 //! (`validrtf`'s engine and executor) reuse the same type.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use xks_xmltree::Dewey;
@@ -72,6 +73,9 @@ pub struct SkelNode {
     pub label: u32,
     /// Keyword mask of the subtree within the fragment.
     pub kset: u64,
+    /// The keywords the node itself contains (its mask in the merged
+    /// stream); 0 for a path node.
+    pub own: u64,
     /// Index of the parent ([`NONE`] for the anchor).
     pub parent: u32,
     /// Index of the next sibling, or [`NONE`]. A node's first child,
@@ -99,6 +103,7 @@ impl Default for SkelNode {
             dewey: Dewey::empty(),
             label: 0,
             kset: 0,
+            own: 0,
             parent: NONE,
             next_sibling: NONE,
             last_child: NONE,
@@ -136,6 +141,20 @@ pub struct SkeletonScratch {
     pub feature_probes: u64,
 }
 
+/// Buffers of a query's operator checks — phrases, label filters,
+/// exclusions (see `validrtf::engine`): filled once per query, read
+/// per RTF inside the build loop.
+#[derive(Debug, Default)]
+pub struct FilterScratch {
+    /// One keyword mask per phrase group.
+    pub phrases: Vec<u64>,
+    /// The excluded words' posting lists, in document order.
+    pub exclusions: Vec<Vec<Dewey>>,
+    /// Label verdicts of the current query, keyed `filter << 32 |
+    /// label id`: whether the label's name is the filter's label.
+    pub labels: HashMap<u64, bool>,
+}
+
 /// Working buffers reused across queries by **one thread** (or one
 /// single-threaded engine).
 ///
@@ -159,6 +178,9 @@ pub struct QueryContext {
     /// The flat raw fragment `pruneRTF` decides over, one fragment at
     /// a time.
     pub skeleton: SkeletonScratch,
+    /// The operator checks' phrase masks, exclusion postings and label
+    /// verdicts; untouched by plain keyword queries.
+    pub filters: FilterScratch,
     /// Scratch buffers for the planner's galloping anchor pass
     /// ([`planned_elca_into_context`]); untouched on the legacy merge
     /// path.

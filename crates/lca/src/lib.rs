@@ -34,7 +34,7 @@ pub mod slca;
 pub use common::{merge_postings, merge_postings_into, push_frontier, remove_ancestors};
 pub use context::{
     elca_into_context, planned_elca_into_context, planned_slca_into_context, slca_into_context,
-    QueryContext, RtfScratch, SkelNode, SkeletonScratch, SweepEntry, NONE,
+    FilterScratch, QueryContext, RtfScratch, SkelNode, SkeletonScratch, SweepEntry, NONE,
 };
 pub use elca::{elca_from_merged, elca_stack, ElcaScratch};
 pub use gallop::{extract_anchored_into, gallop_elca, GallopScratch};

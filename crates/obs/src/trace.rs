@@ -44,7 +44,8 @@ pub enum Stage {
     Construct,
     /// Fragment pruning (`pruneRTF`).
     Prune,
-    /// Post-filter evaluation.
+    /// The operator checks (phrase, label, exclusion), run per RTF
+    /// inside the build loop.
     PostFilter,
     /// Ranking, top-k selection, and hit materialization.
     Rank,

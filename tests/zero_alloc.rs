@@ -23,7 +23,8 @@
 //!    allocations and emitting a
 //!    fragment performs exactly one — however many raw nodes the
 //!    decision discarded — and the request path built on them reaches
-//!    a steady state;
+//!    a steady state, a request with phrase, label and exclusion
+//!    operators included (its rejected fragments are never emitted);
 //! 6. stage tracing adds nothing to that;
 //! 7. rendering a response allocates a small constant number of times
 //!    (at most 48), whether it carries 1 hit or 7 454.
@@ -327,6 +328,40 @@ fn warm_query_hot_path_is_allocation_free() {
     assert_eq!(
         warm1, warm2,
         "warm execute_with must be in steady state: no per-query scratch growth"
+    );
+
+    // Operator checks keep the steady state: their phrase masks,
+    // exclusion lists and label verdicts live in the context, so a
+    // warm phrase + label + exclusion request allocates the same count
+    // every time.
+    let operators =
+        SearchRequest::parse("\"data algorithm\" title:algorithm -journal").expect("parses");
+    let run_operators = |ctx: &mut QueryContext| {
+        engine
+            .execute_with(&operators, ctx)
+            .expect("memory backend cannot fail")
+            .stats
+    };
+    let stats = run_operators(&mut ctx);
+    assert!(
+        stats.total_before_top_k > 0 && stats.filtered_out > 0,
+        "the request must keep some fragments and reject others ({stats:?})"
+    );
+    let ops1 = count_allocs(|| drop(run_operators(&mut ctx)));
+    let ops2 = count_allocs(|| drop(run_operators(&mut ctx)));
+    assert_eq!(
+        ops1, ops2,
+        "warm operator request must be in steady state: no per-query scratch growth"
+    );
+    // Against the plain request over the same keywords: no rejected
+    // fragment is emitted, the excluded word's postings are one list,
+    // and the one label the keyword nodes carry (`title`) is named and
+    // lowercased once per query.
+    let expected = warm1 - stats.filtered_out as u64 + 1 + 2;
+    assert_eq!(
+        ops1, expected,
+        "operator request allocated {ops1} times (plain {warm1}, {} rejected)",
+        stats.filtered_out
     );
 
     // ---- 6. Stage tracing adds zero allocations to the warm path ------
