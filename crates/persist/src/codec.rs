@@ -2,8 +2,19 @@
 //! content features, CRC-32, and prefix-delta Dewey posting lists.
 //!
 //! All multi-byte fixed-width integers in the format are little-endian;
-//! everything variable-length goes through the varint below.
+//! everything variable-length goes through the varint below. Every
+//! decoder of `.xks`, `.xksm` and WAL bytes reads through one
+//! [`ByteReader`], and this module, like the other decoder modules,
+//! denies the lints that would let a read panic.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
+
+use validrtf::fragment::Cid;
 use xks_xmltree::{Dewey, DeweyListBuf};
 
 use crate::error::PersistError;
@@ -23,57 +34,12 @@ pub fn put_varint(out: &mut Vec<u8>, mut value: u64) {
     }
 }
 
-/// Decodes an LEB128 varint from `bytes[*pos..]`, advancing `pos`.
-pub fn get_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, PersistError> {
-    let mut value: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let Some(&byte) = bytes.get(*pos) else {
-            return Err(PersistError::Truncated {
-                what: "varint ran past the end of its section",
-            });
-        };
-        *pos += 1;
-        if shift == 63 && byte > 1 {
-            return Err(PersistError::Corrupt {
-                what: "varint overflows u64".to_owned(),
-            });
-        }
-        value |= u64::from(byte & 0x7F) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(value);
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(PersistError::Corrupt {
-                what: "varint longer than 10 bytes".to_owned(),
-            });
-        }
-    }
-}
-
 // ---------------------------------------------------------------- strings
 
 /// Appends a length-prefixed UTF-8 string.
 pub fn put_str(out: &mut Vec<u8>, s: &str) {
     put_varint(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
-}
-
-/// Decodes a length-prefixed UTF-8 string.
-pub fn get_str(bytes: &[u8], pos: &mut usize) -> Result<String, PersistError> {
-    let len = get_varint(bytes, pos)? as usize;
-    let end =
-        pos.checked_add(len)
-            .filter(|&e| e <= bytes.len())
-            .ok_or(PersistError::Truncated {
-                what: "string ran past the end of its section",
-            })?;
-    let s = std::str::from_utf8(&bytes[*pos..end]).map_err(|_| PersistError::Corrupt {
-        what: "string is not valid UTF-8".to_owned(),
-    })?;
-    *pos = end;
-    Ok(s.to_owned())
 }
 
 // --------------------------------------------------- optional (min, max)
@@ -87,27 +53,6 @@ pub fn put_cid(out: &mut Vec<u8>, cid: &Option<(String, String)>) {
             put_str(out, min);
             put_str(out, max);
         }
-    }
-}
-
-/// Decodes an optional `(min, max)` content feature.
-pub fn get_cid(bytes: &[u8], pos: &mut usize) -> Result<Option<(String, String)>, PersistError> {
-    let Some(&tag) = bytes.get(*pos) else {
-        return Err(PersistError::Truncated {
-            what: "content-feature tag missing",
-        });
-    };
-    *pos += 1;
-    match tag {
-        0 => Ok(None),
-        1 => {
-            let min = get_str(bytes, pos)?;
-            let max = get_str(bytes, pos)?;
-            Ok(Some((min, max)))
-        }
-        other => Err(PersistError::Corrupt {
-            what: format!("content-feature tag {other} (expected 0 or 1)"),
-        }),
     }
 }
 
@@ -144,7 +89,10 @@ impl Crc32 {
     pub fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
             let idx = ((self.state ^ u32::from(b)) & 0xFF) as usize;
-            self.state = CRC_TABLE[idx] ^ (self.state >> 8);
+            // The mask keeps `idx` below the table's 256 entries.
+            #[allow(clippy::indexing_slicing)]
+            let entry = CRC_TABLE[idx];
+            self.state = entry ^ (self.state >> 8);
         }
     }
 
@@ -157,6 +105,8 @@ impl Crc32 {
 
 const CRC_TABLE: [u32; 256] = build_crc_table();
 
+// The loop bound keeps `i` below the table's 256 entries.
+#[allow(clippy::indexing_slicing)]
 const fn build_crc_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -196,95 +146,308 @@ pub fn put_postings(out: &mut Vec<u8>, deweys: &[Dewey]) {
             .count();
         // Writers dedup, so after the first entry every tail is
         // non-empty and diverges upward — which is exactly what
-        // `get_postings` enforces on the way back in.
+        // `ByteReader::postings_into` enforces on the way back in.
         put_varint(out, shared as u64);
         put_varint(out, (comps.len() - shared) as u64);
-        for &c in &comps[shared..] {
+        for &c in comps.iter().skip(shared) {
             put_varint(out, u64::from(c));
         }
         prev = comps;
     }
 }
 
-/// Decodes a prefix-delta posting list into a flat [`DeweyListBuf`]
-/// arena, enforcing the writer's contract that codes are **strictly
-/// ascending in document order** (deduplicated). Postings live in the
-/// one paged section, which is not checksummed per lookup, so this
-/// ordering check is what turns a bit flip that survives varint framing
-/// into a typed error instead of a silently reordered result list.
-///
-/// The arena is cleared first and rebuilt in place: the shared prefix
-/// of each code is copied from its predecessor *within the arena*
-/// (`copy_prefix_of_last`), so a warm buffer decodes a whole run with
-/// zero heap allocations however many codes it holds.
-pub fn get_postings_into(
-    bytes: &[u8],
-    pos: &mut usize,
-    out: &mut DeweyListBuf,
-) -> Result<(), PersistError> {
-    out.clear();
-    let count = get_varint(bytes, pos)? as usize;
-    for i in 0..count {
-        let shared = get_varint(bytes, pos)? as usize;
-        let extra = get_varint(bytes, pos)? as usize;
-        let prev = out.last().unwrap_or(&[]);
-        if shared > prev.len() {
-            return Err(PersistError::Corrupt {
-                what: format!(
-                    "posting shares {shared} components but predecessor has {}",
-                    prev.len()
-                ),
-            });
-        }
-        // With a non-empty predecessor, an empty tail means the code is
-        // a duplicate (shared == len) or a prefix (< previous) — both
-        // violate strict document order.
-        if i > 0 && extra == 0 {
-            return Err(PersistError::Corrupt {
-                what: "postings not strictly ascending (duplicate or prefix)".to_owned(),
-            });
-        }
-        // Where the new code diverges, its component must sort after
-        // the predecessor's.
-        let boundary = prev.get(shared).copied();
-        out.begin();
-        out.copy_prefix_of_last(shared);
-        for j in 0..extra {
-            let comp = get_varint(bytes, pos)?;
-            let comp = u32::try_from(comp).map_err(|_| PersistError::Corrupt {
-                what: "Dewey component overflows u32".to_owned(),
-            })?;
-            if j == 0 {
-                if let Some(old) = boundary {
-                    if comp <= old {
-                        return Err(PersistError::Corrupt {
-                            what: "postings not in document order".to_owned(),
-                        });
-                    }
-                }
-            }
-            out.push_component(comp);
-        }
-        if out.last().is_some_and(<[u32]>::is_empty) {
-            return Err(PersistError::Corrupt {
-                what: "empty Dewey code in postings".to_owned(),
-            });
-        }
+// ------------------------------------------------------------ ByteReader
+
+/// The one way the reader builds a `Corrupt` error: out of line, so the
+/// reads that check for one stay small enough to inline.
+#[cold]
+#[inline(never)]
+fn corrupt(what: std::fmt::Arguments<'_>) -> PersistError {
+    PersistError::Corrupt {
+        what: what.to_string(),
     }
-    Ok(())
 }
 
-/// Decodes a prefix-delta posting list into owned [`Dewey`] codes — an
-/// allocating convenience over [`get_postings_into`].
-pub fn get_postings(bytes: &[u8], pos: &mut usize) -> Result<Vec<Dewey>, PersistError> {
-    let mut buf = DeweyListBuf::new();
-    get_postings_into(bytes, pos, &mut buf)?;
-    Ok(buf.to_deweys())
+/// A bounded cursor over bytes read from an `.xks`, `.xksm` or WAL
+/// file, and the only way this crate decodes them. A read that runs
+/// past the end is [`PersistError::Truncated`], a value no writer
+/// produces is [`PersistError::Corrupt`], and no read panics, whatever
+/// the bytes hold.
+#[derive(Debug)]
+pub struct ByteReader<'a> {
+    bytes: &'a [u8],
+    /// Offset of the next unread byte, never past `bytes.len()`.
+    pos: usize,
+}
+
+impl<'a> ByteReader<'a> {
+    /// A reader on the first byte of `bytes`.
+    #[must_use]
+    pub fn new(bytes: &'a [u8]) -> Self {
+        ByteReader { bytes, pos: 0 }
+    }
+
+    /// A reader `offset` bytes into `bytes`. The offset comes from a
+    /// stored offset table, so one beyond the end is `Corrupt`.
+    #[inline]
+    pub fn at(bytes: &'a [u8], offset: u64) -> Result<Self, PersistError> {
+        match usize::try_from(offset) {
+            Ok(pos) if pos <= bytes.len() => Ok(ByteReader { bytes, pos }),
+            _ => Err(corrupt(format_args!(
+                "offset {offset} outside its {}-byte section",
+                bytes.len()
+            ))),
+        }
+    }
+
+    /// Offset of the next unread byte.
+    #[must_use]
+    pub fn position(&self) -> usize {
+        self.pos
+    }
+
+    /// Bytes left to read.
+    #[must_use]
+    #[inline]
+    pub fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    /// Rejects a stored count of items, one byte or more each, that the
+    /// bytes left cannot hold, before it sizes an allocation or bounds
+    /// a loop.
+    #[inline]
+    pub fn check_items(&self, count: u64) -> Result<(), PersistError> {
+        if count > self.remaining() as u64 {
+            return Err(PersistError::Truncated {
+                what: "record ran past the end of its section",
+            });
+        }
+        Ok(())
+    }
+
+    /// Checks the little-endian CRC-32 in the last four bytes against
+    /// every byte before it, and returns a reader over those bytes at
+    /// this reader's position. A mismatch is `ChecksumMismatch` naming
+    /// `section`.
+    pub fn unseal(self, section: &'static str) -> Result<Self, PersistError> {
+        let Some((body, stored)) = self.bytes.split_last_chunk::<4>() else {
+            return Err(PersistError::Truncated {
+                what: "checksum missing",
+            });
+        };
+        if crc32(body) != u32::from_le_bytes(*stored) {
+            return Err(PersistError::ChecksumMismatch { section });
+        }
+        ByteReader::at(body, self.pos as u64)
+    }
+
+    /// The next `N` bytes.
+    #[inline]
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], PersistError> {
+        let Some((head, _)) = self
+            .bytes
+            .get(self.pos..)
+            .and_then(<[u8]>::split_first_chunk::<N>)
+        else {
+            return Err(PersistError::Truncated {
+                what: "fixed-width field ran past the end of its bytes",
+            });
+        };
+        self.pos += N;
+        Ok(*head)
+    }
+
+    /// A little-endian `u16`.
+    pub fn u16_le(&mut self) -> Result<u16, PersistError> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    /// A little-endian `u32`.
+    #[inline]
+    pub fn u32_le(&mut self) -> Result<u32, PersistError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// A little-endian `u64`.
+    #[inline]
+    pub fn u64_le(&mut self) -> Result<u64, PersistError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// An LEB128 varint (1–10 bytes).
+    #[inline]
+    pub fn varint(&mut self) -> Result<u64, PersistError> {
+        let mut value: u64 = 0;
+        let mut shift = 0u32;
+        loop {
+            let Some(&byte) = self.bytes.get(self.pos) else {
+                return Err(PersistError::Truncated {
+                    what: "varint ran past the end of its section",
+                });
+            };
+            self.pos += 1;
+            if shift == 63 && byte > 1 {
+                return Err(corrupt(format_args!("varint overflows u64")));
+            }
+            value |= u64::from(byte & 0x7F) << shift;
+            if byte & 0x80 == 0 {
+                return Ok(value);
+            }
+            shift += 7;
+            if shift > 63 {
+                return Err(corrupt(format_args!("varint longer than 10 bytes")));
+            }
+        }
+    }
+
+    /// A varint that must fit a `u32`; `what` names the field in the
+    /// error.
+    #[inline]
+    pub fn u32_varint(&mut self, what: &'static str) -> Result<u32, PersistError> {
+        let value = self.varint()?;
+        u32::try_from(value).map_err(|_| corrupt(format_args!("{what} overflows u32")))
+    }
+
+    /// The next `n` bytes, borrowed.
+    #[inline]
+    pub fn bytes(&mut self, n: u64) -> Result<&'a [u8], PersistError> {
+        let Some(taken) = usize::try_from(n)
+            .ok()
+            .and_then(|n| self.bytes.get(self.pos..self.pos.checked_add(n)?))
+        else {
+            return Err(PersistError::Truncated {
+                what: "record ran past the end of its section",
+            });
+        };
+        self.pos += taken.len();
+        Ok(taken)
+    }
+
+    /// A length-prefixed UTF-8 string, borrowed.
+    #[inline]
+    pub fn str(&mut self) -> Result<&'a str, PersistError> {
+        let len = self.varint()?;
+        std::str::from_utf8(self.bytes(len)?)
+            .map_err(|_| corrupt(format_args!("string is not valid UTF-8")))
+    }
+
+    /// A content feature's tag byte: whether a `(min, max)` pair
+    /// follows.
+    fn cid_tag(&mut self) -> Result<bool, PersistError> {
+        match self.array()? {
+            [0] => Ok(false),
+            [1] => Ok(true),
+            [other] => Err(corrupt(format_args!(
+                "content-feature tag {other} (expected 0 or 1)"
+            ))),
+        }
+    }
+
+    /// An optional `(min, max)` content feature, as owned strings.
+    pub fn cid(&mut self) -> Result<Option<(String, String)>, PersistError> {
+        if !self.cid_tag()? {
+            return Ok(None);
+        }
+        Ok(Some((self.str()?.to_owned(), self.str()?.to_owned())))
+    }
+
+    /// A content feature decoded straight into shared strings: one
+    /// allocation per string, none for an absent feature.
+    pub fn shared_cid(&mut self) -> Result<Cid, PersistError> {
+        if !self.cid_tag()? {
+            return Ok(None);
+        }
+        Ok(Some((self.str()?.into(), self.str()?.into())))
+    }
+
+    /// Steps over a content feature without decoding its strings.
+    pub fn skip_cid(&mut self) -> Result<(), PersistError> {
+        if self.cid_tag()? {
+            for _ in 0..2 {
+                let len = self.varint()?;
+                self.bytes(len)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Decodes a prefix-delta posting list into a flat [`DeweyListBuf`]
+    /// arena, enforcing the writer's contract that codes are **strictly
+    /// ascending in document order** (deduplicated). Postings live in
+    /// the one paged section, which is not checksummed per lookup, so
+    /// this ordering check is what turns a bit flip that survives varint
+    /// framing into a typed error instead of a silently reordered result
+    /// list.
+    ///
+    /// The arena is cleared first and rebuilt in place: the shared
+    /// prefix of each code is copied from its predecessor *within the
+    /// arena* (`copy_prefix_of_last`), so a warm buffer decodes a whole
+    /// run with zero heap allocations however many codes it holds.
+    pub fn postings_into(&mut self, out: &mut DeweyListBuf) -> Result<(), PersistError> {
+        out.clear();
+        let count = self.varint()?;
+        for i in 0..count {
+            let shared = self.varint()? as usize;
+            let extra = self.varint()?;
+            let prev = out.last().unwrap_or(&[]);
+            if shared > prev.len() {
+                return Err(corrupt(format_args!(
+                    "posting shares {shared} components but predecessor has {}",
+                    prev.len()
+                )));
+            }
+            // With a non-empty predecessor, an empty tail means the code
+            // is a duplicate (shared == len) or a prefix (< previous) —
+            // both violate strict document order.
+            if i > 0 && extra == 0 {
+                return Err(corrupt(format_args!(
+                    "postings not strictly ascending (duplicate or prefix)"
+                )));
+            }
+            // Where the new code diverges, its component must sort after
+            // the predecessor's.
+            let boundary = prev.get(shared).copied();
+            out.begin();
+            out.copy_prefix_of_last(shared);
+            for j in 0..extra {
+                let comp = self.u32_varint("Dewey component")?;
+                if j == 0 && boundary.is_some_and(|old| comp <= old) {
+                    return Err(corrupt(format_args!("postings not in document order")));
+                }
+                out.push_component(comp);
+            }
+            if out.last().is_some_and(<[u32]>::is_empty) {
+                return Err(corrupt(format_args!("empty Dewey code in postings")));
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks that every byte was read: a record that decodes with bytes
+    /// to spare is `Corrupt`, and `what` names it in the error.
+    pub fn finish(&self, what: &'static str) -> Result<(), PersistError> {
+        match self.remaining() {
+            0 => Ok(()),
+            extra => Err(corrupt(format_args!("{what} has {extra} trailing bytes"))),
+        }
+    }
 }
 
 #[cfg(test)]
+#[allow(clippy::indexing_slicing, clippy::unwrap_used)]
 mod tests {
     use super::*;
+
+    /// Decodes `bytes` as one posting list into owned codes, checking
+    /// that the list spans every byte.
+    fn postings(bytes: &[u8]) -> Result<Vec<Dewey>, PersistError> {
+        let mut r = ByteReader::new(bytes);
+        let mut buf = DeweyListBuf::new();
+        r.postings_into(&mut buf)?;
+        assert_eq!(r.remaining(), 0);
+        Ok(buf.to_deweys())
+    }
 
     #[test]
     fn varint_round_trip_boundaries() {
@@ -302,9 +465,9 @@ mod tests {
         ] {
             let mut buf = Vec::new();
             put_varint(&mut buf, v);
-            let mut pos = 0;
-            assert_eq!(get_varint(&buf, &mut pos).unwrap(), v);
-            assert_eq!(pos, buf.len());
+            let mut r = ByteReader::new(&buf);
+            assert_eq!(r.varint().unwrap(), v);
+            assert_eq!(r.remaining(), 0);
         }
     }
 
@@ -313,9 +476,8 @@ mod tests {
         let mut buf = Vec::new();
         put_varint(&mut buf, u64::MAX);
         buf.pop();
-        let mut pos = 0;
         assert!(matches!(
-            get_varint(&buf, &mut pos),
+            ByteReader::new(&buf).varint(),
             Err(PersistError::Truncated { .. })
         ));
     }
@@ -323,9 +485,8 @@ mod tests {
     #[test]
     fn varint_overflow_is_corrupt() {
         let buf = [0xFFu8; 11];
-        let mut pos = 0;
         assert!(matches!(
-            get_varint(&buf, &mut pos),
+            ByteReader::new(&buf).varint(),
             Err(PersistError::Corrupt { .. })
         ));
     }
@@ -335,18 +496,17 @@ mod tests {
         let mut buf = Vec::new();
         put_str(&mut buf, "héllo wörld");
         put_str(&mut buf, "");
-        let mut pos = 0;
-        assert_eq!(get_str(&buf, &mut pos).unwrap(), "héllo wörld");
-        assert_eq!(get_str(&buf, &mut pos).unwrap(), "");
-        assert_eq!(pos, buf.len());
+        let mut r = ByteReader::new(&buf);
+        assert_eq!(r.str().unwrap(), "héllo wörld");
+        assert_eq!(r.str().unwrap(), "");
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]
     fn string_bad_utf8_is_corrupt() {
         let buf = [2u8, 0xFF, 0xFE];
-        let mut pos = 0;
         assert!(matches!(
-            get_str(&buf, &mut pos),
+            ByteReader::new(&buf).str(),
             Err(PersistError::Corrupt { .. })
         ));
     }
@@ -356,12 +516,10 @@ mod tests {
         let mut buf = Vec::new();
         put_cid(&mut buf, &None);
         put_cid(&mut buf, &Some(("alpha".into(), "zeta".into())));
-        let mut pos = 0;
-        assert_eq!(get_cid(&buf, &mut pos).unwrap(), None);
-        assert_eq!(
-            get_cid(&buf, &mut pos).unwrap(),
-            Some(("alpha".into(), "zeta".into()))
-        );
+        let mut r = ByteReader::new(&buf);
+        assert_eq!(r.cid().unwrap(), None);
+        assert_eq!(r.cid().unwrap(), Some(("alpha".into(), "zeta".into())));
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]
@@ -399,9 +557,7 @@ mod tests {
         ];
         let mut buf = Vec::new();
         put_postings(&mut buf, &list);
-        let mut pos = 0;
-        assert_eq!(get_postings(&buf, &mut pos).unwrap(), list);
-        assert_eq!(pos, buf.len());
+        assert_eq!(postings(&buf).unwrap(), list);
         // Prefix sharing must beat the naive "every component" encoding.
         let naive: usize = list.iter().map(|x| 1 + x.components().len()).sum();
         assert!(buf.len() < naive + list.len());
@@ -411,8 +567,7 @@ mod tests {
     fn postings_empty_list() {
         let mut buf = Vec::new();
         put_postings(&mut buf, &[]);
-        let mut pos = 0;
-        assert!(get_postings(&buf, &mut pos).unwrap().is_empty());
+        assert!(postings(&buf).unwrap().is_empty());
     }
 
     #[test]
@@ -428,11 +583,7 @@ mod tests {
         put_varint(&mut buf, 1); // second: shares "0"
         put_varint(&mut buf, 1);
         put_varint(&mut buf, 3); // 0.3 < 0.5
-        let mut pos = 0;
-        assert!(matches!(
-            get_postings(&buf, &mut pos),
-            Err(PersistError::Corrupt { .. })
-        ));
+        assert!(matches!(postings(&buf), Err(PersistError::Corrupt { .. })));
     }
 
     #[test]
@@ -446,11 +597,7 @@ mod tests {
         put_varint(&mut buf, 1); // 0.1
         put_varint(&mut buf, 2); // shares all of 0.1
         put_varint(&mut buf, 0); // empty tail -> duplicate
-        let mut pos = 0;
-        assert!(matches!(
-            get_postings(&buf, &mut pos),
-            Err(PersistError::Corrupt { .. })
-        ));
+        assert!(matches!(postings(&buf), Err(PersistError::Corrupt { .. })));
     }
 
     #[test]
@@ -461,10 +608,6 @@ mod tests {
         put_varint(&mut buf, 1); // one entry
         put_varint(&mut buf, 3); // shares 3 comps with "nothing"
         put_varint(&mut buf, 0); // no tail
-        let mut pos = 0;
-        assert!(matches!(
-            get_postings(&buf, &mut pos),
-            Err(PersistError::Corrupt { .. })
-        ));
+        assert!(matches!(postings(&buf), Err(PersistError::Corrupt { .. })));
     }
 }

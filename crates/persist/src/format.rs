@@ -14,7 +14,14 @@
 //! | 4  | keyword dict     | keyword, posting count, postings (off, len)  |
 //! | 5  | postings         | prefix-delta varint Dewey runs               |
 
-use crate::codec::crc32;
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
+
+use crate::codec::{crc32, ByteReader};
 use crate::error::PersistError;
 
 /// File magic: "XKSP" (Xml Keyword Search, Paged).
@@ -156,39 +163,30 @@ impl Header {
 
     /// Parses and validates a header: magic, version, page size, CRC.
     pub fn decode(bytes: &[u8]) -> Result<Self, PersistError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(PersistError::Truncated {
-                what: "file shorter than the header",
-            });
-        }
-        let magic: [u8; 4] = bytes[0..4].try_into().expect("sliced 4");
+        let sealed = bytes.get(..HEADER_LEN).ok_or(PersistError::Truncated {
+            what: "file shorter than the header",
+        })?;
+        let mut r = ByteReader::new(sealed);
+        let magic = r.array()?;
         if magic != MAGIC {
             return Err(PersistError::BadMagic { found: magic });
         }
-        let version = u16::from_le_bytes(bytes[4..6].try_into().expect("sliced 2"));
+        let version = r.u16_le()?;
         if !(MIN_VERSION..=VERSION).contains(&version) {
             return Err(PersistError::UnsupportedVersion { found: version });
         }
-        let stored_crc = u32::from_le_bytes(
-            bytes[HEADER_LEN - 4..HEADER_LEN]
-                .try_into()
-                .expect("sliced 4"),
-        );
-        if crc32(&bytes[..HEADER_LEN - 4]) != stored_crc {
-            return Err(PersistError::ChecksumMismatch { section: "header" });
-        }
-        let page_size = u32::from_le_bytes(bytes[8..12].try_into().expect("sliced 4"));
+        let mut r = r.unseal("header")?;
+        r.array::<2>()?; // reserved
+        let page_size = r.u32_le()?;
         check_page_size(page_size)?;
-        let element_count = u64::from_le_bytes(bytes[12..20].try_into().expect("sliced 8"));
-        let keyword_count = u64::from_le_bytes(bytes[20..28].try_into().expect("sliced 8"));
-        let label_count = u64::from_le_bytes(bytes[28..36].try_into().expect("sliced 8"));
+        let element_count = r.u64_le()?;
+        let keyword_count = r.u64_le()?;
+        let label_count = r.u64_le()?;
         let mut sections = [SectionEntry::default(); SECTION_COUNT];
-        let mut pos = 36;
         for s in &mut sections {
-            s.offset = u64::from_le_bytes(bytes[pos..pos + 8].try_into().expect("sliced 8"));
-            s.len = u64::from_le_bytes(bytes[pos + 8..pos + 16].try_into().expect("sliced 8"));
-            s.crc = u32::from_le_bytes(bytes[pos + 16..pos + 20].try_into().expect("sliced 4"));
-            pos += SECTION_ENTRY_LEN;
+            s.offset = r.u64_le()?;
+            s.len = r.u64_le()?;
+            s.crc = r.u32_le()?;
         }
         Ok(Header {
             version,
@@ -202,6 +200,8 @@ impl Header {
 
     /// The directory entry for `section`.
     #[must_use]
+    // `Section`'s discriminants are `0..SECTION_COUNT`, the array's length.
+    #[allow(clippy::indexing_slicing)]
     pub fn section(&self, section: Section) -> SectionEntry {
         self.sections[section as usize]
     }
@@ -214,6 +214,7 @@ pub fn align_up(offset: u64, page_size: u64) -> u64 {
 }
 
 #[cfg(test)]
+#[allow(clippy::indexing_slicing, clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -10,6 +10,17 @@
 //! through the LRU [`BufferPool`] as lookups demand — a keyword lookup
 //! reads exactly the pages its posting run spans, and the pool counters
 //! in [`IndexReader::stats`] make that laziness observable.
+//!
+//! Every row, dictionary, label and postings decode reads through
+//! [`ByteReader`], and the module denies the lints that would let one
+//! panic.
+
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 
 use std::cmp::Ordering as Cmp;
 use std::fs::File;
@@ -23,7 +34,7 @@ use validrtf::plan::KeywordStats;
 use validrtf::source::{CorpusSource, SourceElement, SourceError};
 use xks_xmltree::{Dewey, DeweyListBuf};
 
-use crate::codec::{crc32, get_cid, get_postings_into, get_varint, Crc32};
+use crate::codec::{crc32, ByteReader, Crc32};
 use crate::error::PersistError;
 use crate::format::{Header, Section, HEADER_LEN};
 use crate::pool::{lock_unpoisoned, BufferPool, PoolStats};
@@ -123,11 +134,7 @@ impl PostingsCache {
         }
         if slots.len() < self.capacity {
             slots.push(slot);
-        } else {
-            let lru = slots
-                .iter_mut()
-                .min_by_key(|s| s.last_used)
-                .expect("capacity > 0");
+        } else if let Some(lru) = slots.iter_mut().min_by_key(|s| s.last_used) {
             *lru = slot;
         }
     }
@@ -472,14 +479,6 @@ impl IndexReader {
         self.header.keyword_count
     }
 
-    /// On-disk format version of the opened file (see
-    /// [`crate::format::VERSION`]). v2 files carry document
-    /// frequencies in the dictionary; v1 files derive them on demand.
-    #[must_use]
-    pub fn format_version(&self) -> u16 {
-        self.header.version
-    }
-
     /// The decoded posting run for `keyword` as a shared flat arena
     /// (empty when the keyword is absent). Runs decode into a
     /// [`DeweyListBuf`] — one components vector + offsets instead of
@@ -517,19 +516,9 @@ impl IndexReader {
         buf: &mut DeweyListBuf,
     ) -> Result<usize, PersistError> {
         buf.clear();
-        let Some(DictEntry {
-            count,
-            run_off,
-            run_len,
-            ..
-        }) = self.find_keyword(keyword)?
-        else {
-            return Ok(0);
-        };
-        let bytes = self.postings_run(keyword, run_off, run_len)?;
-        let mut pos = 0;
-        get_postings_into(&bytes, &mut pos, buf)?;
-        check_posting_count(keyword, buf.len(), count)?;
+        if let Some(entry) = self.find_keyword(keyword)? {
+            self.decode_run(keyword, &entry, buf)?;
+        }
         Ok(buf.len())
     }
 
@@ -576,7 +565,7 @@ impl IndexReader {
     /// content-feature strings) is decoded once, on the matching row.
     pub fn try_element(&self, dewey: &Dewey) -> Result<Option<ElementRecord>, PersistError> {
         match self.find_row(dewey.components())? {
-            Some((_, cursor)) => Ok(Some(decode_row_rest(cursor, dewey.clone())?)),
+            Some((_, r)) => Ok(Some(decode_row_rest(r, dewey.clone())?)),
             None => Ok(None),
         }
     }
@@ -593,9 +582,9 @@ impl IndexReader {
                 ),
             });
         }
-        let mut cursor = self.row_cursor(idx)?;
-        let dewey = cursor.read_dewey()?;
-        decode_row_rest(cursor, dewey)
+        let mut r = self.row_reader(idx)?;
+        let dewey = read_dewey(&mut r)?;
+        decode_row_rest(r, dewey)
     }
 
     /// The keyword at dictionary index `idx` (lexicographic order)
@@ -611,16 +600,12 @@ impl IndexReader {
                 ),
             });
         }
-        let mut cursor = self.dict_cursor(idx)?;
-        let word = cursor.read_str()?;
-        let count = cursor.read_varint()?;
-        let run_off = cursor.read_varint()?;
-        let run_len = cursor.read_varint()?;
-        let bytes = self.postings_run(word, run_off, run_len)?;
-        let mut pos = 0;
-        let deweys = crate::codec::get_postings(&bytes, &mut pos)?;
-        check_posting_count(word, deweys.len(), count)?;
-        Ok((word.to_owned(), deweys))
+        let mut r = self.dict_reader(idx)?;
+        let word = r.str()?;
+        let entry = self.dict_entry(&mut r)?;
+        let mut buf = DeweyListBuf::new();
+        self.decode_run(word, &entry, &mut buf)?;
+        Ok((word.to_owned(), buf.to_deweys()))
     }
 
     /// Verifies every section checksum by streaming the open index in
@@ -628,6 +613,8 @@ impl IndexReader {
     /// Reads go through the pool's own file handle, so the bytes
     /// checked are the same inode lookups are served from even if the
     /// file on disk has since been replaced by a rebuild.
+    // `take` is at most `chunk.len()`, so `chunk[..take]` is in bounds.
+    #[allow(clippy::indexing_slicing)]
     pub fn verify(&self) -> Result<(), PersistError> {
         use std::io::{Read as _, Seek as _, SeekFrom};
         let mut chunk = vec![0u8; 64 * 1024];
@@ -659,7 +646,7 @@ impl IndexReader {
     /// A node's label id. Decodes nothing of the row past the label.
     fn element_label(&self, dewey: &Dewey) -> Result<Option<u32>, PersistError> {
         match self.find_row(dewey.components())? {
-            Some((_, mut cursor)) => Ok(Some(cursor.read_u32()?)),
+            Some((_, mut r)) => Ok(Some(r.u32_varint(LABEL)?)),
             None => Ok(None),
         }
     }
@@ -669,24 +656,27 @@ impl IndexReader {
     /// level, label path and subtree feature without materializing
     /// them and decodes the feature straight into two `Arc<str>`.
     fn keyword_node(&self, dewey: &Dewey) -> Result<Option<(u32, Cid)>, PersistError> {
-        let Some((row, mut cursor)) = self.find_row(dewey.components())? else {
+        let Some((row, mut r)) = self.find_row(dewey.components())? else {
             return Ok(None);
         };
-        let label = cursor.read_u32()?;
+        let label = r.u32_varint(LABEL)?;
         let memo = &self.features;
+        // `find_row` returns rows below the element count, which sized
+        // the memo at open.
+        #[allow(clippy::indexing_slicing)]
         let slot = &memo.slots[row as usize];
         if let Some(feature) = slot.get() {
             memo.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Some((label, feature.clone())));
         }
-        cursor.read_varint()?; // level
-        let path_len = cursor.read_varint()?;
-        cursor.check_items(path_len)?;
+        r.varint()?; // level
+        let path_len = r.varint()?;
+        r.check_items(path_len)?;
         for _ in 0..path_len {
-            cursor.read_varint()?;
+            r.varint()?;
         }
-        cursor.skip_cid()?; // subtree feature
-        let feature = cursor.read_shared_cid()?;
+        r.skip_cid()?; // subtree feature
+        let feature = r.shared_cid()?;
         memo.decodes.fetch_add(1, Ordering::Relaxed);
         if slot.set(feature.clone()).is_ok() {
             memo.filled.fetch_add(1, Ordering::Relaxed);
@@ -697,7 +687,7 @@ impl IndexReader {
     // ---------------------------------------------------------- internal
 
     /// Finds the element row holding `target`, returning its table
-    /// index and a cursor standing on the row's label field.
+    /// index and a reader standing on the row's label field.
     ///
     /// A finger search: it probes the row the finger points at, gallops
     /// away from it in the direction of `target` with doubling steps
@@ -706,7 +696,7 @@ impl IndexReader {
     /// from a useless finger it is at most twice the plain binary
     /// search's. The probes are counted once per search, not per probe:
     /// the counter is a cache line every thread shares.
-    fn find_row(&self, target: &[u32]) -> Result<Option<(u64, SectionCursor<'_>)>, PersistError> {
+    fn find_row(&self, target: &[u32]) -> Result<Option<(u64, ByteReader<'_>)>, PersistError> {
         // Rows before `lo` sort below `target`, rows from `hi` on above.
         let (mut lo, mut hi) = (0u64, self.header.element_count);
         let mut at = self.element_finger.load(Ordering::Relaxed);
@@ -720,9 +710,9 @@ impl IndexReader {
             }
             at = at.clamp(lo, hi - 1);
             probes += 1;
-            let mut cursor = self.row_cursor(at)?;
-            match cursor.compare_dewey(target)? {
-                Cmp::Equal => break Some((at, cursor)),
+            let mut r = self.row_reader(at)?;
+            match compare_dewey(&mut r, target)? {
+                Cmp::Equal => break Some((at, r)),
                 Cmp::Less => {
                     lo = at + 1;
                     below = true;
@@ -747,45 +737,43 @@ impl IndexReader {
         Ok(found)
     }
 
-    /// A cursor on the first byte of element row `idx` (`idx` below the
-    /// element count).
-    fn row_cursor(&self, idx: u64) -> Result<SectionCursor<'_>, PersistError> {
-        let row_off = offset_entry(&self.element_offsets, idx);
-        SectionCursor::new(&self.elements, row_off, Section::Elements)
+    /// A reader on the first byte of element row `idx`.
+    #[inline]
+    fn row_reader(&self, idx: u64) -> Result<ByteReader<'_>, PersistError> {
+        let row_off = ByteReader::at(&self.element_offsets, idx * 8)?.u64_le()?;
+        ByteReader::at(&self.elements, row_off)
     }
 
-    /// A cursor on the first byte of dictionary entry `idx` (`idx` below
-    /// the keyword count).
-    fn dict_cursor(&self, idx: u64) -> Result<SectionCursor<'_>, PersistError> {
-        let entry_off = offset_entry(&self.keyword_offsets, idx);
-        SectionCursor::new(&self.keyword_dict, entry_off, Section::KeywordDict)
+    /// A reader on the first byte of dictionary entry `idx`.
+    fn dict_reader(&self, idx: u64) -> Result<ByteReader<'_>, PersistError> {
+        let entry_off = ByteReader::at(&self.keyword_offsets, idx * 8)?.u64_le()?;
+        ByteReader::at(&self.keyword_dict, entry_off)
     }
 
-    /// Binary search in the keyword dictionary; the document frequency
-    /// is stored from format v2 on, `None` for v1 files.
+    /// The rest of a dictionary entry after its keyword; the document
+    /// frequency is stored from format v2 on, `None` for v1 files.
+    fn dict_entry(&self, r: &mut ByteReader<'_>) -> Result<DictEntry, PersistError> {
+        Ok(DictEntry {
+            count: r.varint()?,
+            run_off: r.varint()?,
+            run_len: r.varint()?,
+            doc_freq: if self.header.version >= 2 {
+                Some(r.varint()?)
+            } else {
+                None
+            },
+        })
+    }
+
+    /// Binary search in the keyword dictionary.
     fn find_keyword(&self, keyword: &str) -> Result<Option<DictEntry>, PersistError> {
         let mut lo = 0u64;
         let mut hi = self.header.keyword_count;
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            let mut cursor = self.dict_cursor(mid)?;
-            match cursor.read_str()?.cmp(keyword) {
-                Cmp::Equal => {
-                    let count = cursor.read_varint()?;
-                    let run_off = cursor.read_varint()?;
-                    let run_len = cursor.read_varint()?;
-                    let doc_freq = if self.header.version >= 2 {
-                        Some(cursor.read_varint()?)
-                    } else {
-                        None
-                    };
-                    return Ok(Some(DictEntry {
-                        count,
-                        run_off,
-                        run_len,
-                        doc_freq,
-                    }));
-                }
+            let mut r = self.dict_reader(mid)?;
+            match r.str()?.cmp(keyword) {
+                Cmp::Equal => return self.dict_entry(&mut r).map(Some),
                 Cmp::Less => lo = mid + 1,
                 Cmp::Greater => hi = mid,
             }
@@ -793,26 +781,40 @@ impl IndexReader {
         Ok(None)
     }
 
-    /// Reads one keyword's posting run through the pool, after checking
-    /// that the dictionary's `(run_off, run_len)` stays inside the
-    /// postings section.
-    fn postings_run(
+    /// Reads `keyword`'s posting run through the pool and decodes it
+    /// into `buf`, after checking that the entry's `(run_off, run_len)`
+    /// stays inside the postings section, and rejects a run that decodes
+    /// to a different number of codes than the entry promises.
+    fn decode_run(
         &self,
         keyword: &str,
-        run_off: u64,
-        run_len: u64,
-    ) -> Result<Vec<u8>, PersistError> {
+        entry: &DictEntry,
+        buf: &mut DeweyListBuf,
+    ) -> Result<(), PersistError> {
         let postings = self.header.section(Section::Postings);
-        if run_off
-            .checked_add(run_len)
+        if entry
+            .run_off
+            .checked_add(entry.run_len)
             .is_none_or(|end| end > postings.len)
         {
             return Err(PersistError::Corrupt {
                 what: format!("postings run for {keyword:?} outside the postings section"),
             });
         }
-        self.pool
-            .read_at(postings.offset + run_off, run_len as usize)
+        let bytes = self
+            .pool
+            .read_at(postings.offset + entry.run_off, entry.run_len as usize)?;
+        ByteReader::new(&bytes).postings_into(buf)?;
+        if buf.len() as u64 != entry.count {
+            return Err(PersistError::Corrupt {
+                what: format!(
+                    "postings run for {keyword:?} decodes {} codes, dictionary says {}",
+                    buf.len(),
+                    entry.count
+                ),
+            });
+        }
+        Ok(())
     }
 }
 
@@ -825,194 +827,60 @@ struct DictEntry {
     doc_freq: Option<u64>,
 }
 
-/// Rejects a posting run that decodes to a different number of codes
-/// than its dictionary entry promises.
-fn check_posting_count(keyword: &str, decoded: usize, count: u64) -> Result<(), PersistError> {
-    if decoded as u64 != count {
-        return Err(PersistError::Corrupt {
-            what: format!(
-                "postings run for {keyword:?} decodes {decoded} codes, dictionary says {count}"
-            ),
-        });
+// The field names the row decoders give `ByteReader::u32_varint`.
+const LABEL: &str = "label id";
+const COMPONENT: &str = "Dewey component";
+
+/// Compares the Dewey code at `r` — a component count, then that many
+/// varints — with `target` component by component, stopping at the
+/// first that differs. On `Equal` the whole code has been consumed.
+fn compare_dewey(r: &mut ByteReader<'_>, target: &[u32]) -> Result<Cmp, PersistError> {
+    let ncomp = r.varint()?;
+    r.check_items(ncomp)?;
+    for i in 0..ncomp {
+        let component = r.u32_varint(COMPONENT)?;
+        match target.get(i as usize) {
+            // `target` is a proper prefix of the row's code.
+            None => return Ok(Cmp::Greater),
+            Some(&t) if component != t => return Ok(component.cmp(&t)),
+            Some(_) => {}
+        }
     }
-    Ok(())
+    Ok(if ncomp < target.len() as u64 {
+        Cmp::Less
+    } else {
+        Cmp::Equal
+    })
 }
 
-/// Entry `idx` of a resident `u64` offset array. Open checked that the
-/// array holds exactly one entry per counted item, and callers pass an
-/// index below that count, so the slice is always in bounds.
-fn offset_entry(offsets: &[u8], idx: u64) -> u64 {
-    let at = idx as usize * 8;
-    u64::from_le_bytes(offsets[at..at + 8].try_into().expect("8-byte entry"))
-}
-
-/// Sequential decoder over one resident section, decoding in place.
-struct SectionCursor<'a> {
-    /// The whole section: no read may reach past its end.
-    bytes: &'a [u8],
-    /// Offset of the next unread byte.
-    pos: usize,
-}
-
-impl<'a> SectionCursor<'a> {
-    /// A cursor `rel_off` bytes into `section`'s resident `bytes`.
-    fn new(bytes: &'a [u8], rel_off: u64, section: Section) -> Result<Self, PersistError> {
-        if rel_off > bytes.len() as u64 {
-            return Err(PersistError::Corrupt {
-                what: format!("offset {rel_off} outside section {}", section.name()),
-            });
-        }
-        Ok(SectionCursor {
-            bytes,
-            pos: rel_off as usize,
-        })
+/// Decodes the Dewey code at `r`.
+fn read_dewey(r: &mut ByteReader<'_>) -> Result<Dewey, PersistError> {
+    let ncomp = r.varint()?;
+    r.check_items(ncomp)?;
+    let mut components = Vec::with_capacity(ncomp as usize);
+    for _ in 0..ncomp {
+        components.push(r.u32_varint(COMPONENT)?);
     }
-
-    /// Bytes left in the section.
-    fn remaining(&self) -> u64 {
-        (self.bytes.len() - self.pos) as u64
-    }
-
-    fn read_varint(&mut self) -> Result<u64, PersistError> {
-        get_varint(self.bytes, &mut self.pos)
-    }
-
-    fn read_u32(&mut self) -> Result<u32, PersistError> {
-        let v = self.read_varint()?;
-        u32::try_from(v).map_err(|_| PersistError::Corrupt {
-            what: "field overflows u32".to_owned(),
-        })
-    }
-
-    /// Rejects a stored count of items (one byte or more each) that the
-    /// rest of the section cannot hold, before it sizes an allocation
-    /// or bounds a loop.
-    fn check_items(&self, count: u64) -> Result<(), PersistError> {
-        if count > self.remaining() {
-            return Err(PersistError::Truncated {
-                what: "record ran past the end of its section",
-            });
-        }
-        Ok(())
-    }
-
-    /// Compares the Dewey code at the cursor — a component count, then
-    /// that many varints — with `target` component by component,
-    /// stopping at the first that differs. On `Equal` the whole code
-    /// has been consumed.
-    fn compare_dewey(&mut self, target: &[u32]) -> Result<Cmp, PersistError> {
-        let ncomp = self.read_varint()?;
-        self.check_items(ncomp)?;
-        for i in 0..ncomp {
-            let component = self.read_component()?;
-            match target.get(i as usize) {
-                // `target` is a proper prefix of the row's code.
-                None => return Ok(Cmp::Greater),
-                Some(&t) if component != t => return Ok(component.cmp(&t)),
-                Some(_) => {}
-            }
-        }
-        Ok(if ncomp < target.len() as u64 {
-            Cmp::Less
-        } else {
-            Cmp::Equal
-        })
-    }
-
-    /// Decodes the Dewey code at the cursor.
-    fn read_dewey(&mut self) -> Result<Dewey, PersistError> {
-        let ncomp = self.read_varint()?;
-        self.check_items(ncomp)?;
-        let mut components = Vec::with_capacity(ncomp as usize);
-        for _ in 0..ncomp {
-            components.push(self.read_component()?);
-        }
-        Ok(Dewey::from_components(components))
-    }
-
-    fn read_component(&mut self) -> Result<u32, PersistError> {
-        let c = self.read_varint()?;
-        u32::try_from(c).map_err(|_| PersistError::Corrupt {
-            what: "Dewey component overflows u32".to_owned(),
-        })
-    }
-
-    /// The next `len` bytes, borrowed from the section.
-    fn read_bytes(&mut self, len: u64) -> Result<&'a [u8], PersistError> {
-        self.check_items(len)?;
-        let bytes = &self.bytes[self.pos..self.pos + len as usize];
-        self.pos += len as usize;
-        Ok(bytes)
-    }
-
-    /// A length-prefixed string, borrowed from the section.
-    fn read_str(&mut self) -> Result<&'a str, PersistError> {
-        let len = self.read_varint()?;
-        std::str::from_utf8(self.read_bytes(len)?).map_err(|_| PersistError::Corrupt {
-            what: "string is not valid UTF-8".to_owned(),
-        })
-    }
-
-    /// Reads a content feature's tag byte: whether a `(min, max)` pair
-    /// follows.
-    fn read_cid_tag(&mut self) -> Result<bool, PersistError> {
-        match self.read_bytes(1)?[0] {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(PersistError::Corrupt {
-                what: format!("content-feature tag {other} (expected 0 or 1)"),
-            }),
-        }
-    }
-
-    fn read_cid(&mut self) -> Result<Option<(String, String)>, PersistError> {
-        get_cid(self.bytes, &mut self.pos)
-    }
-
-    /// A content feature decoded straight into shared strings: one
-    /// allocation per string, none for an absent feature.
-    fn read_shared_cid(&mut self) -> Result<Cid, PersistError> {
-        if !self.read_cid_tag()? {
-            return Ok(None);
-        }
-        let min = self.read_str()?;
-        let max = self.read_str()?;
-        Ok(Some((min.into(), max.into())))
-    }
-
-    fn skip_cid(&mut self) -> Result<(), PersistError> {
-        if self.read_cid_tag()? {
-            for _ in 0..2 {
-                let len = self.read_varint()?;
-                self.read_bytes(len)?;
-            }
-        }
-        Ok(())
-    }
+    Ok(Dewey::from_components(components))
 }
 
 /// Decodes the remainder of an element row once its Dewey is known.
-fn decode_row_rest(
-    mut cursor: SectionCursor<'_>,
-    dewey: Dewey,
-) -> Result<ElementRecord, PersistError> {
-    let label = cursor.read_u32()?;
-    let level = cursor.read_u32()?;
-    let path_len = cursor.read_varint()?;
-    cursor.check_items(path_len)?;
+fn decode_row_rest(mut r: ByteReader<'_>, dewey: Dewey) -> Result<ElementRecord, PersistError> {
+    let label = r.u32_varint(LABEL)?;
+    let level = r.u32_varint("level")?;
+    let path_len = r.varint()?;
+    r.check_items(path_len)?;
     let mut label_path = Vec::with_capacity(path_len as usize);
     for _ in 0..path_len {
-        label_path.push(cursor.read_u32()?);
+        label_path.push(r.u32_varint(LABEL)?);
     }
-    let subtree_cid = cursor.read_cid()?;
-    let own_cid = cursor.read_cid()?;
     Ok(ElementRecord {
         dewey,
         label,
         level,
         label_path,
-        subtree_cid,
-        own_cid,
+        subtree_cid: r.cid()?,
+        own_cid: r.cid()?,
     })
 }
 
@@ -1038,17 +906,17 @@ fn read_section(
 }
 
 fn decode_labels(bytes: &[u8], expected: u64) -> Result<Vec<String>, PersistError> {
-    let mut pos = 0;
-    let count = get_varint(bytes, &mut pos)?;
+    let mut r = ByteReader::new(bytes);
+    let count = r.varint()?;
     if count != expected {
         return Err(PersistError::Corrupt {
             what: format!("label section holds {count} labels, header says {expected}"),
         });
     }
-    let plausible = bytes.len().saturating_sub(pos) + 1;
-    let mut labels = Vec::with_capacity((count as usize).min(plausible));
+    r.check_items(count)?;
+    let mut labels = Vec::with_capacity(count as usize);
     for _ in 0..count {
-        labels.push(crate::codec::get_str(bytes, &mut pos)?);
+        labels.push(r.str()?.to_owned());
     }
     Ok(labels)
 }
@@ -1108,6 +976,12 @@ impl xks_obs::MetricSource for IndexReader {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 mod tests {
     use super::*;
     use crate::writer::IndexWriter;
@@ -1195,8 +1069,13 @@ mod tests {
             Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/publications-v1.xks");
         let v1 = IndexReader::open(&v1_path).unwrap();
         let (v2, v2_path) = open_publications("compat-v2.xks");
-        assert_eq!(v1.format_version(), 1);
-        assert_eq!(v2.format_version(), 2);
+        let version = |path: &Path| {
+            Header::decode(&std::fs::read(path).unwrap())
+                .unwrap()
+                .version
+        };
+        assert_eq!(version(&v1_path), 1);
+        assert_eq!(version(&v2_path), 2);
 
         // v1 open pages nothing through the pool, like v2.
         assert_eq!(v1.stats().pool.pages_read, 0);

@@ -34,7 +34,7 @@ use validrtf::source::{CorpusSource, SourceElement, SourceError};
 use xks_store::{partition, ShreddedDoc};
 use xks_xmltree::Dewey;
 
-use crate::codec::{crc32, get_str, get_varint, put_str, put_varint};
+use crate::codec::{crc32, put_str, put_varint, ByteReader};
 use crate::error::PersistError;
 use crate::reader::{IndexReader, IndexStats, ReaderOptions};
 use crate::writer::{IndexWriter, WriteSummary};
@@ -135,6 +135,12 @@ impl ShardManifest {
     /// and the shard topology (≥ 1 shard, ranges starting at 0 and
     /// strictly increasing). Every violation is a typed
     /// [`PersistError`] — a corrupted manifest can never open.
+    #[deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic
+    )]
     pub fn decode(bytes: &[u8]) -> Result<Self, PersistError> {
         const FIXED: usize = 4 + 2 + 2 + 4 + 8 + 8 + 8;
         if bytes.len() < FIXED + 4 {
@@ -142,63 +148,45 @@ impl ShardManifest {
                 what: "file shorter than the shard manifest header",
             });
         }
-        let magic: [u8; 4] = bytes[0..4].try_into().expect("sliced 4");
+        let mut r = ByteReader::new(bytes);
+        let magic = r.array()?;
         if magic != MANIFEST_MAGIC {
             return Err(PersistError::BadMagic { found: magic });
         }
-        let version = u16::from_le_bytes(bytes[4..6].try_into().expect("sliced 2"));
+        let version = r.u16_le()?;
         if !(MANIFEST_MIN_VERSION..=MANIFEST_VERSION).contains(&version) {
             return Err(PersistError::UnsupportedVersion { found: version });
         }
-        let body = &bytes[..bytes.len() - 4];
-        let stored_crc = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("sliced 4"));
-        if crc32(body) != stored_crc {
-            return Err(PersistError::ChecksumMismatch {
-                section: "shard manifest",
-            });
-        }
-        let shard_count = u32::from_le_bytes(bytes[8..12].try_into().expect("sliced 4"));
-        let total_elements = u64::from_le_bytes(bytes[12..20].try_into().expect("sliced 8"));
-        let total_keywords = u64::from_le_bytes(bytes[20..28].try_into().expect("sliced 8"));
-        let label_count = u64::from_le_bytes(bytes[28..36].try_into().expect("sliced 8"));
+        let mut r = r.unseal("shard manifest")?;
+        r.array::<2>()?; // reserved
+        let shard_count = r.u32_le()?;
+        let total_elements = r.u64_le()?;
+        let total_keywords = r.u64_le()?;
+        let label_count = r.u64_le()?;
         if shard_count == 0 {
             return Err(PersistError::Corrupt {
                 what: "shard manifest declares zero shards".to_owned(),
             });
         }
-        let plausible = body.len().saturating_sub(FIXED) + 1;
-        let mut shards = Vec::with_capacity((shard_count as usize).min(plausible));
-        let mut pos = FIXED;
+        // A hostile count cannot size the allocation past the bytes left.
+        let mut shards = Vec::with_capacity((shard_count as usize).min(r.remaining()));
         for i in 0..shard_count {
-            let file_name = get_str(body, &mut pos)?;
-            if pos + 4 > body.len() {
-                return Err(PersistError::Truncated {
-                    what: "shard manifest entry",
-                });
-            }
-            let first_doc = u32::from_le_bytes(body[pos..pos + 4].try_into().expect("sliced 4"));
-            pos += 4;
-            let doc_count = get_varint(body, &mut pos)?;
-            let element_count = get_varint(body, &mut pos)?;
-            let keyword_count = get_varint(body, &mut pos)?;
-            let file_len = get_varint(body, &mut pos)?;
+            let file_name = r.str()?.to_owned();
+            let first_doc = r.u32_le()?;
+            let doc_count = r.varint()?;
+            let element_count = r.varint()?;
+            let keyword_count = r.varint()?;
+            let file_len = r.varint()?;
             let (postings_total, keyword_filter) = if version >= 2 {
-                let postings_total = get_varint(body, &mut pos)?;
-                let word_count = get_varint(body, &mut pos)? as usize;
+                let postings_total = r.varint()?;
+                let word_count = r.varint()?;
                 let filter = if word_count == 0 {
                     None
                 } else {
-                    if word_count > body.len().saturating_sub(pos) / 8 {
-                        return Err(PersistError::Truncated {
-                            what: "shard manifest keyword filter",
-                        });
-                    }
-                    let mut words = Vec::with_capacity(word_count);
+                    r.check_items(word_count.saturating_mul(8))?;
+                    let mut words = Vec::with_capacity(word_count as usize);
                     for _ in 0..word_count {
-                        words.push(u64::from_le_bytes(
-                            body[pos..pos + 8].try_into().expect("sliced 8"),
-                        ));
-                        pos += 8;
+                        words.push(r.u64_le()?);
                     }
                     Some(
                         validrtf::plan::KeywordFilter::from_words(words).ok_or_else(|| {
@@ -228,20 +216,27 @@ impl ShardManifest {
                 keyword_filter,
             });
         }
-        if shards[0].first_doc != 0 {
+        if let Some(first) = shards.first().filter(|s| s.first_doc != 0) {
             return Err(PersistError::Corrupt {
                 what: format!(
                     "shard 0 must own document 0, manifest says {}",
-                    shards[0].first_doc
+                    first.first_doc
                 ),
             });
         }
-        if !shards.windows(2).all(|w| w[0].first_doc < w[1].first_doc) {
+        if shards
+            .iter()
+            .zip(shards.iter().skip(1))
+            .any(|(a, b)| a.first_doc >= b.first_doc)
+        {
             return Err(PersistError::Corrupt {
                 what: "shard document ranges are not strictly increasing".to_owned(),
             });
         }
-        if shards.iter().map(|s| s.element_count).sum::<u64>() != total_elements {
+        let summed = shards
+            .iter()
+            .try_fold(0u64, |sum, s| sum.checked_add(s.element_count));
+        if summed != Some(total_elements) {
             return Err(PersistError::Corrupt {
                 what: "per-shard element counts do not sum to the manifest total".to_owned(),
             });

@@ -28,11 +28,18 @@
 //! the old manifest. Recovery discards such a stale log — every record
 //! in it is already sealed into the new shards.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
+
 use std::path::{Path, PathBuf};
 
 use xks_obs::{global, Counter};
 
-use crate::codec::{crc32, get_str, get_varint, put_str, put_varint};
+use crate::codec::{crc32, put_str, put_varint, ByteReader};
 use crate::error::PersistError;
 use crate::fault::{fault_rename, fault_sync_dir, FaultFile, Injector};
 
@@ -104,47 +111,28 @@ impl WalRecord {
     }
 
     fn decode(payload: &[u8]) -> Result<Self, PersistError> {
-        let mut pos = 0;
-        let op = *payload.first().ok_or(PersistError::Truncated {
-            what: "empty WAL record payload",
-        })?;
-        pos += 1;
-        let record = match op {
-            0 => WalRecord::Init {
-                root_label: get_str(payload, &mut pos)?,
+        const ORDINAL: &str = "WAL document ordinal";
+        let mut r = ByteReader::new(payload);
+        let record = match r.array()? {
+            [0] => WalRecord::Init {
+                root_label: r.str()?.to_owned(),
             },
-            1 => {
-                let ordinal = read_ordinal(payload, &mut pos)?;
-                WalRecord::Insert {
-                    ordinal,
-                    xml: get_str(payload, &mut pos)?,
-                }
-            }
-            2 => WalRecord::Delete {
-                ordinal: read_ordinal(payload, &mut pos)?,
+            [1] => WalRecord::Insert {
+                ordinal: r.u32_varint(ORDINAL)?,
+                xml: r.str()?.to_owned(),
             },
-            other => {
+            [2] => WalRecord::Delete {
+                ordinal: r.u32_varint(ORDINAL)?,
+            },
+            [other] => {
                 return Err(PersistError::Corrupt {
                     what: format!("WAL record op {other} (expected 0, 1, or 2)"),
                 })
             }
         };
-        if pos != payload.len() {
-            return Err(PersistError::Corrupt {
-                what: format!(
-                    "WAL record has {} trailing bytes after its payload",
-                    payload.len() - pos
-                ),
-            });
-        }
+        r.finish("WAL record")?;
         Ok(record)
     }
-}
-
-fn read_ordinal(payload: &[u8], pos: &mut usize) -> Result<u32, PersistError> {
-    u32::try_from(get_varint(payload, pos)?).map_err(|_| PersistError::Corrupt {
-        what: "WAL document ordinal overflows u32".to_owned(),
-    })
 }
 
 /// What [`Wal::scan`] found in a log's bytes.
@@ -234,50 +222,30 @@ impl Wal {
                 what: "file shorter than the WAL header",
             });
         }
-        let magic: [u8; 4] = bytes[0..4].try_into().expect("sliced 4");
+        let mut r = ByteReader::new(bytes);
+        let magic = r.array()?;
         if magic != WAL_MAGIC {
             return Err(PersistError::BadMagic { found: magic });
         }
-        let version = u16::from_le_bytes(bytes[4..6].try_into().expect("sliced 2"));
+        let version = r.u16_le()?;
         if version != WAL_VERSION {
             return Err(PersistError::UnsupportedVersion { found: version });
         }
-        let base_crc = u32::from_le_bytes(bytes[8..12].try_into().expect("sliced 4"));
+        r.array::<2>()?; // reserved
+        let base_crc = r.u32_le()?;
         let mut records = Vec::new();
-        let mut pos = WAL_HEADER_LEN as usize;
-        loop {
-            let remaining = bytes.len() - pos;
-            if remaining == 0 {
-                return Ok(WalScan {
-                    base_crc,
-                    records,
-                    valid_len: pos as u64,
-                    torn: false,
-                });
-            }
-            if remaining < WAL_FRAME_OVERHEAD as usize {
-                break; // torn: not even a frame header
-            }
-            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("sliced 4"));
-            let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("sliced 4"));
-            let body_start = pos + 8;
-            if len > MAX_RECORD_LEN || (len as usize) > bytes.len() - body_start {
-                break; // torn: frame promises more bytes than exist
-            }
-            let payload = &bytes[body_start..body_start + len as usize];
-            if crc32(payload) != crc {
-                break; // torn: the frame never finished
-            }
+        let mut valid_len = r.position();
+        while let Some(payload) = next_payload(&mut r) {
             // A clean CRC over a malformed payload is real corruption,
             // not a crash artifact — typed error, no silent truncation.
             records.push(WalRecord::decode(payload)?);
-            pos = body_start + len as usize;
+            valid_len = r.position();
         }
         Ok(WalScan {
             base_crc,
             records,
-            valid_len: pos as u64,
-            torn: true,
+            valid_len: valid_len as u64,
+            torn: valid_len < bytes.len(),
         })
     }
 
@@ -375,6 +343,16 @@ impl Wal {
     }
 }
 
+/// The next frame's payload, or `None` when the bytes left are not a
+/// whole frame whose CRC matches: the torn tail. A length above
+/// [`MAX_RECORD_LEN`] counts as torn too.
+fn next_payload<'a>(r: &mut ByteReader<'a>) -> Option<&'a [u8]> {
+    let len = r.u32_le().ok().filter(|&len| len <= MAX_RECORD_LEN)?;
+    let crc = r.u32_le().ok()?;
+    let payload = r.bytes(u64::from(len)).ok()?;
+    (crc32(payload) == crc).then_some(payload)
+}
+
 fn tmp_path(path: &Path) -> PathBuf {
     let mut name = path
         .file_name()
@@ -385,6 +363,7 @@ fn tmp_path(path: &Path) -> PathBuf {
 }
 
 #[cfg(test)]
+#[allow(clippy::indexing_slicing, clippy::unwrap_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::fault::FaultKind;

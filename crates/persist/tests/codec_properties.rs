@@ -4,9 +4,16 @@
 //! panicking.
 
 use proptest::prelude::*;
-use xks_persist::codec::{get_postings, get_str, get_varint, put_postings, put_str, put_varint};
+use xks_persist::codec::{put_postings, put_str, put_varint, ByteReader};
 use xks_persist::PersistError;
-use xks_xmltree::Dewey;
+use xks_xmltree::{Dewey, DeweyListBuf};
+
+/// Decodes one posting list from the front of `r` into owned codes.
+fn postings(r: &mut ByteReader<'_>) -> Result<Vec<Dewey>, PersistError> {
+    let mut buf = DeweyListBuf::new();
+    r.postings_into(&mut buf)?;
+    Ok(buf.to_deweys())
+}
 
 /// Builds a sorted, deduplicated Dewey list from arbitrary component
 /// material — the exact shape posting lists have on disk.
@@ -30,11 +37,11 @@ proptest! {
         for &v in &values {
             put_varint(&mut buf, v);
         }
-        let mut pos = 0;
+        let mut r = ByteReader::new(&buf);
         for &v in &values {
-            prop_assert_eq!(get_varint(&buf, &mut pos).unwrap(), v);
+            prop_assert_eq!(r.varint().unwrap(), v);
         }
-        prop_assert_eq!(pos, buf.len());
+        prop_assert_eq!(r.remaining(), 0);
     }
 
     #[test]
@@ -43,8 +50,7 @@ proptest! {
         put_varint(&mut buf, value);
         let cut = cut.min(buf.len());
         let truncated = &buf[..buf.len() - cut];
-        let mut pos = 0;
-        match get_varint(truncated, &mut pos) {
+        match ByteReader::new(truncated).varint() {
             Ok(v) => prop_assert_eq!(v, value, "only the untouched encoding decodes"),
             Err(PersistError::Truncated { .. }) => {}
             Err(other) => prop_assert!(false, "unexpected error {other}"),
@@ -57,11 +63,11 @@ proptest! {
         for s in &parts {
             put_str(&mut buf, s);
         }
-        let mut pos = 0;
+        let mut r = ByteReader::new(&buf);
         for s in &parts {
-            prop_assert_eq!(&get_str(&buf, &mut pos).unwrap(), s);
+            prop_assert_eq!(r.str().unwrap(), s);
         }
-        prop_assert_eq!(pos, buf.len());
+        prop_assert_eq!(r.remaining(), 0);
     }
 
     #[test]
@@ -71,10 +77,10 @@ proptest! {
         let list = dewey_list(&raw);
         let mut buf = Vec::new();
         put_postings(&mut buf, &list);
-        let mut pos = 0;
-        let back = get_postings(&buf, &mut pos).unwrap();
+        let mut r = ByteReader::new(&buf);
+        let back = postings(&mut r).unwrap();
         prop_assert_eq!(back, list);
-        prop_assert_eq!(pos, buf.len());
+        prop_assert_eq!(r.remaining(), 0);
     }
 
     #[test]
@@ -88,8 +94,7 @@ proptest! {
         put_postings(&mut buf, &list);
         let cut = cut.min(buf.len() - 1);
         let truncated = &buf[..buf.len() - cut];
-        let mut pos = 0;
-        match get_postings(truncated, &mut pos) {
+        match postings(&mut ByteReader::new(truncated)) {
             // Cutting whole trailing entries can still decode a prefix
             // of the list — but never the full list.
             Ok(decoded) => prop_assert!(decoded.len() < list.len()),
@@ -105,7 +110,6 @@ proptest! {
         // Arbitrary bytes must produce Ok or a typed error — never a
         // panic or unbounded allocation (count is bounded by input
         // size because every posting consumes at least two bytes).
-        let mut pos = 0;
-        let _ = get_postings(&junk, &mut pos);
+        let _ = postings(&mut ByteReader::new(&junk));
     }
 }

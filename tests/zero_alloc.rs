@@ -41,7 +41,7 @@ use xks::lca::{
     elca_from_merged, elca_into_context, indexed_lookup_eager_into, merge_postings_into,
     planned_elca_into_context, slca_into_context, ElcaScratch, QueryContext,
 };
-use xks::persist::codec::{get_postings_into, put_postings};
+use xks::persist::codec::{put_postings, ByteReader};
 use xks::xmltree::{Dewey, DeweyListBuf};
 
 struct CountingAllocator;
@@ -145,13 +145,15 @@ fn warm_query_hot_path_is_allocation_free() {
     let mut encoded = Vec::new();
     put_postings(&mut encoded, &postings);
     let mut arena = DeweyListBuf::new();
-    let mut pos = 0;
-    get_postings_into(&encoded, &mut pos, &mut arena).expect("clean decode");
+    ByteReader::new(&encoded)
+        .postings_into(&mut arena)
+        .expect("clean decode");
     assert_eq!(arena.len(), postings.len());
 
     let n = count_allocs(|| {
-        let mut pos = 0;
-        get_postings_into(&encoded, &mut pos, &mut arena).expect("clean decode");
+        ByteReader::new(&encoded)
+            .postings_into(&mut arena)
+            .expect("clean decode");
     });
     assert_eq!(n, 0, "warm arena decode allocated {n} times");
 
@@ -191,11 +193,13 @@ fn warm_query_hot_path_is_allocation_free() {
     // Decoding a postings run into a caller's warm arena (what
     // `IndexReader::keyword_postings_into` does) is allocation-free too.
     let mut local = DeweyListBuf::new();
-    let mut pos = 0;
-    get_postings_into(&encoded, &mut pos, &mut local).expect("warm-up decode");
+    ByteReader::new(&encoded)
+        .postings_into(&mut local)
+        .expect("warm-up decode");
     let n = count_allocs(|| {
-        let mut pos = 0;
-        get_postings_into(&encoded, &mut pos, &mut local).expect("clean decode");
+        ByteReader::new(&encoded)
+            .postings_into(&mut local)
+            .expect("clean decode");
     });
     assert_eq!(n, 0, "warm local decode arena allocated {n} times");
 
