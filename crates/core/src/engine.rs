@@ -334,9 +334,9 @@ impl SearchEngine {
             stats.truncated = rtf_count > bound.0;
             let hits = self.construct_bounded_topk(
                 ctx,
-                kind.policy(),
-                spec.query().len(),
+                (kind.policy(), spec.query().len()),
                 bound,
+                (deadline, exec_start),
                 &mut stats,
                 traced.then_some(&mut layout_ns),
             )?;
@@ -540,12 +540,15 @@ impl SearchEngine {
     ///   skip implies a strictly lower true score — under the
     ///   score-desc / index-asc tiebreak, no skipped fragment can
     ///   displace a constructed one from the top k.
+    ///
+    /// Like the document-order loop, it checks the deadline every
+    /// [`DEADLINE_STRIDE`] RTFs.
     fn construct_bounded_topk(
         &self,
         ctx: &mut QueryContext,
-        policy: Policy,
-        k_query: usize,
+        (policy, k_query): (Policy, usize),
         (k_limit, weights): (usize, crate::rank::RankWeights),
+        (deadline, exec_start): (Option<Instant>, Instant),
         stats: &mut SearchStats,
         mut layout_ns: Option<&mut u64>,
     ) -> Result<Vec<Hit>, SearchError> {
@@ -581,7 +584,10 @@ impl SearchEngine {
         // built; `top_scores` tracks the k best scores descending.
         let mut built: Vec<(usize, f64, [f64; 3], Fragment)> = Vec::new();
         let mut top_scores: Vec<f64> = Vec::with_capacity(k_limit);
-        for (i, ub) in order {
+        for (n, (i, ub)) in order.into_iter().enumerate() {
+            if n > 0 && n.is_multiple_of(DEADLINE_STRIDE) {
+                self.check_deadline(deadline, exec_start, "construct", stats)?;
+            }
             if top_scores.len() == k_limit && ub < top_scores[k_limit - 1] {
                 stats.rtfs_skipped_topk += 1;
                 continue;
@@ -1235,33 +1241,36 @@ mod tests {
     #[test]
     fn deadline_fires_inside_the_construct_stage() {
         // 1 000 single-node fragments at ≥ 1 ms each: the stage alone
-        // would run a second, the deadline falls 200 ms in.
+        // would run a second, the deadline falls 200 ms in. Both the
+        // document-order loop and the ranked top-k loop must stop.
         let mut xml = String::from("<lib>");
         for _ in 0..1000 {
             xml.push_str("<b><t>common</t></b>");
         }
         xml.push_str("</lib>");
         let tree = xks_xmltree::parse(&xml).unwrap();
-        let (engine, lookups) = probed_engine(&tree, Duration::from_millis(1));
         let budget = Duration::from_millis(200);
-        let err = engine.execute(&req("common").timeout(budget)).unwrap_err();
-        let SearchError::Timeout(timeout) = &err else {
-            panic!("expected Timeout, got {err:?}");
-        };
-        assert_eq!(timeout.stage, "construct");
-        assert!(timeout.elapsed >= budget);
-        assert_eq!(
-            timeout.stats.plan_postings, 1000,
-            "partial stats ride along"
-        );
-        // It fired mid-stage, and the overshoot is what is built between
-        // two checks — not the 800 fragments that were left.
-        let built = lookups().keyword_nodes;
-        assert!(built >= DEADLINE_STRIDE, "built {built}");
-        assert!(
-            built <= budget.as_millis() as usize + DEADLINE_STRIDE,
-            "built {built}"
-        );
+        for request in [req("common"), req("common").top_k(1)] {
+            let (engine, lookups) = probed_engine(&tree, Duration::from_millis(1));
+            let err = engine.execute(&request.timeout(budget)).unwrap_err();
+            let SearchError::Timeout(timeout) = &err else {
+                panic!("expected Timeout, got {err:?}");
+            };
+            assert_eq!(timeout.stage, "construct");
+            assert!(timeout.elapsed >= budget);
+            assert_eq!(
+                timeout.stats.plan_postings, 1000,
+                "partial stats ride along"
+            );
+            // It fired mid-stage, and the overshoot is what is built
+            // between two checks — not the 800 fragments that were left.
+            let built = lookups().keyword_nodes;
+            assert!(built >= DEADLINE_STRIDE, "built {built}");
+            assert!(
+                built <= budget.as_millis() as usize + DEADLINE_STRIDE,
+                "built {built}"
+            );
+        }
     }
 
     #[test]

@@ -66,13 +66,6 @@ impl KeySet {
         self.0 & other.0 == self.0
     }
 
-    /// `self ⊂ other` (strict) — the contributor test `dMatch(n) ⊂
-    /// dMatch(n2)` of MaxMatch and rule 2(a) of Definition 4.
-    #[must_use]
-    pub fn is_strict_subset(self, other: KeySet) -> bool {
-        self != other && self.is_subset(other)
-    }
-
     /// `true` when the set covers all `k` query keywords.
     #[must_use]
     pub fn covers_query(self, k: usize) -> bool {
@@ -134,8 +127,7 @@ mod tests {
         assert_eq!(s.len(), 2);
         let t = KeySet::single(3);
         assert!(t.is_subset(s));
-        assert!(t.is_strict_subset(s));
-        assert!(!s.is_strict_subset(s));
+        assert_ne!(t, s);
         assert_eq!(s.union(KeySet::single(1)).len(), 3);
     }
 
@@ -172,7 +164,7 @@ mod tests {
         // Subset relation is invariant under the convention flip.
         let a = KeySet(0b011); // w1, w2
         let b = KeySet(0b111);
-        assert!(a.is_strict_subset(b));
+        assert!(a.is_subset(b) && a != b);
         assert!(a.key_number(3) < b.key_number(3));
     }
 

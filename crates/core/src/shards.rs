@@ -39,7 +39,7 @@
 //! shards hold its nodes. Results are therefore **byte-identical** to
 //! the unsharded engine by construction — not just on friendly
 //! workloads — which the workspace pins against the golden digest in
-//! `tests/sharded_differential.rs`. Parallelism comes from running
+//! `tests/conformance.rs`. Parallelism comes from running
 //! many queries at once ([`crate::executor`], `xks serve`), not from
 //! splitting one.
 

@@ -97,43 +97,9 @@ pub fn xmark_workload() -> Vec<(&'static str, String)> {
         .collect()
 }
 
-/// The adversarial planner workload over a Zipf-skewed vocabulary
-/// (see `freq::zipf_counts`): every *stop-word × rare* pair — the
-/// planner's best case, where the rarest list drives a galloping
-/// intersection through the stop word's huge list — plus the all-stop
-/// query (no skew between lists, so the planner must *not* gallop)
-/// and each rare word alone (single-term, nothing to intersect).
-/// Together the three shapes pin both sides of the cost model.
-#[must_use]
-pub fn adversarial_queries(stop: &[String], rare: &[String]) -> Vec<String> {
-    let mut out = Vec::new();
-    for s in stop {
-        for r in rare {
-            out.push(format!("{s} {r}"));
-        }
-    }
-    if stop.len() > 1 {
-        out.push(stop.join(" "));
-    }
-    out.extend(rare.iter().cloned());
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn adversarial_workload_has_all_three_shapes() {
-        let stop: Vec<String> = ["the", "of"].map(str::to_owned).into();
-        let rare: Vec<String> = ["quark", "axion", "lepton"].map(str::to_owned).into();
-        let queries = adversarial_queries(&stop, &rare);
-        assert_eq!(queries.len(), 2 * 3 + 1 + 3);
-        assert!(queries.contains(&"the quark".to_owned()));
-        assert!(queries.contains(&"of lepton".to_owned()));
-        assert!(queries.contains(&"the of".to_owned()));
-        assert!(queries.contains(&"axion".to_owned()));
-    }
 
     #[test]
     fn vdo_is_the_paper_example() {

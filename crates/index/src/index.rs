@@ -71,27 +71,6 @@ impl InvertedIndex {
         }
     }
 
-    /// Builds an index from raw postings (used by tests and by callers
-    /// that shredded through `xks-store`). Lists are sorted and deduped.
-    #[must_use]
-    pub fn from_postings<I>(postings: I, node_count: usize) -> Self
-    where
-        I: IntoIterator<Item = (String, Vec<Dewey>)>,
-    {
-        let mut map: BTreeMap<String, Vec<Dewey>> = BTreeMap::new();
-        for (word, deweys) in postings {
-            map.entry(word).or_default().extend(deweys);
-        }
-        for deweys in map.values_mut() {
-            deweys.sort();
-            deweys.dedup();
-        }
-        InvertedIndex {
-            postings: map,
-            node_count,
-        }
-    }
-
     /// The sorted posting list for `word` (empty slice if absent).
     #[must_use]
     pub fn postings(&self, word: &str) -> &[Dewey] {
@@ -201,28 +180,6 @@ impl KeywordNodeSets {
     pub fn is_empty(&self) -> bool {
         self.sets.is_empty()
     }
-
-    /// Index of the smallest `D_i` (the driver list of the Indexed
-    /// Lookup Eager SLCA algorithm).
-    #[must_use]
-    pub fn smallest_set(&self) -> usize {
-        self.sets
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, s)| s.len())
-            .map(|(i, _)| i)
-            .expect("non-empty query")
-    }
-
-    /// Union of all lists, sorted and deduplicated — every keyword node
-    /// of the query in document order (what `getRTF` dispatches).
-    #[must_use]
-    pub fn all_keyword_nodes(&self) -> Vec<Dewey> {
-        let mut all: Vec<Dewey> = self.sets.iter().flatten().cloned().collect();
-        all.sort();
-        all.dedup();
-        all
-    }
 }
 
 #[cfg(test)]
@@ -267,38 +224,12 @@ mod tests {
         assert_eq!(sets.len(), 2);
         assert_eq!(sets.set(0).len(), 2);
         assert_eq!(sets.set(1).len(), 3);
-        assert_eq!(sets.smallest_set(), 0);
     }
 
     #[test]
     fn resolve_fails_on_unmatched_keyword() {
         let i = idx();
         assert!(i.resolve(&q("liu unobtainium")).is_none());
-    }
-
-    #[test]
-    fn all_keyword_nodes_union() {
-        let i = idx();
-        let sets = i.resolve(&q("liu keyword")).unwrap();
-        let all: Vec<String> = sets
-            .all_keyword_nodes()
-            .iter()
-            .map(ToString::to_string)
-            .collect();
-        // Union of {name, ref} and {title, abstract, ref}, dedup'd.
-        assert_eq!(all, ["0.2.0.0.0.0", "0.2.0.1", "0.2.0.2", "0.2.0.3.0"]);
-    }
-
-    #[test]
-    fn from_postings_sorts_and_dedups() {
-        let d = |s: &str| s.parse::<Dewey>().unwrap();
-        let i = InvertedIndex::from_postings(
-            vec![("w".to_owned(), vec![d("0.2"), d("0.1"), d("0.2"), d("0.0")])],
-            4,
-        );
-        let got: Vec<String> = i.postings("w").iter().map(ToString::to_string).collect();
-        assert_eq!(got, ["0.0", "0.1", "0.2"]);
-        assert_eq!(i.frequency("w"), 3);
     }
 
     #[test]

@@ -78,18 +78,6 @@ impl Query {
         Ok(Query { keywords })
     }
 
-    /// Parses a keyword string, applying `normalize` to every keyword —
-    /// pair this with [`InvertedIndex::build_with`] so index and query
-    /// agree on normalization (e.g. `xks_xmltree::stem::light_stem`).
-    ///
-    /// [`InvertedIndex::build_with`]: crate::InvertedIndex::build_with
-    pub fn parse_with<F>(text: &str, normalize: F) -> Result<Self, QueryError>
-    where
-        F: Fn(&str) -> String,
-    {
-        Self::from_words(text.split_whitespace().map(normalize))
-    }
-
     /// The normalized keywords, in query order (= bit index order).
     #[must_use]
     pub fn keywords(&self) -> &[String] {
@@ -182,25 +170,5 @@ mod tests {
         // Adding an existing keyword is a no-op.
         let q3 = q.with_keyword("liu").unwrap();
         assert_eq!(q3, q);
-    }
-}
-
-#[cfg(test)]
-mod parse_with_tests {
-    use super::*;
-
-    #[test]
-    fn parse_with_normalizes_each_keyword() {
-        let upper_strip = |w: &str| w.trim_end_matches('s').to_lowercase();
-        let q = Query::parse_with("Queries Trees tree", upper_strip).unwrap();
-        // "trees" and "tree" collapse to one keyword.
-        assert_eq!(q.keywords(), ["querie", "tree"]);
-    }
-
-    #[test]
-    fn parse_with_identity_matches_parse() {
-        let a = Query::parse("xml keyword").unwrap();
-        let b = Query::parse_with("xml keyword", |w| w.to_lowercase()).unwrap();
-        assert_eq!(a, b);
     }
 }

@@ -141,12 +141,6 @@ impl QueryTrace {
         self.dropped = 0;
     }
 
-    /// Whether record calls currently capture spans.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Nanosecond offset of `at` from the trace origin (saturating to
     /// zero if `at` precedes it; zero when disarmed).
     #[must_use]
@@ -215,17 +209,6 @@ impl QueryTrace {
         self.dropped
     }
 
-    /// Total recorded nanoseconds attributed to `stage` (sums multiple
-    /// spans, e.g. per-keyword postings decodes).
-    #[must_use]
-    pub fn stage_total_ns(&self, stage: Stage) -> u64 {
-        self.spans()
-            .iter()
-            .filter(|s| s.stage == stage)
-            .map(|s| s.dur_ns)
-            .sum()
-    }
-
     /// The trace as a Chrome-trace-event JSON document (loadable in
     /// `chrome://tracing` or Perfetto): one complete (`"ph":"X"`)
     /// event per span, timestamps in microseconds relative to the
@@ -266,7 +249,6 @@ mod tests {
         let mut trace = QueryTrace::new();
         trace.record_manual(Stage::Resolve, 0, 100);
         trace.record_since(Stage::Parse, Instant::now());
-        assert!(!trace.is_enabled());
         assert!(trace.spans().is_empty());
     }
 
@@ -280,10 +262,6 @@ mod tests {
         assert_eq!(trace.spans().len(), TRACE_SPAN_CAP);
         assert_eq!(trace.dropped(), 3);
         assert_eq!(trace.spans()[1].start_ns, 10);
-        assert_eq!(
-            trace.stage_total_ns(Stage::PostingsDecode),
-            5 * TRACE_SPAN_CAP as u64
-        );
         trace.disarm();
         assert!(trace.spans().is_empty());
     }

@@ -78,7 +78,7 @@ pub use error::PersistError;
 pub use fault::{FaultFile, FaultKind, Injector};
 pub use mutable::{preregister_durability_metrics, MutableCorpus, MutableError};
 pub use pool::PoolStats;
-pub use reader::{ElementRecord, IndexReader, IndexStats, ReaderOptions};
+pub use reader::{ElementRecord, IndexReader, IndexStats};
 pub use shard::{write_sharded, ShardEntry, ShardManifest, ShardedCorpus, ShardedWriteSummary};
 pub use wal::{Wal, WalRecord, WalScan};
 pub use writer::{IndexWriter, WriteSummary};

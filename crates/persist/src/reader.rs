@@ -39,25 +39,13 @@ use crate::error::PersistError;
 use crate::format::{Header, Section, HEADER_LEN};
 use crate::pool::{lock_unpoisoned, BufferPool, PoolStats};
 
-/// Tuning knobs for [`IndexReader::open_with`].
-#[derive(Debug, Clone, Copy)]
-pub struct ReaderOptions {
-    /// Buffer-pool capacity in pages (default 256; clamped to ≥ 8).
-    pub pool_pages: usize,
-    /// Capacity of the decoded-postings LRU cache in keywords
-    /// (default 64; 0 disables caching). A hit skips the pool reads
-    /// *and* the varint decode for the keyword's whole posting run.
-    pub postings_cache_keywords: usize,
-}
+/// Buffer-pool capacity of every reader, in pages (clamped to ≥ 8).
+const POOL_PAGES: usize = 256;
 
-impl Default for ReaderOptions {
-    fn default() -> Self {
-        ReaderOptions {
-            pool_pages: 256,
-            postings_cache_keywords: 64,
-        }
-    }
-}
+/// Capacity of every reader's decoded-postings LRU cache, in keywords.
+/// A hit skips the pool reads *and* the varint decode for the
+/// keyword's whole posting run.
+const POSTINGS_CACHE_KEYWORDS: usize = 64;
 
 /// A tiny LRU keyed by keyword, holding decoded posting runs as shared
 /// flat arenas. Capacities are small (tens of entries), so eviction is
@@ -103,9 +91,6 @@ impl PostingsCache {
     }
 
     fn get(&self, keyword: &str) -> Option<Arc<DeweyListBuf>> {
-        if self.capacity == 0 {
-            return None;
-        }
         let tick = self.bump();
         let mut slots = lock_unpoisoned(&self.slots);
         if let Some(slot) = slots.iter_mut().find(|s| s.keyword == keyword) {
@@ -118,9 +103,6 @@ impl PostingsCache {
     }
 
     fn insert(&self, keyword: &str, postings: Arc<DeweyListBuf>) {
-        if self.capacity == 0 {
-            return;
-        }
         let last_used = self.bump();
         let slot = CacheSlot {
             keyword: keyword.to_owned(),
@@ -341,18 +323,23 @@ pub struct IndexReader {
 }
 
 impl IndexReader {
-    /// Opens an index with default options.
-    pub fn open(path: &Path) -> Result<Self, PersistError> {
-        Self::open_with(path, ReaderOptions::default())
-    }
-
     /// Opens an index, validating magic, version, header checksum,
     /// section bounds and the header counts against the offset arrays,
     /// then reading sections 0–4 whole and checking each one's CRC
     /// (`ChecksumMismatch` naming the section). Only the postings are
     /// left for lookups to page in; use [`IndexReader::verify`] to
     /// check them too.
-    pub fn open_with(path: &Path, options: ReaderOptions) -> Result<Self, PersistError> {
+    pub fn open(path: &Path) -> Result<Self, PersistError> {
+        Self::open_sized(path, POOL_PAGES, POSTINGS_CACHE_KEYWORDS)
+    }
+
+    /// [`IndexReader::open`] with the pool and postings-cache
+    /// capacities given; unit tests size small caches through it.
+    fn open_sized(
+        path: &Path,
+        pool_pages: usize,
+        postings_cache_keywords: usize,
+    ) -> Result<Self, PersistError> {
         let mut file = File::open(path)?;
         let file_len = file.metadata()?.len();
 
@@ -401,12 +388,7 @@ impl IndexReader {
         let keyword_offsets = read(Section::KeywordOffsets)?;
         let keyword_dict = read(Section::KeywordDict)?;
 
-        let pool = BufferPool::new(
-            file,
-            file_len,
-            header.page_size as usize,
-            options.pool_pages,
-        );
+        let pool = BufferPool::new(file, file_len, header.page_size as usize, pool_pages);
         Ok(IndexReader {
             path: path.to_owned(),
             pool,
@@ -415,7 +397,7 @@ impl IndexReader {
             elements,
             keyword_offsets,
             keyword_dict,
-            postings_cache: PostingsCache::new(options.postings_cache_keywords),
+            postings_cache: PostingsCache::new(postings_cache_keywords),
             features: FeatureMemo::new(header.element_count as usize),
             element_finger: AtomicU64::new(0),
             element_probes: AtomicU64::new(0),
@@ -1172,14 +1154,7 @@ mod tests {
         IndexWriter::new()
             .write_tree(&publications(), &path)
             .unwrap();
-        let reader = IndexReader::open_with(
-            &path,
-            ReaderOptions {
-                pool_pages: 256,
-                postings_cache_keywords: 2,
-            },
-        )
-        .unwrap();
+        let reader = IndexReader::open_sized(&path, POOL_PAGES, 2).unwrap();
         for kw in ["liu", "keyword", "xml"] {
             reader.try_keyword_deweys(kw).unwrap();
         }
@@ -1251,21 +1226,14 @@ mod tests {
             .unwrap()
             .write_tree(&publications(), &path)
             .unwrap();
-        let reader = IndexReader::open_with(
-            &path,
-            ReaderOptions {
-                pool_pages: 1,
-                postings_cache_keywords: 0,
-            },
-        )
-        .unwrap();
+        let reader = IndexReader::open_sized(&path, 1, 1).unwrap();
         let doc = shred(&publications());
         for kw in ["liu", "keyword", "xml", "liu"] {
             let got = reader.try_keyword_deweys(kw).unwrap();
             assert_eq!(got, doc.postings()[kw], "{kw}");
         }
-        // Capacity is clamped to 8 pages; with 512-byte pages the three
-        // distinct lookups still force traffic through the tiny pool.
+        // Capacity is clamped to 8 pages; with 512-byte pages and one
+        // cached keyword, every lookup goes through the tiny pool.
         assert!(reader.stats().pool.pages_read > 0);
         std::fs::remove_file(&path).unwrap();
     }

@@ -21,7 +21,7 @@
 //! reports the skips in its stats), or the corpus itself to
 //! `from_source` — both read the same way and are byte-identical to an
 //! unsharded index over the same corpus (pinned by
-//! `tests/sharded_differential.rs` against the golden digest).
+//! `tests/conformance.rs` against the golden digest).
 //!
 //! See `FORMAT.md` §"Shard manifest" for the byte-level layout.
 
@@ -36,7 +36,7 @@ use xks_xmltree::Dewey;
 
 use crate::codec::{crc32, put_str, put_varint, ByteReader};
 use crate::error::PersistError;
-use crate::reader::{IndexReader, IndexStats, ReaderOptions};
+use crate::reader::{IndexReader, IndexStats};
 use crate::writer::{IndexWriter, WriteSummary};
 
 /// Manifest magic: "XKSM" (Xml Keyword Search, Manifest).
@@ -343,12 +343,6 @@ pub struct ShardedCorpus {
 }
 
 impl ShardedCorpus {
-    /// Opens a manifest and every shard it names with default reader
-    /// options.
-    pub fn open(manifest_path: &Path) -> Result<Self, PersistError> {
-        Self::open_with(manifest_path, ReaderOptions::default())
-    }
-
     /// Opens a manifest and every shard it names. Shard paths resolve
     /// relative to the manifest's directory; each shard file goes
     /// through the full `.xks` open-time validation (header CRC, section
@@ -356,12 +350,12 @@ impl ShardedCorpus {
     /// keyword count, and file length are additionally cross-checked
     /// against the manifest, so a swapped-in foreign shard file is
     /// rejected at open even when internally valid.
-    pub fn open_with(manifest_path: &Path, options: ReaderOptions) -> Result<Self, PersistError> {
+    pub fn open(manifest_path: &Path) -> Result<Self, PersistError> {
         let manifest = ShardManifest::decode(&std::fs::read(manifest_path)?)?;
         let dir = manifest_path.parent().unwrap_or_else(|| Path::new("."));
         let mut readers = Vec::with_capacity(manifest.shards.len());
         for entry in &manifest.shards {
-            let reader = IndexReader::open_with(&dir.join(&entry.file_name), options)?;
+            let reader = IndexReader::open(&dir.join(&entry.file_name))?;
             let stats = reader.stats();
             for (what, found, promised) in [
                 ("elements", reader.element_count(), entry.element_count),

@@ -205,21 +205,6 @@ impl Dewey {
         }
     }
 
-    /// Overwrites this code with `components`, reusing a spilled code's
-    /// heap capacity when possible (a scratch-cursor `clone_from`
-    /// by slice).
-    pub fn assign(&mut self, components: &[u32]) {
-        match &mut self.repr {
-            Repr::Spilled(v)
-                if components.len() > INLINE_CAP || v.capacity() >= components.len() =>
-            {
-                v.clear();
-                v.extend_from_slice(components);
-            }
-            _ => *self = Self::from_slice(components),
-        }
-    }
-
     /// The code of this node's `ordinal`-th child (0-based).
     #[must_use]
     pub fn child(&self, ordinal: u32) -> Self {
@@ -295,23 +280,6 @@ impl Dewey {
                 return None;
             }
             len -= 1;
-            Some(Self::from_slice(&self.components()[..len]))
-        })
-    }
-
-    /// Iterator over the path from `stop` (exclusive) down to `self`
-    /// (inclusive); `stop` must be an ancestor-or-self of `self`.
-    /// Used by the constructing step of `pruneRTF`, which walks every
-    /// node on the path from a keyword node up to the RTF anchor.
-    pub fn path_from(&self, stop: &Dewey) -> impl Iterator<Item = Dewey> + '_ {
-        debug_assert!(stop.is_ancestor_or_self(self));
-        let mut len = stop.len();
-        let end = self.len();
-        std::iter::from_fn(move || {
-            if len >= end {
-                return None;
-            }
-            len += 1;
             Some(Self::from_slice(&self.components()[..len]))
         })
     }
@@ -507,17 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn path_from_anchor() {
-        let path: Vec<String> = d("0.2.0.1")
-            .path_from(&d("0"))
-            .map(|a| a.to_string())
-            .collect();
-        assert_eq!(path, ["0.2", "0.2.0", "0.2.0.1"]);
-        // path from self is empty
-        assert_eq!(d("0.2").path_from(&d("0.2")).count(), 0);
-    }
-
-    #[test]
     fn subtree_upper_bound_bracket() {
         let ub = d("0.2.0").subtree_upper_bound().unwrap();
         assert_eq!(ub, d("0.2.1"));
@@ -574,17 +531,6 @@ mod tests {
         assert_eq!(x, d("0.1.2.3.4.5.6.7.8"));
         assert_eq!(x.pop_component(), Some(8));
         assert_eq!(x, d("0.1.2.3.4.5.6.7"));
-    }
-
-    #[test]
-    fn assign_reuses_and_matches() {
-        let mut x = d("0.1.2.3.4.5.6.7.8"); // spilled
-        x.assign(&[0, 2]);
-        assert_eq!(x, d("0.2"));
-        let mut y = Dewey::empty();
-        y.assign(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
-        assert_eq!(y.len(), 10);
-        assert_eq!(y, Dewey::from_components((0..10).collect()));
     }
 
     #[test]

@@ -61,12 +61,6 @@ impl DeweyListBuf {
         self.starts.is_empty()
     }
 
-    /// Total number of components across all codes.
-    #[must_use]
-    pub fn total_components(&self) -> usize {
-        self.comps.len()
-    }
-
     /// The component slice of entry `i`, `None` out of bounds.
     #[must_use]
     pub fn get(&self, i: usize) -> Option<&[u32]> {
@@ -194,7 +188,6 @@ mod tests {
         assert_eq!(buf.get(3), Some(&[0u32, 3][..]));
         assert_eq!(buf.get(4), None);
         assert_eq!(buf.dewey(1), d("0.2.1"));
-        assert_eq!(buf.total_components(), 6);
     }
 
     #[test]

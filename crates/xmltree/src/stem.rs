@@ -73,14 +73,6 @@ fn finish_e_restore(w: String) -> String {
     w
 }
 
-/// Stems every token of an iterator (convenience for index builders).
-pub fn stem_all<'a, I>(tokens: I) -> impl Iterator<Item = String> + 'a
-where
-    I: Iterator<Item = String> + 'a,
-{
-    tokens.map(|t| light_stem(&t))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,12 +115,5 @@ mod tests {
             let once = light_stem(w);
             assert_eq!(light_stem(&once), once, "{w} not idempotent");
         }
-    }
-
-    #[test]
-    fn stem_all_maps_tokens() {
-        let toks = vec!["queries".to_owned(), "matching".to_owned()];
-        let out: Vec<String> = stem_all(toks.into_iter()).collect();
-        assert_eq!(out, ["query", "match"]);
     }
 }

@@ -1,19 +1,30 @@
-//! Helpers shared by the workload-digest tests
-//! (`tests/workload_golden.rs` pins the single-thread results;
-//! `tests/concurrent_differential.rs` re-derives the same digests from
-//! many threads). Both must produce byte-identical lines, so the
-//! format lives here exactly once.
+//! Helpers shared by the test crates: the workload-digest line format
+//! (`tests/conformance.rs` checks every configuration against the
+//! golden files with it, `tests/crash_matrix.rs` and
+//! `tests/render_golden.rs` reuse it) and, in [`reference`], the
+//! paper's pruning rules and docs/API.md's operator rules read
+//! literally. The format lives here exactly once, so every digest
+//! line any test computes is byte-comparable.
 
 #![allow(dead_code)] // each test crate uses a subset
+
+pub mod reference;
 
 use xks::core::{AlgorithmKind, CorpusSource, Fragment};
 
 /// The golden digest of the 43-query workload × 3 algorithms, captured
 /// before the zero-allocation rewrite (PR 2). Re-bless deliberately
-/// with `XKS_BLESS_GOLDEN=1 cargo test -q --test workload_golden`.
+/// with `XKS_BLESS_GOLDEN=1 cargo test -q --test conformance digest`.
 pub const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/workload_digest.txt"
+);
+
+/// The golden digest of the `s10-flat-zipf-single` matrix cell on
+/// every backend, blessed the same way.
+pub const MATRIX_GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/matrix_digest.txt"
 );
 
 /// Every algorithm the digest covers, in golden-file order.

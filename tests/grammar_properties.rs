@@ -12,7 +12,7 @@
 //!    exactly the `Query` the legacy flat parser produces, and
 //!    executing it returns byte-identical fragments through both the
 //!    legacy and the request path. (The 43-query golden workload digest
-//!    in `tests/workload_golden.rs` pins the same equivalence against
+//!    in `tests/conformance.rs` pins the same equivalence against
 //!    the recorded pre-redesign results at corpus scale.)
 
 use proptest::prelude::*;

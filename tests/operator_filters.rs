@@ -6,18 +6,16 @@
 //! cell, plus seeded random phrase, exclusion and label specs drawn
 //! from its vocabulary, under ValidRTF and MaxMatch. The expected
 //! answer is the operator-free query with the same positive keywords,
-//! filtered by docs/API.md's three rules read literally here: a phrase
-//! needs one keyword node of the fragment holding every word of the
-//! group, a label filter one keyword node holding the word under that
-//! label, and an exclusion no posting of the word anywhere in the
-//! anchor's subtree. Hits, `filtered_out` and `total_before_top_k`
-//! must all agree, with and without a `max_fragments` cap.
+//! filtered by docs/API.md's three rules, read literally in
+//! `tests/common/reference.rs`. Hits, `filtered_out` and
+//! `total_before_top_k` must all agree, with and without a
+//! `max_fragments` cap.
 
-use std::collections::HashMap;
+mod common;
 
-use xks::core::{AlgorithmKind, CorpusSource, Fragment, MemoryCorpus, SearchEngine, SearchRequest};
+use common::reference::{judge, postings};
+use xks::core::{AlgorithmKind, MemoryCorpus, SearchEngine, SearchRequest};
 use xks::datagen::scenario::{Scenario, ScenarioSpec, Shape, Skew, Tenancy};
-use xks::index::QuerySpec;
 use xks::persist::{IndexReader, IndexWriter};
 use xks::xmltree::Dewey;
 
@@ -92,71 +90,6 @@ fn random_specs(scenario: &Scenario, seed: u64) -> Vec<String> {
         .collect()
 }
 
-/// Which of docs/API.md's rules reject a fragment, read literally over
-/// the corpus postings (node-level: a node is in a word's postings when
-/// its own content holds the word).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-struct Verdict {
-    phrase: bool,
-    label: bool,
-    exclusion: bool,
-}
-
-impl Verdict {
-    fn keeps(self) -> bool {
-        !(self.phrase || self.label || self.exclusion)
-    }
-}
-
-/// Every word of `spec`, positive or excluded, with its postings.
-type Postings<'a> = HashMap<&'a String, Vec<Dewey>>;
-
-fn postings<'a>(spec: &'a QuerySpec, source: &dyn CorpusSource) -> Postings<'a> {
-    (spec.query().keywords().iter())
-        .chain(spec.exclusions())
-        .map(|word| {
-            (
-                word,
-                source.try_keyword_deweys(word).expect("in-process read"),
-            )
-        })
-        .collect()
-}
-
-fn judge(
-    fragment: &Fragment,
-    spec: &QuerySpec,
-    postings: &Postings<'_>,
-    source: &dyn CorpusSource,
-) -> Verdict {
-    let holds = |dewey: &Dewey, word: &String| postings[word].binary_search(dewey).is_ok();
-    let keywords = spec.query().keywords();
-    let phrase = !spec.phrases().iter().all(|group| {
-        fragment
-            .iter()
-            .any(|n| n.is_keyword && group.iter().all(|&p| holds(&n.dewey, &keywords[p])))
-    });
-    let label = !spec.label_filters().iter().all(|filter| {
-        fragment.iter().any(|n| {
-            n.is_keyword
-                && holds(&n.dewey, &keywords[filter.position])
-                && source
-                    .label_name(n.label.as_u32())
-                    .is_some_and(|name| name.to_lowercase() == filter.label)
-        })
-    });
-    let exclusion = spec.exclusions().iter().any(|word| {
-        postings[word]
-            .iter()
-            .any(|d| fragment.anchor.is_ancestor_or_self(d))
-    });
-    Verdict {
-        phrase,
-        label,
-        exclusion,
-    }
-}
-
 /// Fragments the reference rejected, per rule, over the whole run.
 #[derive(Debug, Default)]
 struct Rejects {
@@ -175,10 +108,20 @@ fn check(engine: &SearchEngine, request: &SearchRequest, at: &str, rejects: &mut
         .execute(&SearchRequest::from_query(spec.query().clone()).algorithm(request.kind()))
         .expect("in-process query");
     let rtfs = plain.stats.total_before_top_k;
-    let postings = postings(spec, source);
+    let postings = postings(spec, |word| {
+        source.try_keyword_deweys(word).expect("in-process read")
+    });
     let mut want = Vec::new();
     for fragment in plain.into_fragments() {
-        let verdict = judge(&fragment, spec, &postings, source);
+        let knodes: Vec<(&Dewey, String)> = (fragment.iter().filter(|n| n.is_keyword))
+            .map(|n| {
+                (
+                    &n.dewey,
+                    source.label_name(n.label.as_u32()).unwrap_or_default(),
+                )
+            })
+            .collect();
+        let verdict = judge(&fragment.anchor, &knodes, spec, &postings);
         rejects.phrase += usize::from(verdict.phrase);
         rejects.label += usize::from(verdict.label);
         rejects.exclusion += usize::from(verdict.exclusion);

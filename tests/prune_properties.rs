@@ -1,10 +1,12 @@
 //! Property tests for the pruning step, aimed at the one builder
 //! (`lay_out` → `decide` → `emit`): structural invariants plus
 //! Definition 4 and the contributor filter checked **group by group**
-//! against their literal statement, on random documents.
+//! against their literal statement (`tests/common/reference.rs`), on
+//! random documents.
 
-use std::collections::HashSet;
+mod common;
 
+use common::reference::{contributors, valid_contributors, Child};
 use proptest::prelude::*;
 use xks::core::fragment::FragNode;
 use xks::core::prune::{prune, Policy};
@@ -55,29 +57,13 @@ fn build_all(tree: &XmlTree, k: usize) -> Vec<Built> {
         .collect()
 }
 
-/// Definition 4 read literally over one same-label sibling group
-/// (document order): the survivors.
-fn valid_contributors<'a>(group: &[&'a FragNode]) -> Vec<&'a Dewey> {
-    if group.len() == 1 {
-        return vec![&group[0].dewey]; // rule 1
+/// A fragment node as the literal rules see it.
+fn child(n: &FragNode) -> Child<'_> {
+    Child {
+        dewey: &n.dewey,
+        kset: n.kset.0,
+        cid: n.cid.as_ref().map(|(min, max)| (&**min, &**max)),
     }
-    let mut used_ksets = HashSet::new();
-    let mut used_cids = HashSet::new();
-    let mut out = Vec::new();
-    for ch in group {
-        if used_ksets.contains(&ch.kset) {
-            // Rule 2(b): ties a kept sibling — keep only novel content.
-            if used_cids.insert(ch.cid.clone().unwrap_or_else(|| ("".into(), "".into()))) {
-                out.push(&ch.dewey);
-            }
-        } else if !group.iter().any(|o| ch.kset.is_strict_subset(o.kset)) {
-            // Not rule 2(a): no same-label sibling strictly covers it.
-            out.push(&ch.dewey);
-            used_ksets.insert(ch.kset);
-            used_cids.insert(ch.cid.clone().unwrap_or_else(|| ("".into(), "".into())));
-        }
-    }
-    out
 }
 
 /// Definition 4 rules 1, 2(a), 2(b) under every surviving parent: the
@@ -89,7 +75,9 @@ fn assert_valid_contributors(built: &Built) {
             .raw
             .label_groups(&n.dewey)
             .iter()
-            .flat_map(|g| valid_contributors(&g.children))
+            .flat_map(|g| {
+                valid_contributors(&g.children.iter().map(|c| child(c)).collect::<Vec<_>>())
+            })
             .collect();
         want.sort_unstable();
         let got: Vec<&Dewey> = built.valid.children(&n.dewey).map(|c| &c.dewey).collect();
@@ -189,12 +177,8 @@ proptest! {
         let tree = doc(nodes, labels, words, seed);
         for built in build_all(&tree, k) {
             for n in built.contributor.iter() {
-                let siblings: Vec<&FragNode> = built.raw.children(&n.dewey).collect();
-                let want: Vec<&Dewey> = siblings
-                    .iter()
-                    .filter(|c| !siblings.iter().any(|o| c.kset.is_strict_subset(o.kset)))
-                    .map(|c| &c.dewey)
-                    .collect();
+                let siblings: Vec<Child> = built.raw.children(&n.dewey).map(child).collect();
+                let want = contributors(&siblings);
                 let got: Vec<&Dewey> =
                     built.contributor.children(&n.dewey).map(|c| &c.dewey).collect();
                 prop_assert_eq!(got, want, "children of {}", n.dewey);

@@ -5,7 +5,7 @@
 //! `tests/golden/render_digest.txt` holds one line per rendered body:
 //! its byte length and FNV-1a with the wall-clock `timings_us` block
 //! (and any `trace`) cut. The lines cover the 43-query Figure 5/6
-//! workload (the corpora `workload_golden.rs` builds) and the
+//! workload (the corpora `conformance.rs` builds) and the
 //! `s10-flat-uniform-single` matrix cell, on the tree, memory and
 //! `.xks` backends, all three algorithms, and four shapes of response:
 //! plain, `limit 3` (`hits_omitted`), `limit 0`, and ranked `top_k 5`
