@@ -99,7 +99,7 @@ fn main() {
 fn frequency_table_dblp(engine: &SearchEngine) {
     println!(
         "\n## Keyword frequencies — dblp ({} nodes)",
-        engine.tree().len()
+        engine.parsed_tree().map_or(0, |tree| tree.len())
     );
     println!("{:<16} {:>10} {:>10}", "keyword", "paper", "generated");
     for (kw, paper) in PAPER_DBLP_FREQS {
@@ -116,7 +116,7 @@ fn frequency_table_xmark(engine: &SearchEngine, size: XmarkSize) {
     println!(
         "\n## Keyword frequencies — {} ({} nodes)",
         dataset_name(size),
-        engine.tree().len()
+        engine.parsed_tree().map_or(0, |tree| tree.len())
     );
     println!("{:<16} {:>10} {:>10}", "keyword", "paper", "generated");
     for (kw, freqs) in PAPER_XMARK_FREQS {

@@ -104,8 +104,8 @@ mod tests {
     #[test]
     fn small_engines_build() {
         let d = dblp_engine(Scale::Small);
-        assert!(d.tree().len() > 10_000);
+        assert!(d.parsed_tree().unwrap().len() > 10_000);
         let x = xmark_engine(Scale::Small, XmarkSize::Standard);
-        assert!(x.tree().len() > 3_000);
+        assert!(x.parsed_tree().unwrap().len() > 3_000);
     }
 }

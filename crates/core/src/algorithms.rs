@@ -22,15 +22,16 @@
 //! borrowed tree. They drive the same stages and the same single
 //! builder as `SearchEngine::execute_with`, which serves every query.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use xks_index::{InvertedIndex, KeywordNodeSets, Query};
 use xks_lca::{elca_into_context, slca_into_context, QueryContext};
+use xks_obs::{QueryMeter, Stage};
 use xks_xmltree::XmlTree;
 
 use crate::fragment::Fragment;
 use crate::prune::Policy;
-use crate::rtf::{dispatch, Partitions};
+use crate::rtf::dispatch;
 
 /// Which anchor semantics stage 2 uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,6 +60,18 @@ pub struct StageTimings {
 }
 
 impl StageTimings {
+    /// The stage totals of one query's meter: `prune_rtf` is the whole
+    /// construct stage (layout, pruning and operator checks).
+    pub(crate) fn from_meter(meter: &QueryMeter) -> Self {
+        StageTimings {
+            get_keyword_nodes: meter.total(Stage::Resolve),
+            get_lca: meter.total(Stage::MergeAnchor),
+            get_rtf: meter.total(Stage::RtfDispatch),
+            prune_rtf: meter.total(Stage::Prune),
+            post_process: meter.total(Stage::Rank),
+        }
+    }
+
     /// Total elapsed time over all stages.
     #[must_use]
     pub fn total(&self) -> Duration {
@@ -75,7 +88,7 @@ impl StageTimings {
     }
 }
 
-/// How [`anchor_stages`] computes anchors and the dispatch stream: the
+/// How [`get_lca`] computes anchors and the dispatch stream: the
 /// legacy full k-way merge, or the planner's rarest-first gallop
 /// (anchors via `xks_lca::gallop_elca`, dispatch stream via anchored
 /// extraction — proven anchor- and RTF-identical to the merge by the
@@ -91,19 +104,17 @@ pub(crate) enum AnchorExec {
     },
 }
 
-/// `getLCA` + `getRTF` with shared buffers: merge the posting stream
-/// **once** into the context, compute anchors from it, dispatch keyword
-/// nodes over it. Anchors stay in `ctx.anchors`, their partitions in
-/// `ctx.rtf` (read them through [`Partitions`]).
+/// `getLCA` with shared buffers: merge the posting stream **once** into
+/// the context and compute the anchors from it. Anchors land in
+/// `ctx.anchors`; `getRTF` ([`dispatch`]) then partitions the same
+/// stream into `ctx.rtf` (read it through [`crate::rtf::Partitions`]).
 /// (Crate-visible: `SearchEngine::execute_with` drives the same stages.)
-pub(crate) fn anchor_stages(
+pub(crate) fn get_lca(
     sets: &KeywordNodeSets,
     anchors: AnchorSemantics,
     exec: AnchorExec,
-    timings: &mut StageTimings,
     ctx: &mut QueryContext,
 ) {
-    let t = Instant::now();
     match (anchors, exec) {
         (AnchorSemantics::AllLca, AnchorExec::Merge) => elca_into_context(sets.sets(), ctx),
         (AnchorSemantics::SlcaOnly, AnchorExec::Merge) => slca_into_context(sets.sets(), ctx),
@@ -114,13 +125,6 @@ pub(crate) fn anchor_stages(
             xks_lca::planned_slca_into_context(sets.sets(), ctx);
         }
     }
-    timings.get_lca = t.elapsed();
-    ctx.trace.record_since(xks_obs::Stage::MergeAnchor, t);
-
-    let t = Instant::now();
-    dispatch(&ctx.anchors, &ctx.merged, sets.len(), true, &mut ctx.rtf);
-    timings.get_rtf = t.elapsed();
-    ctx.trace.record_since(xks_obs::Stage::RtfDispatch, t);
 }
 
 /// Algorithm 1 over a borrowed tree: resolve, the merge-only anchor
@@ -137,13 +141,12 @@ fn pipeline(
         return Vec::new();
     };
     let mut ctx = QueryContext::default();
-    let timings = &mut StageTimings::default();
-    anchor_stages(&sets, anchors, AnchorExec::Merge, timings, &mut ctx);
-    let parts = Partitions::new(&ctx.anchors, &ctx.merged, &ctx.rtf);
+    get_lca(&sets, anchors, AnchorExec::Merge, &mut ctx);
+    let parts = dispatch(&ctx.anchors, &ctx.merged, sets.len(), true, &mut ctx.rtf);
     (0..parts.len())
         .map(|i| {
             let (anchor, knodes) = (parts.anchor(i), parts.knodes(i));
-            Fragment::build(tree, anchor, knodes, Some(policy), &mut ctx.skeleton, None)
+            Fragment::build(tree, anchor, knodes, Some(policy), &mut ctx.skeleton)
                 .expect("keyword nodes resolved from this tree's own index are in the tree")
         })
         .collect()

@@ -3,21 +3,21 @@
 //! comparison in one call.
 
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use xks_index::{InvertedIndex, KeywordNodeSets, Query, QuerySpec};
 use xks_lca::{FilterScratch, QueryContext, SkeletonScratch};
-use xks_obs::{Counter, Histogram, Stage};
+use xks_obs::{Counter, Expired, Histogram, QueryMeter, Stage};
 use xks_xmltree::{Dewey, XmlTree};
 
-use crate::algorithms::{AnchorExec, AnchorSemantics, StageTimings};
+use crate::algorithms::{get_lca, AnchorExec, AnchorSemantics, StageTimings};
 use crate::fragment::{Fragment, Gate};
 use crate::metrics::{effectiveness, Effectiveness};
 use crate::plan::{choose_driver, choose_strategy, PlanReport, PlanStrategy};
 use crate::prune::Policy;
 use crate::rank::RankedFragment;
 use crate::request::{Hit, SearchError, SearchRequest, SearchResponse, SearchStats, SearchTimeout};
-use crate::rtf::Partitions;
+use crate::rtf::{dispatch, Partitions};
 use crate::shards::ShardSet;
 use crate::source::{CorpusSource, TreeCorpus};
 
@@ -88,7 +88,8 @@ pub struct Comparison {
 pub struct SearchEngine {
     source: Arc<dyn CorpusSource>,
     /// `source` again, typed, when it is a parsed tree — what
-    /// [`SearchEngine::tree`] and [`SearchEngine::index`] hand out.
+    /// [`SearchEngine::parsed_tree`] and [`SearchEngine::index`] hand
+    /// out.
     parsed: Option<Arc<TreeCorpus>>,
     /// `source` again, typed, when it is a shard set — the topology
     /// `shards_skipped` and `explain` read.
@@ -105,10 +106,6 @@ pub struct SearchEngine {
 /// Most contexts a [`SearchEngine`] keeps warm for its `&self` entry
 /// points; checked-in contexts beyond this are dropped.
 const CONTEXT_POOL_CAP: usize = 64;
-
-/// Fragments built between two deadline checks inside the construct
-/// stage — the most a request with a deadline overshoots it by there.
-const DEADLINE_STRIDE: usize = 64;
 
 impl SearchEngine {
     fn over(source: Arc<dyn CorpusSource>) -> Self {
@@ -167,7 +164,7 @@ impl SearchEngine {
 
     /// Does nothing: sharded engines run every stage inline on the
     /// caller's thread. Kept only for callers written against the old
-    /// per-query fan-out (the `perfbench` harness); ROADMAP item 1(e)
+    /// per-query fan-out (the `perfbench` harness); ROADMAP item 1(d)
     /// drops it together with that last call.
     #[must_use]
     pub fn with_scatter_threads(self, _threads: usize) -> Self {
@@ -186,18 +183,6 @@ impl SearchEngine {
     #[must_use]
     pub fn parsed_tree(&self) -> Option<&XmlTree> {
         self.parsed.as_deref().map(TreeCorpus::tree)
-    }
-
-    /// The underlying document.
-    ///
-    /// # Panics
-    /// Panics for engines not built with [`SearchEngine::new`] (there
-    /// is no parsed tree); use [`SearchEngine::parsed_tree`] or
-    /// [`SearchEngine::corpus`] instead.
-    #[must_use]
-    pub fn tree(&self) -> &XmlTree {
-        self.parsed_tree()
-            .expect("SearchEngine::tree() on a source-backed engine")
     }
 
     /// The underlying inverted index.
@@ -257,98 +242,70 @@ impl SearchEngine {
     ) -> Result<SearchResponse, SearchError> {
         let spec = request.spec();
         let kind = request.kind();
-        let traced = request.traced();
-        if traced {
-            ctx.trace.begin();
-            // Parsing happened before execution; re-base its measured
-            // duration at the trace origin so the span survives.
-            if request.parse_time_ns() > 0 {
-                ctx.trace
-                    .record_manual(Stage::Parse, 0, request.parse_time_ns());
-            }
-        } else {
-            // A pooled context must never leak the previous query's
-            // spans into this response.
-            ctx.trace.disarm();
-        }
         let mut stats = SearchStats {
             dropped_terms: spec.report().dropped.clone(),
             normalized_terms: spec.report().normalized.clone(),
             ..SearchStats::default()
         };
-        let mut timings = StageTimings::default();
 
-        // Deadline hook: requests carrying a deadline are checked
-        // between stages and every `DEADLINE_STRIDE` fragments inside
-        // the construct stage (a check costs one `Instant::now()` and
-        // only when a deadline exists). A request that was queued past
-        // its budget dies here before touching storage.
-        let deadline = request.deadline();
-        let exec_start = Instant::now();
-        self.check_deadline(deadline, exec_start, "resolve", &stats)?;
+        // The meter reads the clock once here and once per stage
+        // boundary. Each reading closes a stage into its total (the
+        // response's `StageTimings`), ends its span on a traced request
+        // and is what the deadline is checked against: before resolve
+        // (a request queued past its budget dies here, before touching
+        // storage), anchor, construct and post-process, and every
+        // `DEADLINE_STRIDE` fragments inside construct.
+        let (traced, parse_ns) = (request.traced(), request.parse_time_ns());
+        ctx.meter
+            .begin(traced, parse_ns, request.deadline())
+            .check("resolve")
+            .map_err(self.timeout(&stats))?;
 
         // getKeywordNodes — the one stage that touches cold storage,
         // excluded words included. A shard set skips the shards its
         // keyword filters rule out.
-        let t0 = Instant::now();
         let keywords = spec.query().keywords();
         if let Some(set) = self.shard_set() {
             stats.shards_skipped = keywords.iter().map(|kw| set.shard_skips(kw)).sum();
         }
         let resolved = resolve(self.source(), spec, ctx)?;
-        timings.get_keyword_nodes = t0.elapsed();
-        ctx.trace.record_since(Stage::Resolve, t0);
+        ctx.meter.lap(Stage::Resolve);
         let Some(sets) = resolved else {
             // Some keyword matches nothing: empty result, not an error.
-            self.metrics.observe(&timings, &stats, 0);
-            let mut response = SearchResponse::empty(timings, stats);
-            response.trace = take_trace(ctx, traced);
-            return Ok(response);
+            return Ok(self.respond(&ctx.meter, Vec::new(), stats));
         };
-
-        self.check_deadline(deadline, exec_start, "anchor", &stats)?;
+        ctx.meter.check("anchor").map_err(self.timeout(&stats))?;
 
         // Plan: pick the anchor-pass strategy from the resolved list
         // lengths and the backend's sealed statistics (scalars only —
         // the warm path stays allocation-free).
-        let t_plan = Instant::now();
         let exec = self.plan_anchor_exec(&sets, &mut stats);
-        ctx.trace.record_since(Stage::Plan, t_plan);
+        ctx.meter.lap(Stage::Plan);
 
         // getLCA + getRTF over the context's shared scratch buffers; the
         // partitions stay in the context, one per anchor.
-        crate::algorithms::anchor_stages(&sets, kind.anchor(), exec, &mut timings, ctx);
+        get_lca(&sets, kind.anchor(), exec, ctx);
+        ctx.meter.lap(Stage::MergeAnchor);
+        dispatch(&ctx.anchors, &ctx.merged, sets.len(), true, &mut ctx.rtf);
         let rtf_count = ctx.anchors.len();
-        self.check_deadline(deadline, exec_start, "construct", &stats)?;
+        ctx.meter
+            .lap(Stage::RtfDispatch)
+            .check("construct")
+            .map_err(self.timeout(&stats))?;
 
         // Top-k bound skip: when the request is a plain ranked top-k,
         // construct fragments best-bound-first and never build the
         // ones that provably miss the cut. Results are identical to
         // the construct-everything path (see `construct_bounded_topk`);
-        // only the work differs. Traced queries (on either path) sum
-        // the per-fragment layout time here.
-        let mut layout_ns = 0;
+        // only the work differs. A traced query's construct span (on
+        // either path) is the summed layout time.
         if let Some(bound) = self.topk_bound_gate(request, spec) {
-            let t = Instant::now();
             stats.total_before_top_k = rtf_count;
             stats.truncated = rtf_count > bound.0;
-            let hits = self.construct_bounded_topk(
-                ctx,
-                (kind.policy(), spec.query().len()),
-                bound,
-                (deadline, exec_start),
-                &mut stats,
-                traced.then_some(&mut layout_ns),
-            )?;
-            timings.prune_rtf = t.elapsed();
-            record_construct_prune(ctx, t, timings.prune_rtf, layout_ns, None);
-            self.metrics.observe(&timings, &stats, hits.len());
-            return Ok(SearchResponse {
-                hits,
-                timings,
-                stats,
-                trace: take_trace(ctx, traced),
-            });
+            let query = (kind.policy(), spec.query().len());
+            let hits = self.construct_bounded_topk(ctx, query, bound, &mut stats)?;
+            ctx.meter.lap_split(Stage::Prune, &[Stage::Construct]);
+            return Ok(self.respond(&ctx.meter, hits, stats));
         }
 
         // pruneRTF — lay out, decide, emit, one RTF at a time in
@@ -357,39 +314,36 @@ impl SearchEngine {
         // plain keyword queries check nothing). A `max_fragments` cap
         // on a plain query keeps exactly the first `cap` fragments, so
         // only those are built.
-        let t = Instant::now();
         let build_count = match request.max_fragments_cap() {
             Some(cap) if spec.is_plain() => cap.min(rtf_count),
             _ => rtf_count,
         };
         let parts = Partitions::new(&ctx.anchors, &ctx.merged, &ctx.rtf);
-        let mut operators = (!spec.is_plain())
-            .then(|| Operators::new(spec, self.source(), &mut ctx.filters, traced));
+        let mut operators =
+            (!spec.is_plain()).then(|| Operators::new(spec, self.source(), &mut ctx.filters));
         let mut fragments = Vec::with_capacity(build_count);
         for i in 0..build_count {
-            if i > 0 && i.is_multiple_of(DEADLINE_STRIDE) {
-                self.check_deadline(deadline, exec_start, "construct", &stats)?;
-            }
-            let layout = traced.then_some(&mut layout_ns);
-            let skel = &mut ctx.skeleton;
-            match self.build(parts, i, kind.policy(), skel, layout, operators.as_mut())? {
+            ctx.meter.tick(i).map_err(self.timeout(&stats))?;
+            let (skel, meter) = (&mut ctx.skeleton, &mut ctx.meter);
+            match self.build(parts, i, kind.policy(), skel, meter, operators.as_mut())? {
                 Some(fragment) => fragments.push(fragment),
                 None => stats.filtered_out += 1,
             }
         }
-        let filter_ns = operators.and_then(|ops| ops.spent_ns);
+        let split: &[Stage] = match operators {
+            Some(_) => &[Stage::Construct, Stage::PostFilter],
+            None => &[Stage::Construct],
+        };
         // A pooled context holds no query's excluded postings.
         ctx.filters.exclusions.clear();
-        timings.prune_rtf = t.elapsed();
-        record_construct_prune(ctx, t, timings.prune_rtf, layout_ns, filter_ns);
-        self.check_deadline(deadline, exec_start, "post_process", &stats)?;
+        ctx.meter
+            .lap_split(Stage::Prune, split)
+            .check("post_process")
+            .map_err(self.timeout(&stats))?;
 
-        // Everything past the paper's pipeline is timed as the
-        // post-process stage: ranking and hit assembly.
-        let t = Instant::now();
-
-        // Shape the response: cap, rank, truncate, materialize hits.
-        // RTFs the cap kept from being built still count.
+        // Everything past the paper's pipeline is the post-process
+        // stage: cap, rank, truncate, materialize hits. RTFs the cap
+        // kept from being built still count.
         stats.total_before_top_k = fragments.len() + (rtf_count - build_count);
         if let Some(cap) = request.max_fragments_cap() {
             if stats.total_before_top_k > cap {
@@ -417,44 +371,37 @@ impl SearchEngine {
                 })
                 .collect(),
         };
-        timings.post_process = t.elapsed();
-        ctx.trace.record_since(Stage::Rank, t);
+        ctx.meter.lap(Stage::Rank);
+        Ok(self.respond(&ctx.meter, hits, stats))
+    }
+
+    /// The response of a finished query: its timings are the meter's
+    /// stage totals, and it carries the meter's trace when traced. Also
+    /// records the query in the engine's metrics.
+    fn respond(&self, meter: &QueryMeter, hits: Vec<Hit>, stats: SearchStats) -> SearchResponse {
+        let timings = StageTimings::from_meter(meter);
         self.metrics.observe(&timings, &stats, hits.len());
-        Ok(SearchResponse {
+        SearchResponse {
             hits,
             timings,
             stats,
-            trace: take_trace(ctx, traced),
-        })
+            trace: meter.trace().cloned(),
+        }
     }
 
-    /// The deadline check, run between stages and every
-    /// [`DEADLINE_STRIDE`] fragments inside the construct stage: free
-    /// for requests without a deadline, one `Instant::now()` otherwise.
-    /// An expired deadline becomes a typed [`SearchError::Timeout`]
-    /// carrying the stats accumulated so far (partial — enough for a
-    /// server's `503` body) and bumps the global
-    /// `search.deadline_exceeded` counter.
-    fn check_deadline(
-        &self,
-        deadline: Option<Instant>,
-        started: Instant,
-        stage: &'static str,
-        stats: &SearchStats,
-    ) -> Result<(), SearchError> {
-        let Some(deadline) = deadline else {
-            return Ok(());
-        };
-        let now = Instant::now();
-        if now < deadline {
-            return Ok(());
+    /// Turns an [`Expired`] deadline into a typed
+    /// [`SearchError::Timeout`] carrying the stats accumulated so far
+    /// (partial — enough for a server's `503` body), and bumps the
+    /// global `search.deadline_exceeded` counter.
+    fn timeout<'a>(&'a self, stats: &'a SearchStats) -> impl FnOnce(Expired) -> SearchError + 'a {
+        move |expired| {
+            self.metrics.deadline_exceeded.inc();
+            SearchError::Timeout(Box::new(SearchTimeout {
+                stage: expired.stage,
+                elapsed: expired.elapsed,
+                stats: stats.clone(),
+            }))
         }
-        self.metrics.deadline_exceeded.inc();
-        Err(SearchError::Timeout(Box::new(SearchTimeout {
-            stage,
-            elapsed: now.saturating_duration_since(started),
-            stats: stats.clone(),
-        })))
     }
 
     /// Chooses the anchor-pass execution — legacy k-way merge or the
@@ -542,15 +489,13 @@ impl SearchEngine {
     ///   displace a constructed one from the top k.
     ///
     /// Like the document-order loop, it checks the deadline every
-    /// [`DEADLINE_STRIDE`] RTFs.
+    /// [`xks_obs::DEADLINE_STRIDE`] RTFs.
     fn construct_bounded_topk(
         &self,
         ctx: &mut QueryContext,
         (policy, k_query): (Policy, usize),
         (k_limit, weights): (usize, crate::rank::RankWeights),
-        (deadline, exec_start): (Option<Instant>, Instant),
         stats: &mut SearchStats,
-        mut layout_ns: Option<&mut u64>,
     ) -> Result<Vec<Hit>, SearchError> {
         let parts = Partitions::new(&ctx.anchors, &ctx.merged, &ctx.rtf);
         let max_depth = ctx
@@ -585,16 +530,13 @@ impl SearchEngine {
         let mut built: Vec<(usize, f64, [f64; 3], Fragment)> = Vec::new();
         let mut top_scores: Vec<f64> = Vec::with_capacity(k_limit);
         for (n, (i, ub)) in order.into_iter().enumerate() {
-            if n > 0 && n.is_multiple_of(DEADLINE_STRIDE) {
-                self.check_deadline(deadline, exec_start, "construct", stats)?;
-            }
+            ctx.meter.tick(n).map_err(self.timeout(stats))?;
             if top_scores.len() == k_limit && ub < top_scores[k_limit - 1] {
                 stats.rtfs_skipped_topk += 1;
                 continue;
             }
-            let layout = layout_ns.as_deref_mut();
-            let Some(fragment) = self.build(parts, i, policy, &mut ctx.skeleton, layout, None)?
-            else {
+            let (skel, meter) = (&mut ctx.skeleton, &mut ctx.meter);
+            let Some(fragment) = self.build(parts, i, policy, skel, meter, None)? else {
                 continue;
             };
             let (score, signals) =
@@ -625,34 +567,40 @@ impl SearchEngine {
     /// [`Fragment::build_gated`] over the source's node facts:
     /// partition `i`, pruned under `policy` — or `None` when one of the
     /// query's `operators` rejects it, at the earliest step that can.
+    /// On a traced query the layout and the checks are timed as the
+    /// construct stage's parts.
     fn build(
         &self,
         parts: Partitions<'_>,
         i: usize,
         policy: Policy,
         skel: &mut SkeletonScratch,
-        layout_ns: Option<&mut u64>,
+        meter: &mut QueryMeter,
         mut operators: Option<&mut Operators<'_>>,
     ) -> Result<Option<Fragment>, SearchError> {
         if operators
             .as_deref_mut()
-            .is_some_and(|ops| !ops.admits(parts, i))
+            .is_some_and(|ops| !meter.time(Stage::PostFilter, || ops.admits(parts, i)))
         {
             return Ok(None);
         }
         let (anchor, knodes) = (parts.anchor(i), parts.knodes(i));
+        let layout = meter.mark();
+        let gate = |gate, skel: &SkeletonScratch| {
+            if gate == Gate::LaidOut {
+                meter.accumulate(Stage::Construct, layout);
+            }
+            operators
+                .as_deref_mut()
+                .is_none_or(|ops| meter.time(Stage::PostFilter, || ops.witnessed(gate, skel)))
+        };
         Ok(Fragment::build_gated(
             self.source(),
             anchor,
             knodes,
             Some(policy),
             skel,
-            layout_ns,
-            |gate, skel| {
-                operators
-                    .as_deref_mut()
-                    .is_none_or(|ops| ops.witnessed(gate, skel))
-            },
+            gate,
         )?)
     }
 
@@ -776,8 +724,8 @@ impl EngineMetrics {
     }
 
     /// Records one finished query from its already-computed timings
-    /// and stats — every query pays ~20 relaxed atomic RMWs here,
-    /// traced or not.
+    /// and stats — every query pays for it, traced or not (the count is
+    /// in docs/OBSERVABILITY.md, "Overhead guarantees").
     fn observe(&self, timings: &StageTimings, stats: &SearchStats, hits: usize) {
         self.queries.inc();
         if hits == 0 {
@@ -818,9 +766,9 @@ fn resolve(
     ctx: &mut QueryContext,
 ) -> Result<Option<KeywordNodeSets>, SearchError> {
     let mut read = |word: &str| -> Result<Vec<Dewey>, SearchError> {
-        let t = Instant::now();
+        let at = ctx.meter.mark();
         let list = source.try_keyword_deweys(word)?;
-        ctx.trace.record_since(Stage::PostingsDecode, t);
+        ctx.meter.record(Stage::PostingsDecode, at);
         Ok(list)
     };
     let query = spec.query();
@@ -858,8 +806,6 @@ struct Operators<'a> {
     spec: &'a QuerySpec,
     source: &'a dyn CorpusSource,
     scratch: &'a mut FilterScratch,
-    /// Nanoseconds spent in the checks — traced queries only.
-    spent_ns: Option<u64>,
 }
 
 impl<'a> Operators<'a> {
@@ -869,7 +815,6 @@ impl<'a> Operators<'a> {
         spec: &'a QuerySpec,
         source: &'a dyn CorpusSource,
         scratch: &'a mut FilterScratch,
-        traced: bool,
     ) -> Self {
         scratch.phrases.clear();
         scratch.phrases.extend(
@@ -882,20 +827,7 @@ impl<'a> Operators<'a> {
             spec,
             source,
             scratch,
-            spent_ns: traced.then_some(0),
         }
-    }
-
-    /// Runs `check`, adding its duration to `spent_ns` when traced.
-    fn timed(&mut self, check: impl FnOnce(&mut Self) -> bool) -> bool {
-        if self.spent_ns.is_none() {
-            return check(self);
-        }
-        let t = Instant::now();
-        let pass = check(self);
-        let ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.spent_ns = self.spent_ns.map(|spent| spent.saturating_add(ns));
-        pass
     }
 
     /// Whether RTF `i` passes the checks decided before its layout: no
@@ -905,18 +837,17 @@ impl<'a> Operators<'a> {
         if self.scratch.exclusions.is_empty() && self.scratch.phrases.is_empty() {
             return true;
         }
-        self.timed(|ops| {
-            let anchor = parts.anchor(i);
-            !ops.scratch
-                .exclusions
+        let anchor = parts.anchor(i);
+        !self
+            .scratch
+            .exclusions
+            .iter()
+            .any(|list| subtree_contains(anchor, list))
+            && self
+                .scratch
+                .phrases
                 .iter()
-                .any(|list| subtree_contains(anchor, list))
-                && ops
-                    .scratch
-                    .phrases
-                    .iter()
-                    .all(|&group| parts.knodes(i).any(|(_, mask)| mask.0 & group == group))
-        })
+                .all(|&group| parts.knodes(i).any(|(_, mask)| mask.0 & group == group))
     }
 
     /// Whether the keyword nodes of `skel` witness every label filter
@@ -929,37 +860,32 @@ impl<'a> Operators<'a> {
         if !phrases && self.spec.label_filters().is_empty() {
             return true;
         }
-        self.timed(|ops| {
-            let Operators {
-                spec,
-                source,
-                scratch,
-                ..
-            } = ops;
-            let witnesses = || {
-                skel.nodes
-                    .iter()
-                    .filter(|n| n.is_keyword && (gate == Gate::LaidOut || n.kept))
-            };
-            let phrases_met = !phrases
-                || scratch
-                    .phrases
-                    .iter()
-                    .all(|&group| witnesses().any(|n| n.own & group == group));
-            phrases_met
-                && spec.label_filters().iter().enumerate().all(|(f, filter)| {
-                    let bit = 1u64 << filter.position;
-                    witnesses().any(|n| {
-                        n.own & bit != 0
-                            && *scratch
-                                .labels
-                                .entry((f as u64) << 32 | u64::from(n.label))
-                                .or_insert_with(|| {
-                                    label_name_matches(*source, n.label, &filter.label)
-                                })
-                    })
+        let Operators {
+            spec,
+            source,
+            scratch,
+        } = self;
+        let witnesses = || {
+            skel.nodes
+                .iter()
+                .filter(|n| n.is_keyword && (gate == Gate::LaidOut || n.kept))
+        };
+        let phrases_met = !phrases
+            || scratch
+                .phrases
+                .iter()
+                .all(|&group| witnesses().any(|n| n.own & group == group));
+        phrases_met
+            && spec.label_filters().iter().enumerate().all(|(f, filter)| {
+                let bit = 1u64 << filter.position;
+                witnesses().any(|n| {
+                    n.own & bit != 0
+                        && *scratch
+                            .labels
+                            .entry((f as u64) << 32 | u64::from(n.label))
+                            .or_insert_with(|| label_name_matches(*source, n.label, &filter.label))
                 })
-        })
+            })
     }
 }
 
@@ -969,43 +895,6 @@ fn label_name_matches(source: &dyn CorpusSource, label: u32, want: &str) -> bool
     source
         .label_name(label)
         .is_some_and(|name| name.to_lowercase() == want)
-}
-
-/// Records a construct-and-prune stage that started at `start` and
-/// took `stage`: one construct span of the summed layout time, one
-/// post-filter span of the summed operator checks (`filter_ns`, only
-/// for a query with operators), the rest as the prune span, laid end to
-/// end from the stage start (the steps interleave per anchor, so honest
-/// per-iteration spans would explode the span buffer). A no-op on an
-/// untraced context.
-fn record_construct_prune(
-    ctx: &mut QueryContext,
-    start: Instant,
-    stage: Duration,
-    layout_ns: u64,
-    filter_ns: Option<u64>,
-) {
-    let stage_ns = u64::try_from(stage.as_nanos()).unwrap_or(u64::MAX);
-    let mut at = ctx.trace.offset_ns(start);
-    ctx.trace.record_manual(Stage::Construct, at, layout_ns);
-    at += layout_ns;
-    if let Some(filter_ns) = filter_ns {
-        ctx.trace.record_manual(Stage::PostFilter, at, filter_ns);
-        at += filter_ns;
-    }
-    let prune_ns = stage_ns.saturating_sub(layout_ns + filter_ns.unwrap_or(0));
-    ctx.trace.record_manual(Stage::Prune, at, prune_ns);
-}
-
-/// Clones the context's trace into the response (traced requests only)
-/// and disarms it so the pooled context goes back clean. The clone is
-/// a fixed-size copy — no heap allocation.
-fn take_trace(ctx: &mut QueryContext, traced: bool) -> Option<xks_obs::QueryTrace> {
-    traced.then(|| {
-        let trace = ctx.trace.clone();
-        ctx.trace.disarm();
-        trace
-    })
 }
 
 /// Materializes ranked hits by **moving** fragments into rank order:
@@ -1040,6 +929,8 @@ fn subtree_contains(anchor: &Dewey, sorted: &[Dewey]) -> bool {
 mod tests {
     use super::*;
     use crate::source::{MemoryCorpus, SourceElement, SourceError};
+    use std::time::Instant;
+    use xks_obs::DEADLINE_STRIDE;
     use xks_xmltree::fixtures::{publications, team, PAPER_QUERIES};
 
     fn q(s: &str) -> Query {
@@ -1142,7 +1033,8 @@ mod tests {
     }
 
     /// A corpus that counts the construct stage's lookups and can make
-    /// each keyword-node lookup slow.
+    /// each keyword-node lookup slow. Everything else, statistics
+    /// included, is the memory corpus's, so it plans as that one does.
     #[derive(Debug)]
     struct ProbedCorpus {
         inner: MemoryCorpus,
@@ -1177,6 +1069,9 @@ mod tests {
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             std::thread::sleep(self.nap);
             self.inner.try_keyword_node(dewey)
+        }
+        fn keyword_stats(&self, keyword: &str) -> Option<crate::plan::KeywordStats> {
+            self.inner.keyword_stats(keyword)
         }
     }
 
@@ -1424,8 +1319,7 @@ mod tests {
             for i in 0..parts.len() {
                 if built.contains(&parts.anchor(i).to_string().as_str()) {
                     let (anchor, knodes) = (parts.anchor(i), parts.knodes(i));
-                    Fragment::build(engine.source(), anchor, knodes, None, &mut skel, None)
-                        .unwrap();
+                    Fragment::build(engine.source(), anchor, knodes, None, &mut skel).unwrap();
                 }
             }
             assert_eq!(spent, lookups(), "{text}");
@@ -1647,15 +1541,141 @@ mod tests {
         assert!(topk.stats.truncated);
         assert_eq!(topk.stats.total_before_top_k, 22);
         assert_eq!(full.stats.rtfs_skipped_topk, 0, "no top_k, no skipping");
-        // The traced run takes the same path: same hits, same skips,
-        // and the stage still shows as construct and prune spans.
+        // The traced run takes the same path: same hits, same skips
+        // (its spans are pinned by `traced_stages_tile_the_query`).
         let traced = engine.execute(&req("common").top_k(2).trace(true)).unwrap();
         assert_eq!(traced.hits, topk.hits);
         assert_eq!(traced.stats.rtfs_skipped_topk, topk.stats.rtfs_skipped_topk);
-        let trace = traced.trace.expect("traced");
-        for stage in [Stage::Construct, Stage::Prune] {
-            assert!(trace.spans().iter().any(|s| s.stage == stage), "{stage:?}");
+    }
+
+    /// The `StageTimings` field a span's time counts toward, if any.
+    fn timing_field(stage: Stage) -> Option<usize> {
+        match stage {
+            Stage::Resolve => Some(0),
+            Stage::MergeAnchor => Some(1),
+            Stage::RtfDispatch => Some(2),
+            Stage::Construct | Stage::PostFilter | Stage::Prune => Some(3),
+            Stage::Rank => Some(4),
+            Stage::Parse | Stage::Plan | Stage::PostingsDecode => None,
         }
+    }
+
+    /// Asserts `trace` has exactly the spans `want` after its parse
+    /// span (absent when parsing took no measurable time), that the
+    /// stage spans tile the query from its start with the per-keyword
+    /// decodes nested in `resolve`, and returns the per-field sums.
+    fn check_spans(trace: &xks_obs::QueryTrace, want: &[Stage], at: &str) -> [u64; 5] {
+        let spans = match trace.spans() {
+            [first, rest @ ..] if first.stage == Stage::Parse => rest,
+            spans => spans,
+        };
+        let got: Vec<Stage> = spans.iter().map(|s| s.stage).collect();
+        assert_eq!(got, want, "{at}");
+        assert_eq!(trace.dropped(), 0, "{at}");
+        let (decodes, stages) =
+            spans.split_at(got.iter().filter(|&&s| s == Stage::PostingsDecode).count());
+        let mut end = 0;
+        for span in stages {
+            assert_eq!(
+                span.start_ns, end,
+                "{at}: {:?} starts where the last stage ended",
+                span.stage
+            );
+            end += span.dur_ns;
+        }
+        let resolve = stages[0];
+        for decode in decodes {
+            assert!(
+                decode.start_ns + decode.dur_ns <= resolve.dur_ns,
+                "{at}: decode nests in resolve"
+            );
+        }
+        let mut sums = [0; 5];
+        for span in spans {
+            if let Some(field) = timing_field(span.stage) {
+                sums[field] += span.dur_ns;
+            }
+        }
+        sums
+    }
+
+    #[test]
+    fn traced_stages_tile_the_query() {
+        use Stage::*;
+        let laps = [Resolve, Plan, MergeAnchor, RtfDispatch];
+        let pipeline = |decodes: usize, construct: &[Stage], rank: &[Stage]| -> Vec<Stage> {
+            let mut want = vec![PostingsDecode; decodes];
+            want.extend(laps.iter().chain(construct).chain(rank));
+            want
+        };
+        let (publications, library) = (
+            SearchEngine::new(publications()),
+            SearchEngine::new(library()),
+        );
+        let cases = [
+            (
+                "plain",
+                &publications,
+                req("liu keyword"),
+                pipeline(2, &[Construct, Prune], &[Rank]),
+            ),
+            (
+                "operators",
+                &library,
+                req("rust async -chen"),
+                pipeline(3, &[Construct, PostFilter, Prune], &[Rank]),
+            ),
+            (
+                "ranked top-k",
+                &publications,
+                req("liu keyword").top_k(1),
+                pipeline(2, &[Construct, Prune], &[]),
+            ),
+            (
+                "empty",
+                &publications,
+                req("liu nonexistent"),
+                vec![PostingsDecode, PostingsDecode, Resolve],
+            ),
+        ];
+        let mut ctx = QueryContext::new();
+        for (at, engine, request, want) in cases {
+            let untraced = engine.execute_with(&request, &mut ctx).unwrap();
+            assert!(
+                untraced.trace.is_none(),
+                "{at}: untraced requests carry no trace"
+            );
+            let r = engine.execute_with(&request.trace(true), &mut ctx).unwrap();
+            let sums = check_spans(r.trace.as_ref().expect("traced"), &want, at);
+            let t = r.timings;
+            let fields = [
+                t.get_keyword_nodes,
+                t.get_lca,
+                t.get_rtf,
+                t.prune_rtf,
+                t.post_process,
+            ];
+            // One reading closes a stage's total and its span alike.
+            assert_eq!(fields.map(|d| d.as_nanos() as u64), sums, "{at}");
+        }
+
+        // A request that times out inside the construct stage leaves
+        // the spans up to its last boundary in the context's meter.
+        let mut xml = String::from("<lib>");
+        for _ in 0..100 {
+            xml.push_str("<b><t>common</t></b>");
+        }
+        xml.push_str("</lib>");
+        let tree = xks_xmltree::parse(&xml).unwrap();
+        let (engine, _) = probed_engine(&tree, Duration::from_millis(1));
+        let request = req("common").trace(true).timeout(Duration::from_millis(20));
+        let err = engine.execute_with(&request, &mut ctx).unwrap_err();
+        assert!(
+            matches!(&err, SearchError::Timeout(t) if t.stage == "construct"),
+            "{err:?}"
+        );
+        let trace = ctx.meter.trace().expect("armed");
+        check_spans(trace, &pipeline(1, &[], &[]), "timeout");
     }
 
     #[test]

@@ -29,7 +29,6 @@
 //! RTF there, before anything is emitted.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use xks_lca::{SkelNode, SkeletonScratch, NONE};
 use xks_xmltree::content::{content_feature, node_content};
@@ -343,18 +342,15 @@ impl Fragment {
     /// fragment of `anchor` and `knodes`, prunes it under `policy`
     /// (`None` keeps the raw fragment) and materializes the result.
     /// Buffers come from `skel`, so a warm caller pays one allocation
-    /// per fragment. `layout_ns`, when given, accumulates the
-    /// nanoseconds of the first step (a traced caller's construct span;
-    /// the rest of its stage is pruning).
+    /// per fragment.
     pub fn build<'k>(
         facts: &(impl NodeFacts + ?Sized),
         anchor: &Dewey,
         knodes: impl Iterator<Item = (&'k Dewey, KeySet)>,
         policy: Option<Policy>,
         skel: &mut SkeletonScratch,
-        layout_ns: Option<&mut u64>,
     ) -> Result<Self, SourceError> {
-        let built = Self::build_gated(facts, anchor, knodes, policy, skel, layout_ns, |_, _| true)?;
+        let built = Self::build_gated(facts, anchor, knodes, policy, skel, |_, _| true)?;
         Ok(built.expect("an open gate stops no fragment"))
     }
 
@@ -367,15 +363,9 @@ impl Fragment {
         knodes: impl Iterator<Item = (&'k Dewey, KeySet)>,
         policy: Option<Policy>,
         skel: &mut SkeletonScratch,
-        layout_ns: Option<&mut u64>,
         mut gate: impl FnMut(Gate, &SkeletonScratch) -> bool,
     ) -> Result<Option<Self>, SourceError> {
-        let started = layout_ns.map(|total| (total, Instant::now()));
         lay_out(facts, anchor, knodes, skel)?;
-        if let Some((total, started)) = started {
-            let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            *total = total.saturating_add(ns);
-        }
         if !gate(Gate::LaidOut, skel) {
             return Ok(None);
         }
@@ -400,7 +390,7 @@ impl Fragment {
     pub fn construct(facts: &(impl NodeFacts + ?Sized), rtf: &Rtf) -> Self {
         let knodes = rtf.knodes.iter().map(|(d, m)| (d, *m));
         let mut skel = SkeletonScratch::default();
-        Self::build(facts, &rtf.anchor, knodes, None, &mut skel, None)
+        Self::build(facts, &rtf.anchor, knodes, None, &mut skel)
             .unwrap_or_else(|e| panic!("fragment construction failed: {e}"))
     }
 

@@ -401,16 +401,6 @@ pub struct SearchResponse {
 }
 
 impl SearchResponse {
-    /// An empty response (some query keyword matched nothing).
-    pub(crate) fn empty(timings: StageTimings, stats: SearchStats) -> Self {
-        SearchResponse {
-            hits: Vec::new(),
-            timings,
-            stats,
-            trace: None,
-        }
-    }
-
     /// The hit fragments, in response order.
     pub fn fragments(&self) -> impl Iterator<Item = &Fragment> {
         self.hits.iter().map(|h| &h.fragment)

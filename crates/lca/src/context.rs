@@ -6,7 +6,7 @@
 //! [`QueryContext`] owning every buffer a query mutates — the merged
 //! posting stream, the anchor list, the ELCA mask stack, the gallop
 //! scratch, the `getRTF` sweep and fragment-skeleton buffers, and the
-//! stage tracer. One context per query thread — a query never spreads
+//! query's meter. One context per query thread — a query never spreads
 //! over more than one — means the anchor pipeline stays allocation-free
 //! when warm (asserted by the workspace's counting-allocator test)
 //! *without* any lock on the hot path.
@@ -185,12 +185,10 @@ pub struct QueryContext {
     /// ([`planned_elca_into_context`]); untouched on the legacy merge
     /// path.
     pub gallop: GallopScratch,
-    /// Per-query stage tracer. Storage is inline (a fixed span array),
-    /// so carrying it costs nothing when disarmed and recording into
-    /// it allocates nothing when armed — the engine arms it for traced
-    /// requests and disarms it otherwise, preserving the context's
-    /// zero-allocation warm path either way.
-    pub trace: xks_obs::QueryTrace,
+    /// The query's clock: stage totals, deadline checks and, for a
+    /// traced request, the span buffer. Storage is inline, so it
+    /// allocates nothing, armed or not.
+    pub meter: xks_obs::QueryMeter,
 }
 
 impl QueryContext {

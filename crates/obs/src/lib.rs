@@ -14,9 +14,10 @@
 //!   construction); the returned handles update lock-free thereafter.
 //!   [`global()`] is the process-wide instance every subsystem
 //!   (engine, executor, buffer pool, caches) registers into.
-//! * [`trace`] + [`snapshot`] — the read side. [`QueryTrace`] records
-//!   wall-time spans for each pipeline stage into a preallocated
-//!   inline buffer carried inside the per-thread query context;
+//! * [`trace`] + [`snapshot`] — the read side. A [`QueryMeter`] in
+//!   the per-thread query context reads the clock once per stage
+//!   boundary for the stage totals, the deadline checks and, on traced
+//!   requests, the [`QueryTrace`] spans (a preallocated inline buffer);
 //!   [`Snapshot`] captures a point-in-time copy of every metric and
 //!   serializes it through one hand-rolled, deterministic JSON schema
 //!   (`xks-obs/1`).
@@ -36,4 +37,4 @@ pub mod trace;
 pub use metric::{bucket_bounds, bucket_index, Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{count_poison_recovery, global, Registry};
 pub use snapshot::{MetricSource, Snapshot};
-pub use trace::{QueryTrace, Span, Stage, TRACE_SPAN_CAP};
+pub use trace::{Expired, QueryMeter, QueryTrace, Span, Stage, DEADLINE_STRIDE, TRACE_SPAN_CAP};

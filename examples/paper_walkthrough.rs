@@ -10,9 +10,15 @@ use xks::core::spec::{enumerate_ect, spec_rtfs};
 use xks::core::{AlgorithmKind, SearchEngine, SearchRequest};
 use xks::index::Query;
 use xks::xmltree::fixtures::{publications, team, PAPER_QUERIES};
+use xks::xmltree::XmlTree;
 
 fn q(s: &str) -> Query {
     Query::parse(s).unwrap()
+}
+
+/// The document of an engine built by `SearchEngine::new`.
+fn tree(engine: &SearchEngine) -> &XmlTree {
+    engine.parsed_tree().expect("built by SearchEngine::new")
 }
 
 fn show(engine: &SearchEngine, query: &Query, kind: AlgorithmKind, caption: &str) {
@@ -21,7 +27,7 @@ fn show(engine: &SearchEngine, query: &Query, kind: AlgorithmKind, caption: &str
     println!("--- {caption}");
     for frag in out.fragments() {
         println!("fragment @ {}:", frag.anchor);
-        print!("{}", frag.render(engine.tree()));
+        print!("{}", frag.render(tree(engine)));
     }
     println!();
 }
@@ -31,9 +37,9 @@ fn main() {
     let club = SearchEngine::new(team());
 
     println!("=== The Figure 1(a) Publications instance ===");
-    println!("{}", pubs.tree());
+    println!("{}", tree(&pubs));
     println!("=== The Figure 1(b) team segment ===");
-    println!("{}", club.tree());
+    println!("{}", tree(&club));
 
     println!(
         "=== Example 1: SLCA vs LCA (Q2 = {:?}) ===",
@@ -112,13 +118,13 @@ fn main() {
         let sets = pubs.index().resolve(&q3).unwrap();
         let anchors = elca_stack(sets.sets());
         let rtfs = xks::core::get_rtf(&anchors, &sets);
-        Fragment::construct(pubs.tree(), &rtfs[0])
+        Fragment::construct(tree(&pubs), &rtfs[0])
     };
     for node in ["0", "0.2"] {
         let dewey = node.parse().unwrap();
         print!(
             "node {node}:\n{}",
-            raw.render_node_info(pubs.tree(), &dewey, 5).unwrap()
+            raw.render_node_info(tree(&pubs), &dewey, 5).unwrap()
         );
     }
     println!();

@@ -43,6 +43,7 @@ fn main() {
     println!("Document ({} nodes):\n{tree}", tree.len());
 
     let engine = SearchEngine::new(tree);
+    let tree = engine.parsed_tree().expect("built by SearchEngine::new");
     // The operator grammar understands "quoted phrases", -exclusions,
     // and label:word filters alongside plain keywords.
     let request = match SearchRequest::parse(&query_text) {
@@ -68,7 +69,7 @@ fn main() {
         );
         for hit in &response.hits {
             println!("-- fragment anchored at {}:", hit.fragment.anchor);
-            print!("{}", hit.fragment.render(engine.tree()));
+            print!("{}", hit.fragment.render(tree));
         }
         println!();
     }

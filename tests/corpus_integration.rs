@@ -42,6 +42,7 @@ fn dblp_workload_runs_end_to_end() {
 #[test]
 fn dblp_fragments_cover_their_queries() {
     let engine = dblp_engine();
+    let tree = engine.parsed_tree().expect("a parsed-tree engine");
     for (_, keywords) in dblp_workload().into_iter().take(6) {
         let query = Query::parse(&keywords).unwrap();
         let out = engine
@@ -52,12 +53,8 @@ fn dblp_fragments_cover_their_queries() {
             // query keyword (keyword requirement of §2).
             for kw in query.keywords() {
                 let covered = frag.iter().any(|n| {
-                    engine
-                        .tree()
-                        .node_by_dewey(&n.dewey)
-                        .map(|id| {
-                            xks::xmltree::content::node_content(engine.tree(), id).contains(kw)
-                        })
+                    tree.node_by_dewey(&n.dewey)
+                        .map(|id| xks::xmltree::content::node_content(tree, id).contains(kw))
                         .unwrap_or(false)
                 });
                 assert!(covered, "fragment at {} misses {kw}", frag.anchor);

@@ -38,15 +38,8 @@ fn build_all(tree: &XmlTree, k: usize) -> Vec<Built> {
     (0..parts.len())
         .map(|i| {
             let mut build = |policy| {
-                Fragment::build(
-                    tree,
-                    parts.anchor(i),
-                    parts.knodes(i),
-                    policy,
-                    &mut skel,
-                    None,
-                )
-                .expect("tree holds every keyword node")
+                Fragment::build(tree, parts.anchor(i), parts.knodes(i), policy, &mut skel)
+                    .expect("tree holds every keyword node")
             };
             Built {
                 raw: build(None),
