@@ -15,7 +15,7 @@ use crate::fragment::{Fragment, Gate};
 use crate::metrics::{effectiveness, Effectiveness};
 use crate::plan::{choose_driver, choose_strategy, PlanReport, PlanStrategy};
 use crate::prune::Policy;
-use crate::rank::RankedFragment;
+use crate::rank::{self, RankedFragment, TopK};
 use crate::request::{Hit, SearchError, SearchRequest, SearchResponse, SearchStats, SearchTimeout};
 use crate::rtf::{dispatch, Partitions};
 use crate::shards::ShardSet;
@@ -293,40 +293,36 @@ impl SearchEngine {
             .check("construct")
             .map_err(self.timeout(&stats))?;
 
-        // Top-k bound skip: when the request is a plain ranked top-k,
-        // construct fragments best-bound-first and never build the
-        // ones that provably miss the cut. Results are identical to
-        // the construct-everything path (see `construct_bounded_topk`);
-        // only the work differs. A traced query's construct span (on
-        // either path) is the summed layout time.
-        if let Some(bound) = self.topk_bound_gate(request, spec) {
-            stats.total_before_top_k = rtf_count;
-            stats.truncated = rtf_count > bound.0;
-            let query = (kind.policy(), spec.query().len());
-            let hits = self.construct_bounded_topk(ctx, query, bound, &mut stats)?;
-            ctx.meter.lap_split(Stage::Prune, &[Stage::Construct]);
-            return Ok(self.respond(&ctx.meter, hits, stats));
-        }
-
-        // pruneRTF — lay out, decide, emit, one RTF at a time in
-        // document order, each stopped at the first step where one of
-        // the query's operator constraints fails (see `Operators`;
-        // plain keyword queries check nothing). A `max_fragments` cap
-        // on a plain query keeps exactly the first `cap` fragments, so
-        // only those are built.
-        let build_count = match request.max_fragments_cap() {
-            Some(cap) if spec.is_plain() => cap.min(rtf_count),
-            _ => rtf_count,
-        };
+        // pruneRTF — lay out, decide, emit, one RTF at a time, each
+        // stopped at the first step where one of the query's operator
+        // constraints fails (see `Operators`; plain keyword queries
+        // check nothing). A plain ranked top-k visits the RTFs best
+        // score bound first and skips those that cannot make the cut
+        // (see `TopK`); every other request visits them in document
+        // order.
         let parts = Partitions::new(&ctx.anchors, &ctx.merged, &ctx.rtf);
+        let (policy, k) = (kind.policy(), spec.query().len());
         let mut operators =
             (!spec.is_plain()).then(|| Operators::new(spec, self.source(), &mut ctx.filters));
-        let mut fragments = Vec::with_capacity(build_count);
-        for i in 0..build_count {
-            ctx.meter.tick(i).map_err(self.timeout(&stats))?;
+        let mut topk = request
+            .top_k_limit()
+            .filter(|&top| top >= 1 && spec.is_plain())
+            .map(|top| TopK::new(parts, k, top));
+        let mut fragments = Vec::with_capacity(rtf_count);
+        for n in 0..rtf_count {
+            ctx.meter.tick(n).map_err(self.timeout(&stats))?;
+            let Some(i) = topk.as_ref().map_or(Some(n), |topk| topk.visit(n)) else {
+                stats.rtfs_skipped_topk += 1;
+                continue;
+            };
             let (skel, meter) = (&mut ctx.skeleton, &mut ctx.meter);
-            match self.build(parts, i, kind.policy(), skel, meter, operators.as_mut())? {
-                Some(fragment) => fragments.push(fragment),
+            match self.build(parts, i, policy, skel, meter, operators.as_mut())? {
+                Some(fragment) => {
+                    if let Some(topk) = topk.as_mut() {
+                        topk.built(&fragment);
+                    }
+                    fragments.push(fragment);
+                }
                 None => stats.filtered_out += 1,
             }
         }
@@ -342,34 +338,33 @@ impl SearchEngine {
             .map_err(self.timeout(&stats))?;
 
         // Everything past the paper's pipeline is the post-process
-        // stage: cap, rank, truncate, materialize hits. RTFs the cap
-        // kept from being built still count.
-        stats.total_before_top_k = fragments.len() + (rtf_count - build_count);
-        if let Some(cap) = request.max_fragments_cap() {
-            if stats.total_before_top_k > cap {
-                fragments.truncate(cap);
-                stats.truncated = true;
+        // stage: rank, truncate, materialize hits. A skipped RTF counts:
+        // it would have been a fragment.
+        stats.total_before_top_k = fragments.len() + stats.rtfs_skipped_topk as usize;
+        let hits = if request.is_ranked() {
+            // Specificity's depth normalizer. A bounded top-k built only
+            // part of a plain query's RTFs, so it normalized over every
+            // anchor; any other request normalizes over the fragments it
+            // built, so a ranked operator query ranks against its hits.
+            let max_depth = topk.map_or_else(
+                || rank::depth_normalizer(fragments.iter().map(|f| &f.anchor)),
+                |topk| topk.max_depth,
+            );
+            let mut order = rank::rank(&fragments, k, max_depth);
+            if let Some(top) = request.top_k_limit() {
+                stats.truncated = stats.total_before_top_k > top;
+                order.truncate(top);
             }
-        }
-        let hits = match request.effective_weights() {
-            Some(weights) => {
-                let mut order = crate::rank::rank(&fragments, spec.query().len(), &weights);
-                if let Some(k) = request.top_k_limit() {
-                    if order.len() > k {
-                        order.truncate(k);
-                        stats.truncated = true;
-                    }
-                }
-                take_ranked(fragments, &order)
-            }
-            None => fragments
+            take_ranked(fragments, &order)
+        } else {
+            fragments
                 .into_iter()
                 .map(|fragment| Hit {
                     fragment,
                     score: None,
                     signals: None,
                 })
-                .collect(),
+                .collect()
         };
         ctx.meter.lap(Stage::Rank);
         Ok(self.respond(&ctx.meter, hits, stats))
@@ -439,129 +434,6 @@ impl SearchEngine {
                 AnchorExec::Gallop { driver }
             }
         }
-    }
-
-    /// Whether this request qualifies for bound-ordered top-k
-    /// construction (skipping fragments that provably miss the top k):
-    /// a ranked `top_k ≥ 1` over a plain query with no `max_fragments`
-    /// cap, with non-negative weights summing above zero (negative
-    /// weights would invert the score bound). Tracing does not enter
-    /// into it: a traced request takes the same path. Returns the limit
-    /// and the effective weights.
-    fn topk_bound_gate(
-        &self,
-        request: &SearchRequest,
-        spec: &QuerySpec,
-    ) -> Option<(usize, crate::rank::RankWeights)> {
-        if !spec.is_plain() || request.max_fragments_cap().is_some() {
-            return None;
-        }
-        let k = request.top_k_limit().filter(|&k| k >= 1)?;
-        let weights = request.effective_weights()?;
-        let wsum = weights.specificity + weights.compactness + weights.density;
-        if weights.specificity < 0.0
-            || weights.compactness < 0.0
-            || weights.density < 0.0
-            || wsum <= 0.0
-        {
-            return None;
-        }
-        Some((k, weights))
-    }
-
-    /// Constructs + prunes + scores fragments in descending order of
-    /// their score **upper bound**, skipping every RTF whose bound
-    /// falls strictly below the current k-th best score once `k_limit`
-    /// fragments exist. Returns hits best-first, truncated to
-    /// `k_limit` — byte-identical to construct-everything-then-rank:
-    ///
-    /// * the bound uses the **global** `max_depth` over all RTF anchors
-    ///   (exactly [`crate::rank::rank`]'s normalizer, since every RTF
-    ///   becomes a fragment on the legacy path and anchors survive
-    ///   construction unchanged);
-    /// * specificity is exact, compactness is bounded by 1, density by
-    ///   the best per-node keyword share (pruning only removes nodes,
-    ///   and the average of shares never exceeds their maximum);
-    /// * the `1e-9` margin absorbs rounding differences between the
-    ///   bound expression and [`crate::rank::score_fragment`], so a
-    ///   skip implies a strictly lower true score — under the
-    ///   score-desc / index-asc tiebreak, no skipped fragment can
-    ///   displace a constructed one from the top k.
-    ///
-    /// Like the document-order loop, it checks the deadline every
-    /// [`xks_obs::DEADLINE_STRIDE`] RTFs.
-    fn construct_bounded_topk(
-        &self,
-        ctx: &mut QueryContext,
-        (policy, k_query): (Policy, usize),
-        (k_limit, weights): (usize, crate::rank::RankWeights),
-        stats: &mut SearchStats,
-    ) -> Result<Vec<Hit>, SearchError> {
-        let parts = Partitions::new(&ctx.anchors, &ctx.merged, &ctx.rtf);
-        let max_depth = ctx
-            .anchors
-            .iter()
-            .map(Dewey::level)
-            .max()
-            .unwrap_or(0)
-            .max(1) as f64;
-        let wsum = weights.specificity + weights.compactness + weights.density;
-        let bound = |i: usize| -> f64 {
-            let specificity = parts.anchor(i).level() as f64 / max_depth;
-            let density_max = parts
-                .knodes(i)
-                .map(|(_, kset)| kset.len() as f64 / k_query.max(1) as f64)
-                .fold(0.0f64, f64::max);
-            (weights.specificity * specificity
-                + weights.compactness
-                + weights.density * density_max)
-                / wsum
-                + 1e-9
-        };
-        let mut order: Vec<(usize, f64)> = (0..parts.len()).map(|i| (i, bound(i))).collect();
-        order.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-
-        // (original index, score, signals, fragment) of everything
-        // built; `top_scores` tracks the k best scores descending.
-        let mut built: Vec<(usize, f64, [f64; 3], Fragment)> = Vec::new();
-        let mut top_scores: Vec<f64> = Vec::with_capacity(k_limit);
-        for (n, (i, ub)) in order.into_iter().enumerate() {
-            ctx.meter.tick(n).map_err(self.timeout(stats))?;
-            if top_scores.len() == k_limit && ub < top_scores[k_limit - 1] {
-                stats.rtfs_skipped_topk += 1;
-                continue;
-            }
-            let (skel, meter) = (&mut ctx.skeleton, &mut ctx.meter);
-            let Some(fragment) = self.build(parts, i, policy, skel, meter, None)? else {
-                continue;
-            };
-            let (score, signals) =
-                crate::rank::score_fragment(&fragment, k_query, &weights, max_depth);
-            let pos = top_scores.partition_point(|&s| s >= score);
-            if pos < k_limit {
-                top_scores.insert(pos, score);
-                top_scores.truncate(k_limit);
-            }
-            built.push((i, score, signals, fragment));
-        }
-        built.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        built.truncate(k_limit);
-        Ok(built
-            .into_iter()
-            .map(|(_, score, signals, fragment)| Hit {
-                fragment,
-                score: Some(score),
-                signals: Some(signals),
-            })
-            .collect())
     }
 
     /// [`Fragment::build_gated`] over the source's node facts:
@@ -1008,9 +880,7 @@ mod tests {
     #[test]
     fn ranked_execute_orders_best_first_and_scores() {
         let engine = SearchEngine::new(publications());
-        let r = engine
-            .execute(&req("liu keyword").weights(crate::rank::RankWeights::default()))
-            .unwrap();
+        let r = engine.execute(&req("liu keyword").rank()).unwrap();
         assert_eq!(r.hits.len(), 2);
         // The tight single-node ref fragment ranks above the article.
         assert_eq!(r.hits[0].fragment.anchor.to_string(), "0.2.0.3.0");
@@ -1030,6 +900,11 @@ mod tests {
         let r = engine.execute(&req("liu keyword").top_k(10)).unwrap();
         assert_eq!(r.hits.len(), 2);
         assert!(!r.stats.truncated);
+        // Nor does the largest one: it reserves room for the RTFs only.
+        let r = engine
+            .execute(&req("liu keyword").top_k(usize::MAX))
+            .unwrap();
+        assert_eq!(r.hits.len(), 2);
     }
 
     /// A corpus that counts the construct stage's lookups and can make
@@ -1096,41 +971,6 @@ mod tests {
             labels: labels.swap(0, std::sync::atomic::Ordering::Relaxed),
         };
         (engine, lookups)
-    }
-
-    #[test]
-    fn max_fragments_caps_in_document_order() {
-        let (engine, lookups) = probed_engine(&publications(), Duration::ZERO);
-        let all = engine.execute(&req("liu keyword")).unwrap();
-        assert_eq!(all.hits.len(), 2);
-        let all_lookups = lookups().keyword_nodes;
-        let r = engine
-            .execute(&req("liu keyword").max_fragments(1))
-            .unwrap();
-        // Document order: the article fragment comes first — the very
-        // hit building everything and truncating yields.
-        assert_eq!(r.hits, all.hits[..1]);
-        assert_eq!(r.hits[0].fragment.anchor.to_string(), "0.2.0");
-        assert!(r.stats.truncated);
-        assert_eq!(r.stats.total_before_top_k, 2, "counts before the cap");
-        assert!(
-            r.hits[0].score.is_none(),
-            "max_fragments alone doesn't rank"
-        );
-        // Only the fragment under the cap was built: storage saw its
-        // keyword nodes (nothing is pruned from it) and no others.
-        let first = r.hits[0].fragment.iter().filter(|n| n.is_keyword).count();
-        assert_eq!(lookups().keyword_nodes, first);
-        assert!(first < all_lookups);
-        // A label filter must see every RTF before the cap applies: the
-        // first holds no <ref> matching "liu", the second does, and
-        // capping early would have lost it.
-        let filtered = engine
-            .execute(&req("ref:liu keyword").max_fragments(1))
-            .unwrap();
-        assert_eq!(filtered.hits.len(), 1);
-        assert_eq!(filtered.hits[0].fragment.anchor.to_string(), "0.2.0.3.0");
-        assert_eq!(lookups().keyword_nodes, all_lookups);
     }
 
     #[test]
@@ -1524,9 +1364,7 @@ mod tests {
         }
         xml.push_str("</lib>");
         let engine = SearchEngine::new(xks_xmltree::parse(&xml).unwrap());
-        let full = engine
-            .execute(&req("common").weights(crate::rank::RankWeights::default()))
-            .unwrap();
+        let full = engine.execute(&req("common").rank()).unwrap();
         let topk = engine.execute(&req("common").top_k(2)).unwrap();
         assert_eq!(
             topk.hits,
@@ -1629,7 +1467,7 @@ mod tests {
                 "ranked top-k",
                 &publications,
                 req("liu keyword").top_k(1),
-                pipeline(2, &[Construct, Prune], &[]),
+                pipeline(2, &[Construct, Prune], &[Rank]),
             ),
             (
                 "empty",

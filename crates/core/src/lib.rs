@@ -17,7 +17,8 @@
 //! * the §5.1 effectiveness metrics CFR / APR / APR′ / Max APR
 //!   ([`metrics`]) and the four axiomatic XKS property checkers
 //!   ([`axioms`]);
-//! * RTF **ranking** ([`mod@rank`]) — the future-work stage §7 calls for.
+//! * RTF **ranking** ([`SearchRequest::rank`]) — the future-work stage §7
+//!   calls for.
 //!
 //! # Quickstart
 //!
@@ -58,7 +59,7 @@ pub mod mutable;
 pub mod plan;
 pub mod prune;
 pub mod quality;
-pub mod rank;
+mod rank;
 pub mod request;
 pub mod rtf;
 pub mod shards;
@@ -78,7 +79,6 @@ pub use plan::{
 };
 pub use prune::{prune, Policy};
 pub use quality::{assess, assess_all, AxiomCounts, QualityConfig, QualityReport};
-pub use rank::{rank, score_fragment, RankWeights, RankedFragment};
 pub use request::{Hit, SearchError, SearchRequest, SearchResponse, SearchStats, SearchTimeout};
 pub use rtf::{dispatch, get_rtf, get_rtf_unchecked, Partitions, Rtf};
 pub use shards::ShardSet;

@@ -3,8 +3,7 @@
 //! [`SearchRequest`] is the one description of a search — query text in
 //! the operator grammar (phrases, exclusions, label filters; see
 //! [`xks_index::grammar`]), the algorithm, and the result-shaping knobs
-//! (`top_k`, ranking weights, `max_fragments`). It is executed by the
-//! single pair of entry points
+//! (`top_k`, `rank`). It is executed by the single pair of entry points
 //! [`SearchEngine::execute`](crate::engine::SearchEngine::execute) /
 //! [`execute_with`](crate::engine::SearchEngine::execute_with), which
 //! return a [`SearchResponse`]: scored [`Hit`]s, per-stage timings, and
@@ -38,7 +37,6 @@ use xks_index::{ParseError, Query, QueryError, QuerySpec};
 use crate::algorithms::StageTimings;
 use crate::engine::AlgorithmKind;
 use crate::fragment::Fragment;
-use crate::rank::RankWeights;
 use crate::source::SourceError;
 
 /// Everything that can go wrong executing a search — the one error
@@ -134,13 +132,11 @@ impl From<SourceError> for SearchError {
 /// chain the builder methods:
 ///
 /// ```
-/// use validrtf::{AlgorithmKind, RankWeights, SearchRequest};
+/// use validrtf::{AlgorithmKind, SearchRequest};
 ///
 /// let request = SearchRequest::parse("title:xml \"keyword search\" -skyline")?
 ///     .algorithm(AlgorithmKind::ValidRtf)
-///     .weights(RankWeights::default())
-///     .top_k(10)
-///     .max_fragments(1000);
+///     .top_k(10);
 /// assert_eq!(request.query().keywords(), ["xml", "keyword", "search"]);
 /// # Ok::<(), validrtf::SearchError>(())
 /// ```
@@ -149,8 +145,7 @@ pub struct SearchRequest {
     spec: QuerySpec,
     algorithm: AlgorithmKind,
     top_k: Option<usize>,
-    weights: Option<RankWeights>,
-    max_fragments: Option<usize>,
+    rank: bool,
     trace: bool,
     parse_ns: u64,
     deadline: Option<Instant>,
@@ -164,8 +159,7 @@ impl PartialEq for SearchRequest {
         self.spec == other.spec
             && self.algorithm == other.algorithm
             && self.top_k == other.top_k
-            && self.weights == other.weights
-            && self.max_fragments == other.max_fragments
+            && self.rank == other.rank
             && self.trace == other.trace
     }
 }
@@ -190,8 +184,7 @@ impl SearchRequest {
             spec,
             algorithm: AlgorithmKind::ValidRtf,
             top_k: None,
-            weights: None,
-            max_fragments: None,
+            rank: false,
             trace: false,
             parse_ns: 0,
             deadline: None,
@@ -212,8 +205,7 @@ impl SearchRequest {
     }
 
     /// Keeps only the `k` best hits. Setting `top_k` implies ranking:
-    /// the response's hits come back best-first and scored (with
-    /// [`SearchRequest::weights`] or the default weights), and
+    /// the response's hits come back best-first and scored, and
     /// truncation happens **before** any hit is materialized.
     #[must_use]
     pub fn top_k(mut self, k: usize) -> Self {
@@ -221,21 +213,11 @@ impl SearchRequest {
         self
     }
 
-    /// Ranks hits best-first with these weights (without `top_k`, all
-    /// hits come back, ranked).
+    /// Ranks hits best-first and scores them (without `top_k`, all hits
+    /// come back, ranked).
     #[must_use]
-    pub fn weights(mut self, weights: RankWeights) -> Self {
-        self.weights = Some(weights);
-        self
-    }
-
-    /// Caps how many fragments the response may carry **in document
-    /// order, before ranking** — a response-size guard for queries that
-    /// explode. A hit dropped here is reported via
-    /// [`SearchStats::truncated`], never silently.
-    #[must_use]
-    pub fn max_fragments(mut self, cap: usize) -> Self {
-        self.max_fragments = Some(cap);
+    pub fn rank(mut self) -> Self {
+        self.rank = true;
         self
     }
 
@@ -314,27 +296,11 @@ impl SearchRequest {
         self.top_k
     }
 
-    /// The `max_fragments` cap, if set.
-    #[must_use]
-    pub fn max_fragments_cap(&self) -> Option<usize> {
-        self.max_fragments
-    }
-
-    /// Whether execution ranks the hits (an explicit `weights` call or
-    /// any `top_k`).
+    /// Whether execution ranks the hits (an explicit `rank` call or any
+    /// `top_k`).
     #[must_use]
     pub fn is_ranked(&self) -> bool {
-        self.weights.is_some() || self.top_k.is_some()
-    }
-
-    /// The weights execution will rank with (`None` when unranked).
-    #[must_use]
-    pub fn effective_weights(&self) -> Option<RankWeights> {
-        if self.is_ranked() {
-            Some(self.weights.unwrap_or_default())
-        } else {
-            None
-        }
+        self.rank || self.top_k.is_some()
     }
 }
 
@@ -353,7 +319,7 @@ pub struct Hit {
 /// The observability block of a [`SearchResponse`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SearchStats {
-    /// True when `top_k` / `max_fragments` cut hits away.
+    /// True when `top_k` cut hits away.
     pub truncated: bool,
     /// Meaningful fragments that passed the operator checks, before
     /// any truncation.
@@ -405,12 +371,6 @@ impl SearchResponse {
     pub fn fragments(&self) -> impl Iterator<Item = &Fragment> {
         self.hits.iter().map(|h| &h.fragment)
     }
-
-    /// Consumes the response into its fragments, in response order.
-    #[must_use]
-    pub fn into_fragments(self) -> Vec<Fragment> {
-        self.hits.into_iter().map(|h| h.fragment).collect()
-    }
 }
 
 #[cfg(test)]
@@ -422,13 +382,11 @@ mod tests {
         let r = SearchRequest::parse("xml keyword")
             .unwrap()
             .algorithm(AlgorithmKind::MaxMatchRtf)
-            .top_k(5)
-            .max_fragments(100);
+            .top_k(5);
         assert_eq!(r.kind(), AlgorithmKind::MaxMatchRtf);
         assert_eq!(r.top_k_limit(), Some(5));
-        assert_eq!(r.max_fragments_cap(), Some(100));
         assert!(r.is_ranked(), "top_k implies ranking");
-        assert_eq!(r.effective_weights(), Some(RankWeights::default()));
+        assert!(SearchRequest::parse("xml").unwrap().rank().is_ranked());
         assert_eq!(r.query().keywords(), ["xml", "keyword"]);
     }
 
@@ -437,7 +395,6 @@ mod tests {
         let r = SearchRequest::parse("xml").unwrap();
         assert_eq!(r.kind(), AlgorithmKind::ValidRtf);
         assert!(!r.is_ranked());
-        assert_eq!(r.effective_weights(), None);
         assert_eq!(r.top_k_limit(), None);
     }
 

@@ -8,7 +8,7 @@ use std::time::Instant;
 
 use validrtf::engine::SearchEngine;
 use validrtf::wire;
-use validrtf::{RankWeights, SearchError, SearchRequest};
+use validrtf::{SearchError, SearchRequest};
 use xks_obs::{MetricSource, Snapshot};
 use xks_store::json::{self, Value};
 
@@ -243,7 +243,7 @@ fn build_request(body: &Value) -> Result<BuiltRequest, String> {
     };
     match obj.get("rank") {
         None => {}
-        Some(Value::Bool(true)) => request = request.weights(RankWeights::default()),
+        Some(Value::Bool(true)) => request = request.rank(),
         Some(Value::Bool(false)) => {}
         Some(_) => return Err("\"rank\" must be a boolean".to_owned()),
     }

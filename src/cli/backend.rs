@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use xks::core::engine::{AlgorithmKind, SearchEngine};
 use xks::core::executor::run_batch_stats;
-use xks::core::{RankWeights, SearchRequest};
+use xks::core::SearchRequest;
 use xks::obs::MetricSource;
 use xks::persist::{IndexReader, MutableCorpus, PersistError, ShardedCorpus};
 use xks::xmltree::XmlTree;
@@ -111,7 +111,7 @@ pub fn build_requests(
                 request = request.top_k(k);
             }
             if ranked {
-                request = request.weights(RankWeights::default());
+                request = request.rank();
             }
             Ok(request)
         })

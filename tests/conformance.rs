@@ -45,7 +45,7 @@ use sources::{Corpus, Opened, Plan, Source};
 use xks::core::plan::PlanStrategy;
 use xks::core::TreeCorpus;
 use xks::core::{run_batch, wire, AlgorithmKind, CorpusSource, Fragment, MemoryCorpus};
-use xks::core::{QueryContext, RankWeights, SearchEngine, SearchRequest, SearchResponse};
+use xks::core::{QueryContext, SearchEngine, SearchRequest, SearchResponse};
 use xks::datagen::queries::{dblp_workload, xmark_workload};
 use xks::datagen::scenario::ScenarioSpec;
 use xks::datagen::{generate_dblp, generate_xmark, DblpConfig, XmarkConfig, XmarkSize};
@@ -452,7 +452,8 @@ fn digest(setup: &Setup, engine: &SearchEngine, kind: AlgorithmKind, traced: boo
         let response = engine.execute_with(&request, &mut ctx).unwrap();
         let spans = response.trace.as_ref().map_or(0, |t| t.spans().len());
         assert_eq!(spans > 0, traced, "{name}/{abbrev}: trace");
-        let (fragments, src) = (response.into_fragments(), engine.source());
+        let fragments: Vec<_> = response.hits.into_iter().map(|h| h.fragment).collect();
+        let src = engine.source();
         digest_line(name, abbrev, kind, &fragments, src)
     };
     setup.plain.iter().map(line).collect()
@@ -514,7 +515,8 @@ fn matrix_digest_holds_on_memory_xks_and_shards() {
             let abbrev = format!("{}{i}", q.class.name());
             for kind in ALGORITHMS {
                 let response = engine.execute(&request(&q.text, kind)).unwrap();
-                let (fragments, src) = (response.into_fragments(), engine.source());
+                let fragments: Vec<_> = response.hits.into_iter().map(|h| h.fragment).collect();
+                let src = engine.source();
                 lines.push(digest_line(CELL, &abbrev, kind, &fragments, src));
             }
         }
@@ -542,8 +544,7 @@ fn ranked_hits_and_stats_agree_across_sources() {
                     assert_eq!(explain(&oracle), explain(&engine), "{abbrev}");
                 }
                 for kind in ALGORITHMS {
-                    let ranked = plain.clone().algorithm(kind);
-                    let ranked = ranked.weights(RankWeights::default());
+                    let ranked = plain.clone().algorithm(kind).rank();
                     let want = oracle.execute(&ranked).unwrap();
                     let got = engine.execute(&ranked).unwrap();
                     let at = format!("{}/{abbrev}/{kind:?} on {source:?}", setup.corpus.name);

@@ -8,8 +8,7 @@
 //! answer is the operator-free query with the same positive keywords,
 //! filtered by docs/API.md's three rules, read literally in
 //! `tests/common/reference.rs`. Hits, `filtered_out` and
-//! `total_before_top_k` must all agree, with and without a
-//! `max_fragments` cap.
+//! `total_before_top_k` must all agree.
 
 mod common;
 
@@ -112,7 +111,7 @@ fn check(engine: &SearchEngine, request: &SearchRequest, at: &str, rejects: &mut
         source.try_keyword_deweys(word).expect("in-process read")
     });
     let mut want = Vec::new();
-    for fragment in plain.into_fragments() {
+    for fragment in plain.hits.into_iter().map(|h| h.fragment) {
         let knodes: Vec<(&Dewey, String)> = (fragment.iter().filter(|n| n.is_keyword))
             .map(|n| {
                 (
@@ -135,17 +134,8 @@ fn check(engine: &SearchEngine, request: &SearchRequest, at: &str, rejects: &mut
     assert_eq!(got.stats.filtered_out, rtfs - want.len(), "{at}");
     assert_eq!(got.stats.total_before_top_k, want.len(), "{at}");
     assert!(!got.stats.truncated, "{at}");
-    assert_eq!(got.into_fragments(), want, "{at}");
-
-    // The cap applies after the checks, in document order.
-    let cap = 2;
-    let capped = engine
-        .execute(&request.clone().max_fragments(cap))
-        .expect("in-process query");
-    assert_eq!(capped.stats.total_before_top_k, want.len(), "{at} capped");
-    assert_eq!(capped.stats.truncated, want.len() > cap, "{at} capped");
-    want.truncate(cap);
-    assert_eq!(capped.into_fragments(), want, "{at} capped");
+    let got: Vec<_> = got.hits.into_iter().map(|h| h.fragment).collect();
+    assert_eq!(got, want, "{at}");
 }
 
 #[test]

@@ -34,7 +34,10 @@ fn search(engine: &SearchEngine, query: &Query, kind: AlgorithmKind) -> Results 
         fragments: engine
             .execute(&request)
             .expect("tree backend cannot fail")
-            .into_fragments(),
+            .hits
+            .into_iter()
+            .map(|h| h.fragment)
+            .collect(),
     }
 }
 

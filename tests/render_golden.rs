@@ -20,7 +20,7 @@ mod common;
 
 use common::{algorithm_name, ALGORITHMS};
 use xks::core::wire;
-use xks::core::{MemoryCorpus, RankWeights, SearchEngine, SearchRequest};
+use xks::core::{MemoryCorpus, SearchEngine, SearchRequest};
 use xks::datagen::queries::{dblp_workload, xmark_workload};
 use xks::datagen::scenario::ScenarioSpec;
 use xks::datagen::{generate_dblp, generate_xmark, DblpConfig, XmarkConfig, XmarkSize};
@@ -44,11 +44,7 @@ const VARIANTS: [Variant; 4] = [
     ("plain", |r| r, usize::MAX),
     ("limit3", |r| r, 3),
     ("limit0", |r| r, 0),
-    (
-        "top5-ranked",
-        |r| r.weights(RankWeights::default()).top_k(5),
-        usize::MAX,
-    ),
+    ("top5-ranked", |r| r.rank().top_k(5), usize::MAX),
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {

@@ -6,7 +6,7 @@
 //! builds, and the 22 `s10-flat-zipf-single` queries (every class of
 //! the grammar). The sources are `MemoryCorpus` and a mono `.xks`
 //! reader; the shapes are the plain request and a ranked `top_k 5`,
-//! which takes the bound-ordered construct loop. Everything runs on one
+//! which visits the RTFs best score bound first. Everything runs on one
 //! thread in a fixed order, so every count is exact and the same on
 //! every machine and build profile.
 //!
